@@ -7,8 +7,8 @@
 // checked-in BENCH_core_hotpath.json (see EXPERIMENTS.md, "Performance
 // baseline"). Regenerate the baseline on intentional perf changes with:
 //
-//   ./build/bench/core_hotpath --benchmark_format=json \
-//       --benchmark_out=BENCH_core_hotpath.json
+//   ./build/bench/core_hotpath --benchmark_format=json
+//       --benchmark_out=BENCH_core_hotpath.json   (one command line)
 //
 // The workload is the fig09 p=100 cell shape (App 0 fully inter-region at
 // 10% of half-mesh saturation, App 1 local) with App 1 swept across the
@@ -18,12 +18,15 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "metrics/recorder.h"
 #include "routing/tables.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
+#include "sim/shard.h"
 
 namespace rair {
 namespace {
@@ -121,9 +124,14 @@ void BM_hotpath(benchmark::State& st, const SchemeSpec& scheme,
       static_cast<double>(loop.sim->inFlight());
 }
 
+// Every hot-loop bench times wall clock (UseRealTime): the kIsRate
+// counters then divide by real time, so a sharded cell's cycles_per_sec
+// counts its worker threads and barrier waits instead of only the main
+// thread's CPU time.
 #define RAIR_HOTPATH_BENCH(name, scheme, fraction)               \
   BENCHMARK_CAPTURE(BM_hotpath, name, scheme, fraction)          \
-      ->Unit(benchmark::kMillisecond)
+      ->Unit(benchmark::kMillisecond)                            \
+      ->UseRealTime()
 
 RAIR_HOTPATH_BENCH(ro_rr_low, schemeRoRr(), 0.10);
 RAIR_HOTPATH_BENCH(ro_rr_knee, schemeRoRr(), 0.85);
@@ -137,20 +145,24 @@ RAIR_HOTPATH_BENCH(ra_rair_saturated, schemeRaRair(), 1.10);
 // can bound the instrumentation overhead (<= 2% on cycles_per_sec).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_metrics, schemeRoRr(), 0.85,
                   HotLoopOptions{.withMetrics = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_metrics, schemeRaRair(), 0.85,
                   HotLoopOptions{.withMetrics = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Same knee workloads with a snapshot hook installed but never firing:
 // the "_snapshot" suffix pairs each with its bare twin so perf_check.py
 // can bound the armed snapshot predicate overhead (<= 2%).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_snapshot, schemeRoRr(), 0.85,
                   HotLoopOptions{.withSnapshotHook = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_snapshot, schemeRaRair(), 0.85,
                   HotLoopOptions{.withSnapshotHook = true})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Same knee workloads on the retransmitting link layer with zero
 // corruption ("_retx0" pairs with the bare twin): fault-free retx is the
@@ -162,10 +174,12 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_snapshot, schemeRaRair(), 0.85,
 // must stay at pre-refactor speed (guarded by the checked-in baseline).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_retx0, schemeRoRr(), 0.85,
                   HotLoopOptions{.linkLayer = LinkLayerKind::Retx})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
                   HotLoopOptions{.linkLayer = LinkLayerKind::Retx})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // 16x16 mesh (256 nodes), the workload size where intra-run parallelism
 // pays: the bare cell, its 1-shard sharded twin ("_sharded1" pairs with
@@ -174,19 +188,24 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
 // BENCH_core_hotpath.json records the machine it was generated on.
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_sharded1, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 1})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t2, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 2})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t4, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t8, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16, .shardThreads = 8})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Topology-event (reconfiguration) cost: the per-event price of repairing
 // the routing tables after a link flap, measured on a 32x32 mesh
@@ -236,4 +255,21 @@ BENCHMARK_CAPTURE(BM_topoChurn, topo_churn32_inc, /*incremental=*/true)
 }  // namespace
 }  // namespace rair
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Host context for the recorded baseline: a wall-clock rate means
+  // little without the cores it ran on. usable_cores is the affinity mask
+  // capped by the cgroup CPU quota — the value the shard engine's
+  // spin-or-park rule reads.
+  benchmark::AddCustomContext(
+      "hardware_concurrency",
+      std::to_string(std::thread::hardware_concurrency()));
+  benchmark::AddCustomContext("usable_cores",
+                              std::to_string(rair::usableCores()));
+  benchmark::AddCustomContext("compiler", __VERSION__);
+  benchmark::AddCustomContext("build_type", RAIR_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,5 +1,7 @@
 #include "link/retx.h"
 
+#include <algorithm>
+
 #include "snapshot/codec.h"
 
 namespace rair {
@@ -16,6 +18,7 @@ RetxLink::RetxLink(Cycle latency, std::size_t replayCapacity)
 // ---- Sender side -------------------------------------------------------
 
 void RetxLink::vSendFlit(Cycle, const Flit& f, int vc) {
+  applyPendingControl();
   // The credit loop bounds un-ACKed occupancy below the capacity the
   // network sized us with; overflow means flow control is broken.
   RAIR_CHECK_MSG(replay_.size() < replayCap_, "retx replay buffer overflow");
@@ -23,25 +26,30 @@ void RetxLink::vSendFlit(Cycle, const Flit& f, int vc) {
 }
 
 void RetxLink::retireAcked(std::uint64_t seq) {
-  // Cumulative: everything below seq was delivered; retire it.
-  while (!replay_.empty() && replay_.front().seq < seq) {
-    replay_.pop_front();
-    RAIR_DCHECK(cursor_ > 0);
-    --cursor_;
-  }
+  // Cumulative: everything below seq was delivered. Retirement waits for
+  // phase B: the receiver may be reading the replay buffer right now.
+  retireBelow_ = std::max(retireBelow_, seq);
 }
 
 void RetxLink::applyCtl(const RevMsg& m) {
-  if (m.kind == RevKind::Ack) {
-    retireAcked(m.seq);
-  } else {
-    RAIR_DCHECK(m.kind == RevKind::Nak);
-    // Go-back-N: everything below m.seq was delivered (the NAK is
-    // cumulative too); rewind the pump over the rest.
-    while (!replay_.empty() && replay_.front().seq < m.seq)
-      replay_.pop_front();
-    cursor_ = 0;
+  // Go-back-N: a NAK is cumulative too; it also rewinds the pump over the
+  // rest.
+  RAIR_DCHECK(m.kind == RevKind::Ack || m.kind == RevKind::Nak);
+  retireAcked(m.seq);
+  if (m.kind == RevKind::Nak) rewindPending_ = true;
+}
+
+void RetxLink::applyPendingControl() {
+  while (!replay_.empty() && replay_.front().seq < retireBelow_) {
+    replay_.pop_front();
+    if (!rewindPending_) {
+      RAIR_DCHECK(cursor_ > 0);
+      --cursor_;
+    }
   }
+  if (rewindPending_) cursor_ = 0;
+  retireBelow_ = 0;
+  rewindPending_ = false;
 }
 
 void RetxLink::pump(Cycle now) {
@@ -82,6 +90,7 @@ void RetxLink::vTickUpstream(Cycle now) {
   // Control was already applied by this cycle's credit poll (every
   // upstream endpoint drains peekCredit each cycle); touching the reverse
   // wire here would race the downstream endpoint's same-phase pushes.
+  applyPendingControl();
   pump(now);
 }
 
@@ -235,6 +244,8 @@ constexpr std::uint8_t kRetxSectionVersion = 2;
 }  // namespace
 
 void RetxLink::save(snapshot::Writer& w) const {
+  RAIR_CHECK_MSG(retireBelow_ == 0 && !rewindPending_,
+                 "retx save with link control still pending");
   w.u8(kRetxSectionVersion);
   snapshot::saveDelayPipe(w, fwd_,
                           [](snapshot::Writer& w2, const WireFlit& wf) {
@@ -287,6 +298,8 @@ void RetxLink::restore(snapshot::Reader& r) {
                         });
   nextSeq_ = r.u64();
   cursor_ = static_cast<std::size_t>(r.u64());
+  retireBelow_ = 0;
+  rewindPending_ = false;
   wireHigh_ = r.u64();
   corruptPending_ = r.i32();
   expectSeq_ = r.u64();

@@ -82,9 +82,11 @@ class RetxLink final : public LinkLayer {
   /// seq == expectSeq_) is guaranteed to still have its replay entry
   /// (entries retire only on a cumulative ACK, which the receiver cannot
   /// have sent before accepting seq), so the receiver reads the FlitMsg
-  /// straight out of the replay buffer. Phase-safe: the replay buffer is
-  /// written in phase A (sender) and read in phase B (receiver), the
-  /// same one-endpoint-per-phase discipline every wire follows.
+  /// straight out of the replay buffer. Phase-safe: the receiver reads
+  /// the replay buffer in phase A (beginCycle), and the sender mutates it
+  /// only in phase B — appends in SA/ST, and the ACK/NAK control it polls
+  /// in phase A is only noted there and applied by applyPendingControl()
+  /// before its next append or pump.
   struct WireFlit {
     std::uint64_t seq = 0;
     bool corrupt = false;
@@ -116,6 +118,9 @@ class RetxLink final : public LinkLayer {
 
   void retireAcked(std::uint64_t seq);
   void applyCtl(const RevMsg& m);
+  /// Retires the replay entries the noted ACKs/NAKs released and applies
+  /// a noted go-back rewind. Sender-side, phase B.
+  void applyPendingControl();
   void pump(Cycle now);
 
   std::size_t replayCap_;
@@ -131,6 +136,10 @@ class RetxLink final : public LinkLayer {
   std::uint64_t wireHigh_ = 0;  ///< 1 + highest seq ever pumped
   int corruptPending_ = 0;      ///< flits still to corrupt at the pump
   CreditMsg creditScratch_;     ///< backing for peekCredit's return
+  // Control noted while polling credits (phase A), applied in phase B;
+  // both are clear between cycles, so they are never serialized.
+  std::uint64_t retireBelow_ = 0;  ///< highest cumulative ACK/NAK noted
+  bool rewindPending_ = false;     ///< a NAK was noted
 
   // Receiver state.
   std::uint64_t expectSeq_ = 0;  ///< next in-order sequence to accept

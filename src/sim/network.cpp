@@ -104,14 +104,19 @@ void Network::wire() {
   RAIR_CHECK(links_.size() == numLinks);
 }
 
-void Network::step(Cycle now) {
+int Network::step(Cycle now) {
   for (auto& nic : nics_) nic.tick(now);
   for (auto& r : routers_) r.beginCycle(now);
   for (auto& r : routers_) r.routeCompute(now);
   for (auto& r : routers_) r.vcAllocate(now);
-  for (auto& r : routers_) r.switchAllocateAndTraverse(now);
+  int moved = 0;
+  for (auto& r : routers_) {
+    r.switchAllocateAndTraverse(now);
+    moved += r.flitsMovedLastCycle();
+  }
   for (auto& r : routers_) r.endCycle(now);
   propagateCongestion();
+  return moved;
 }
 
 void Network::propagateCongestion() {
@@ -153,19 +158,16 @@ void Network::phaseInjectRoute(Cycle now, NodeId begin, NodeId end) {
 
 void Network::phaseRetireCongestion() { std::swap(agg_, aggPrev_); }
 
-void Network::phaseTraversePropagate(Cycle now, NodeId begin, NodeId end) {
+int Network::phaseTraversePropagate(Cycle now, NodeId begin, NodeId end) {
+  int moved = 0;
   for (NodeId n = begin; n < end; ++n) {
     Router& r = routers_[static_cast<size_t>(n)];
     r.switchAllocateAndTraverse(now);
+    moved += r.flitsMovedLastCycle();
     r.endCycle(now);
     propagateCongestionRow(n);
   }
-}
-
-int Network::flitsMovedLastCycle() const {
-  int total = 0;
-  for (const auto& r : routers_) total += r.flitsMovedLastCycle();
-  return total;
+  return moved;
 }
 
 std::uint64_t Network::totalFlitsTraversed() const {

@@ -55,8 +55,9 @@ class Network final : public CongestionView {
           RoutingKind routingKind, const ArbiterPolicy& policy);
 
   /// One clock edge: NICs first (inject/eject), then the router pipeline
-  /// phases, then congestion-information propagation.
-  void step(Cycle now);
+  /// phases, then congestion-information propagation. Returns the flits
+  /// moved: the sum of Router::flitsMovedLastCycle() after the edge.
+  int step(Cycle now);
 
   // --- Shard-callable phase slices (sim/shard.h) -------------------------
   // The sharded engine advances disjoint contiguous node ranges through
@@ -77,8 +78,9 @@ class Network final : public CongestionView {
   void phaseRetireCongestion();
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
   /// per node, then the node's congestion-aggregate row (own free-VC count
-  /// combined with the neighbors' retired previous-cycle rows).
-  void phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
+  /// combined with the neighbors' retired previous-cycle rows). Returns the
+  /// range's share of step()'s moved-flit count.
+  int phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
 
   Nic& nic(NodeId n) { return nics_[static_cast<size_t>(n)]; }
   const Nic& nic(NodeId n) const { return nics_[static_cast<size_t>(n)]; }
@@ -93,9 +95,6 @@ class Network final : public CongestionView {
   /// Mutable routing access for the fault layer (attaching/detaching the
   /// degraded-topology tables). Never used on the cycle hot path.
   RoutingAlgorithm& routingMut() { return *routing_; }
-
-  /// Flits that traversed any switch in the last completed cycle.
-  int flitsMovedLastCycle() const;
 
   /// Cumulative switch traversals (flit-hops) summed over all routers.
   std::uint64_t totalFlitsTraversed() const;

@@ -138,11 +138,9 @@ void Simulator::stepCycle() {
     createPacket(d.src, d.dst, d.app, d.cls, d.numFlits);
   }
   for (auto& src : sources_) src->tick(*this);
-  if (engine_ != nullptr)
-    engine_->step(now_);
-  else
-    net_->step(now_);
-  if (net_->flitsMovedLastCycle() > 0 || delivered_ != lastDelivered_ ||
+  const int moved =
+      engine_ != nullptr ? engine_->step(now_) : net_->step(now_);
+  if (moved > 0 || delivered_ != lastDelivered_ ||
       ledger_.empty()) {
     lastProgress_ = now_;
     lastDelivered_ = delivered_;

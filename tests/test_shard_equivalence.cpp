@@ -7,6 +7,7 @@
 // subset for the ThreadSanitizer job with `ctest -R Shard`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "snapshot/bisect.h"
 #include "snapshot/buffer.h"
 #include "snapshot/checkpoint.h"
+#include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace rair {
@@ -374,6 +376,143 @@ TEST(ShardBisect, SaveLegacyRestoreShardedNeverDiverges) {
       /*horizon=*/800);
   EXPECT_FALSE(res.diverged)
       << "cycle " << res.firstDivergentCycle << " section " << res.section;
+}
+
+
+// ---- Shard boundary rebalancing -------------------------------------------
+
+TEST(ShardPartition, SplitByCostEvenCostsSplitEvenly) {
+  const std::vector<std::uint64_t> cost(256, 7);
+  EXPECT_EQ(splitByCost(cost, 4), (std::vector<NodeId>{0, 64, 128, 192, 256}));
+  EXPECT_EQ(splitByCost(cost, 3), (std::vector<NodeId>{0, 85, 171, 256}));
+  EXPECT_EQ(splitByCost(cost, 1), (std::vector<NodeId>{0, 256}));
+}
+
+TEST(ShardPartition, SplitByCostGivesBusyNodesSmallerShards) {
+  // A busy middle: shard sums 9 / 10 / 13 are the closest contiguous
+  // split of 32 into thirds.
+  const std::vector<std::uint64_t> cost = {1, 1, 1, 1, 5, 5, 5, 5,
+                                           1, 1, 1, 1};
+  EXPECT_EQ(splitByCost(cost, 3), (std::vector<NodeId>{0, 5, 7, 12}));
+  // More shards than nodes: the surplus shards come out empty.
+  const auto b = splitByCost(std::vector<std::uint64_t>(3, 1), 5);
+  ASSERT_EQ(b.size(), 6u);
+  EXPECT_EQ(b.front(), 0);
+  EXPECT_EQ(b.back(), 3);
+  EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+}
+
+/// Forces a pseudo-random shard partition every `every` cycles for the
+/// guard's lifetime (ShardEngine::forceRebalanceEveryForTest).
+class ForcedRebalance {
+ public:
+  explicit ForcedRebalance(Cycle every) {
+    ShardEngine::forceRebalanceEveryForTest = every;
+  }
+  ~ForcedRebalance() { ShardEngine::forceRebalanceEveryForTest = 0; }
+  ForcedRebalance(const ForcedRebalance&) = delete;
+  ForcedRebalance& operator=(const ForcedRebalance&) = delete;
+};
+
+struct NullEvents final : NicEvents {
+  void onInjected(PacketId, Cycle) override {}
+  void onDelivered(PacketId, Cycle, std::uint16_t) override {}
+};
+
+TEST(ShardPartition, ForcedMovesIncludeEmptyAndOneNodeShards) {
+  Mesh mesh(4, 4);
+  const RegionMap regions = RegionMap::halves(mesh);
+  RoundRobinPolicy policy;
+  Network net(mesh, regions, NetworkConfig{}, RoutingKind::LocalAdaptive,
+              policy);
+  NullEvents sink;
+  const ForcedRebalance force(1);
+  ShardEngine engine(net, sink, 4);
+  bool sawEmpty = false, sawOneNode = false, sawMove = false;
+  std::vector<NodeId> prev = engine.boundaries();
+  for (Cycle c = 0; c < 64; ++c) {
+    engine.step(c);
+    const std::vector<NodeId> b = engine.boundaries();
+    ASSERT_EQ(b.size(), 5u);
+    EXPECT_EQ(b.front(), 0);
+    EXPECT_EQ(b.back(), mesh.numNodes());
+    EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+    for (std::size_t s = 0; s + 1 < b.size(); ++s) {
+      sawEmpty |= b[s] == b[s + 1];
+      sawOneNode |= b[s] + 1 == b[s + 1];
+    }
+    sawMove |= b != prev;
+    prev = b;
+  }
+  EXPECT_TRUE(sawEmpty);
+  EXPECT_TRUE(sawOneNode);
+  EXPECT_TRUE(sawMove);
+}
+
+TEST(ShardPartition, IdleNetworkKeepsTheEvenSplit) {
+  // No traffic: every node costs the same, so the cost-based rebalance
+  // reproduces the initial even split.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  RoundRobinPolicy policy;
+  Network net(mesh, regions, NetworkConfig{}, RoutingKind::LocalAdaptive,
+              policy);
+  NullEvents sink;
+  ShardEngine engine(net, sink, 4);
+  const std::vector<NodeId> even = {0, 16, 32, 48, 64};
+  EXPECT_EQ(engine.boundaries(), even);
+  for (Cycle c = 0; c <= ShardEngine::kRebalanceInterval; ++c) engine.step(c);
+  EXPECT_EQ(engine.boundaries(), even);
+}
+
+TEST(ShardRebalance, ForcedMovesKeepFig09Golden) {
+  const ForcedRebalance force(3);
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  expectFig09Golden(runScenario(
+      fig09Spec(mesh, regions, 0.0, schemeRoRr(), 10451216379200822465ull)
+          .withThreads(4)));
+}
+
+TEST(ShardRebalance, ForcedMovesKeepFig12Golden) {
+  const ForcedRebalance force(5);
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  expectFig12Golden(runScenario(
+      fig12SpecA(mesh, regions, schemeRaRair(), 16184226688143867045ull)
+          .withThreads(3)));
+}
+
+TEST(ShardRebalance, ForcedMovesKeepSerializedStateByteIdentical) {
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  const ScenarioSpec spec =
+      fig09Spec(mesh, regions, 0.5, schemeRaRair(), 17911839290282890590ull);
+  const auto reference = serializedAfter(ScenarioSpec(spec).withThreads(1),
+                                         3000);
+  const ForcedRebalance force(2);
+  for (const int threads : {2, 4, 8}) {
+    const auto moved =
+        serializedAfter(ScenarioSpec(spec).withThreads(threads), 3000);
+    EXPECT_TRUE(reference == moved) << "threads=" << threads << ": "
+        << snapshot::firstDifferingSection(reference, moved);
+  }
+}
+
+TEST(ShardRebalance, ForcedMovesKeepCheckpointResumeOnGolden) {
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  const ScenarioSpec spec =
+      fig12SpecA(mesh, regions, schemeRaRair(), 16184226688143867045ull);
+  const ForcedRebalance force(7);
+  const std::string path = ::testing::TempDir() + "rair_shard_rebal.snap";
+  snapshot::removeFile(path);
+  ASSERT_TRUE(writeScenarioCheckpoint(ScenarioSpec(spec).withThreads(4),
+                                      kMidWindow, path));
+  const ScenarioResult r = runScenario(
+      ScenarioSpec(spec).withCheckpoint(path).withThreads(8));
+  EXPECT_EQ(r.resumedFromCycle, kMidWindow);
+  expectFig12Golden(r);
 }
 
 }  // namespace

@@ -47,7 +47,11 @@ def load_metrics(path, metric):
         # benches events_per_sec); each pass only sees its own subset.
         if metric not in bench:
             continue
-        out[bench["name"]] = float(bench[metric])
+        # UseRealTime() benches carry a "/real_time" tag after the
+        # registered name; key on the registered name so suffix pairs
+        # ("X_metrics" vs "X") still line up.
+        name = bench["name"].removesuffix("/real_time")
+        out[name] = float(bench[metric])
     if not out:
         sys.exit(f"perf_check: {path}: no benchmarks with a {metric!r} "
                  f"counter found")
