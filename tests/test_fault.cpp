@@ -288,8 +288,11 @@ ScenarioSpec smallSpec(const Mesh& mesh, const RegionMap& regions,
   return fig09Spec(mesh, regions, 0.5, scheme, 0xFA11ull);
 }
 
+// The kind is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would make the listed test name change
+// from one process launch to the next.
 class FaultKindOracle
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(FaultKindOracle, NoViolationsAndAllDropsAccounted) {
   const std::string kind = std::get<0>(GetParam());
@@ -339,7 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "creditloss", "freeze", "reset"),
                        ::testing::Values(1, 4)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_t" +
+      return std::get<0>(info.param) + "_t" +
              std::to_string(std::get<1>(info.param));
     });
 
