@@ -110,8 +110,13 @@ std::vector<double> calibrateLoads(const Mesh& mesh, const RegionMap& regions,
 
   // Joint in-context calibration of the high apps: scale them together
   // (u = 1 corresponds to each running at its solo saturation) with the
-  // low apps active, and find the knee of the high apps' mean APL.
-  auto aplAtScale = [&](double u) {
+  // low apps active, and find the knee of the high apps' mean APL. A
+  // probe's verdict bound is the mean of the high apps' per-app bounds,
+  // the same mean this search compares.
+  std::vector<AppId> highIds;
+  for (std::size_t i : highApps) highIds.push_back(static_cast<AppId>(i));
+  auto aplAtScale = [&](double u, std::optional<double> knee,
+                        const std::atomic<bool>* abandon) {
     SimConfig cfg;
     cfg.warmupCycles = opts.warmupCycles;
     cfg.measureCycles = opts.measureCycles;
@@ -119,10 +124,12 @@ std::vector<double> calibrateLoads(const Mesh& mesh, const RegionMap& regions,
     std::vector<AppTrafficSpec> apps = shapes;
     for (std::size_t i = 0; i < n; ++i) apps[i].injectionRate = rates[i];
     for (std::size_t i : highApps) apps[i].injectionRate = u * soloSat[i];
-    const auto res = runScenario(ScenarioSpec(mesh, regions)
-                                     .withConfig(cfg)
-                                     .withScheme(schemeRoRr())
-                                     .withApps(std::move(apps)));
+    ScenarioSpec spec = ScenarioSpec(mesh, regions)
+                            .withConfig(cfg)
+                            .withScheme(schemeRoRr())
+                            .withApps(std::move(apps));
+    if (knee) spec.withKneeVerdict({*knee, highIds, abandon});
+    const auto res = runScenario(spec);
     if (!res.run.fullyDrained)
       return std::numeric_limits<double>::infinity();
     double sum = 0;
@@ -132,7 +139,8 @@ std::vector<double> calibrateLoads(const Mesh& mesh, const RegionMap& regions,
   };
   SaturationOptions jointOpts = opts;
   jointOpts.maxRate = 1.0;  // u is a scale factor; 1 = solo saturation
-  const double uStar = findSaturationRate(aplAtScale, jointOpts);
+  const double uStar =
+      findSaturationRate(aplAtScale, usableCores(), jointOpts);
   for (std::size_t i : highApps)
     rates[i] = fractions[i] * uStar * soloSat[i];
   return rates;

@@ -7,7 +7,9 @@
 // zero-load latency.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <optional>
 
 #include "sim/scenario.h"
 
@@ -33,16 +35,42 @@ struct SaturationOptions {
   std::string warmCacheDir;
 };
 
-/// Generic knee finder over a monotone latency-vs-rate curve.
-/// `aplAtRate(rate)` must return the mean latency at the given injection
-/// rate, or a huge value / +inf when the network failed to drain.
+/// One knee probe: the mean latency at `rate`, or +inf where the network
+/// failed to drain. `knee` is absent for the zero-load probe; for every
+/// other probe the finder only asks `apl > knee`, so the probe may stop
+/// early and return +inf once that is certain (a KneeVerdict). `abandon`
+/// is set once the search no longer needs the probe's result; the probe
+/// should then stop at its next check and may return anything.
+using KneeProbe = std::function<double(
+    double rate, std::optional<double> knee, const std::atomic<bool>* abandon)>;
+
+/// Knee finder that runs up to `width` probes at once, one thread each.
+/// The geometric scan probes windows of `width` consecutive rates of the
+/// `rate *= growth` sequence and takes the first bad one in sequence
+/// order; the bisection probes a breadth-first tree of the next d
+/// midpoints (2^d - 1 <= width), each computed as `0.5 * (lo + hi)` from
+/// the bracket the serial search would hold there. The result is
+/// therefore bit-identical to the serial search (width 1) for every width
+/// and every latency curve, monotone or not: speculation changes cost,
+/// never the result. A probe is abandoned as soon as the verdicts already
+/// in put it off the search's path (a bad rate ends the scan window, a
+/// midpoint's verdict rules out the other half of its subtree).
+double findSaturationRate(const KneeProbe& probe, int width,
+                          const SaturationOptions& opts = {});
+
+/// Serial knee finder: the batched finder at width 1. `aplAtRate(rate)`
+/// must return the mean latency at the given injection rate, or a huge
+/// value / +inf when the network failed to drain; it is called one rate
+/// at a time, in search order, on the calling thread.
 double findSaturationRate(const std::function<double(double)>& aplAtRate,
                           const SaturationOptions& opts = {});
 
 /// Saturation rate of one application's traffic shape running *alone* on
 /// the chip under the round-robin baseline — the reference the paper's
 /// "x% of saturation load" figures are defined against. The app's
-/// injectionRate field is ignored (it is the swept variable).
+/// injectionRate field is ignored (it is the swept variable). Probes run
+/// usableCores() at a time, each stopped by a KneeVerdict once it is
+/// proven saturated; the result does not depend on the core count.
 double appSaturationRate(const Mesh& mesh, const RegionMap& regions,
                          AppTrafficSpec app,
                          const SaturationOptions& opts = {},

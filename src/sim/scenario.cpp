@@ -150,6 +150,7 @@ ScenarioResult runScenario(const ScenarioSpec& spec) {
                      cfg.warmupCycles + cfg.measureCycles);
     sim.observers().attach(&*recorder);
   }
+  sim.setKneeVerdict(spec.kneeVerdict);
   out.run = sim.run();
   if (!ckptPath.empty()) snapshot::removeCheckpoint(ckptPath);
   if (recorder) recorder->finalize(out.run.cyclesRun);

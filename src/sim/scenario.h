@@ -84,6 +84,9 @@ struct ScenarioSpec {
   /// Timed fault events applied during the run (empty = fault-free). Part
   /// of the scenario identity: the plan enters warm/full snapshot keys.
   fault::FaultPlan faults;
+  /// Saturation calibration's early stop (see KneeVerdict). Not part of the
+  /// scenario identity: excluded from warm/full snapshot keys.
+  std::optional<KneeVerdict> kneeVerdict;
 
   ScenarioSpec(const Mesh& m, const RegionMap& r) : mesh(&m), regions(&r) {}
 
@@ -158,6 +161,12 @@ struct ScenarioSpec {
   /// for it (and the oracle, when armed, becomes fault-aware).
   ScenarioSpec& withFaults(fault::FaultPlan plan) {
     faults = std::move(plan);
+    return *this;
+  }
+  /// Arms saturation calibration's early stops: the run ends, not
+  /// drained, once its APL is proven above the knee or it is abandoned.
+  ScenarioSpec& withKneeVerdict(KneeVerdict v) {
+    kneeVerdict = std::move(v);
     return *this;
   }
   /// Enables end-of-warm-up state caching in `dir`.

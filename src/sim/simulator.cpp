@@ -13,6 +13,8 @@ const char* terminationName(Termination t) {
     case Termination::Drained: return "drained";
     case Termination::DrainLimit: return "drain_limit";
     case Termination::ProgressTimeout: return "progress_timeout";
+    case Termination::AboveKnee: return "above_knee";
+    case Termination::Abandoned: return "abandoned";
   }
   return "unknown";
 }
@@ -21,6 +23,8 @@ std::optional<Termination> terminationFromName(std::string_view name) {
   if (name == "drained") return Termination::Drained;
   if (name == "drain_limit") return Termination::DrainLimit;
   if (name == "progress_timeout") return Termination::ProgressTimeout;
+  if (name == "above_knee") return Termination::AboveKnee;
+  if (name == "abandoned") return Termination::Abandoned;
   return std::nullopt;
 }
 
@@ -283,13 +287,40 @@ void Simulator::restore(snapshot::Reader& r) {
   }
 }
 
+bool Simulator::provenAboveKnee() const {
+  const std::vector<AppId>& apps = verdict_->apps;
+  std::vector<std::uint64_t> ageSum(apps.size(), 0);
+  std::vector<std::uint64_t> inFlight(apps.size(), 0);
+  ledger_.forEachLive([&](const Packet& p) {
+    if (!stats_.inMeasurementWindow(p.createCycle)) return;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      if (apps[i] == p.app) {
+        ageSum[i] += now_ - p.createCycle;
+        ++inFlight[i];
+      }
+    }
+  });
+  double sum = 0.0;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const LatencyStats& lat = stats_.app(apps[i]).totalLatency;
+    const std::uint64_t n = lat.count() + inFlight[i];
+    if (n != 0)
+      sum += (lat.sum() + static_cast<double>(ageSum[i])) /
+             static_cast<double>(n);
+  }
+  return sum / static_cast<double>(apps.size()) > verdict_->knee;
+}
+
 RunResult Simulator::run() {
   const Cycle measureEnd = config_.warmupCycles + config_.measureCycles;
   const Cycle hardStop = measureEnd + config_.drainLimit;
   begin();
+  RAIR_CHECK_MSG(!verdict_ || faultHook_ == nullptr,
+                 "a knee verdict needs a fault-free run");
 
   bool drained = false;
   bool stalled = false;
+  std::optional<Termination> stopped;
 
   while (now_ < hardStop) {
     const Cycle cur = now_;
@@ -315,6 +346,17 @@ RunResult Simulator::run() {
       drained = true;
       break;
     }
+    if (verdict_ && (cur + 1) % kVerdictEvery == 0) {
+      if (verdict_->abandon != nullptr &&
+          verdict_->abandon->load(std::memory_order_relaxed)) {
+        stopped = Termination::Abandoned;
+        break;
+      }
+      if (cur + 1 >= measureEnd && provenAboveKnee()) {
+        stopped = Termination::AboveKnee;
+        break;
+      }
+    }
   }
 
   RunResult r;
@@ -322,8 +364,8 @@ RunResult Simulator::run() {
   r.cyclesRun = now_;
   r.fullyDrained = drained;
   r.termination = drained ? Termination::Drained
-                          : (stalled ? Termination::ProgressTimeout
-                                     : Termination::DrainLimit);
+                  : stalled ? Termination::ProgressTimeout
+                            : stopped.value_or(Termination::DrainLimit);
   r.packetsCreated = created_;
   r.packetsDelivered = delivered_;
   r.flitHops = net_->totalFlitsTraversed();

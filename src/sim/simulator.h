@@ -4,6 +4,7 @@
 // network running ("drain") until every measured packet is delivered.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -53,10 +54,12 @@ enum class Termination : std::uint8_t {
   DrainLimit,       ///< drain-limit hard stop with measured packets in flight
   ProgressTimeout,  ///< deadlock/livelock tripwire: no flit moved and
                     ///< nothing was delivered for `progressTimeout` cycles
+  AboveKnee,        ///< a KneeVerdict proved the APL exceeds its knee
+  Abandoned,        ///< a KneeVerdict's caller no longer needed the run
 };
 
-/// Stable lowercase name ("drained" / "drain_limit" / "progress_timeout"),
-/// used in campaign JSON records.
+/// Stable lowercase name ("drained" / "drain_limit" / "progress_timeout" /
+/// "above_knee" / "abandoned"), used in campaign JSON records.
 const char* terminationName(Termination t);
 
 /// Inverse of terminationName; nullopt for unknown names.
@@ -129,6 +132,30 @@ class ObserverSet {
   std::vector<SimObserver*> observers_;
 };
 
+/// Saturation calibration's stop condition (sim/saturation.cpp). Once the
+/// measurement window has closed, every measured packet exists, so for
+/// each app `a`
+///
+///   LB(a) = (sum of delivered measured latencies of a
+///            + sum over a's in-flight measured packets of (now - create))
+///           / (number of measured packets of a)
+///
+/// is a lower bound on a's final APL: every in-flight packet is delivered
+/// at `now` or later. The integer sums are exact in double and rounding is
+/// monotone, so the mean of LB over `apps` is a lower bound on the mean of
+/// the final per-app APLs computed the same way. When it exceeds `knee`
+/// (strict `>`, the finder's comparison) the full run would report an APL
+/// above the knee or fail to drain: either way the verdict is "saturated".
+/// Requires a fault-free run: a packet dropped by a fault leaves the final
+/// APL's denominator, which would void the bound.
+struct KneeVerdict {
+  double knee = 0.0;
+  std::vector<AppId> apps;
+  /// Set by a speculative search once it no longer needs this run; the run
+  /// then stops at its next check. Null = never abandoned.
+  const std::atomic<bool>* abandon = nullptr;
+};
+
 struct RunResult {
   StatsCollector stats{1};
   Cycle cyclesRun = 0;
@@ -189,6 +216,16 @@ class Simulator final : public InjectionSink, private NicEvents {
 
   /// Runs warmup + measurement + drain; returns the collected results.
   RunResult run();
+
+  /// Arms run()'s early stops, checked every kVerdictEvery cycles: the run
+  /// ends, not drained, with Termination::Abandoned once the abandon flag
+  /// is set, and, after the measurement window, with Termination::AboveKnee
+  /// once the verdict's bound exceeds the knee. Not simulation state: never
+  /// snapshotted, never part of scenario keys.
+  void setKneeVerdict(std::optional<KneeVerdict> verdict) {
+    verdict_ = std::move(verdict);
+  }
+  static constexpr Cycle kVerdictEvery = 64;
 
   // --- Incremental driving (benches, allocation tests) -------------------
   /// Opens the measurement windows. run() calls this itself; call it
@@ -260,6 +297,9 @@ class Simulator final : public InjectionSink, private NicEvents {
   void onInjected(PacketId id, Cycle when) override;
   void onDelivered(PacketId id, Cycle when, std::uint16_t hops) override;
 
+  /// Whether the armed verdict's lower bound already exceeds its knee.
+  bool provenAboveKnee() const;
+
   /// The snapshot predicate as a begin-of-cycle observer: fires the hook
   /// when the save point or the periodic interval is due.
   struct SnapshotTripwire final : SimObserver {
@@ -300,6 +340,7 @@ class Simulator final : public InjectionSink, private NicEvents {
 
   ObserverSet observers_;
   FaultHook* faultHook_ = nullptr;
+  std::optional<KneeVerdict> verdict_;
   Cycle now_ = 0;
   std::uint64_t created_ = 0;
   std::uint64_t delivered_ = 0;

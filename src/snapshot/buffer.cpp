@@ -1,10 +1,13 @@
 #include "snapshot/buffer.h"
 
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <sys/stat.h>
+#include <unistd.h>
 
 namespace rair::snapshot {
 
@@ -91,7 +94,13 @@ void Reader::endSection() {
 
 bool writeSnapshotFile(const std::string& path, const SnapshotHeader& header,
                        const std::vector<std::uint8_t>& payload) {
-  const std::string tmp = path + ".tmp";
+  // A writer-unique temp name: two writers of the same path (threads, or
+  // processes sharing a cache directory) never interleave into one file,
+  // and the rename makes whichever finishes last win whole.
+  static std::atomic<std::uint64_t> tmpCounter{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(tmpCounter.fetch_add(1, std::memory_order_relaxed));
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
 

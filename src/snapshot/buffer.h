@@ -133,8 +133,8 @@ struct LoadedSnapshot {
   std::vector<std::uint8_t> payload;
 };
 
-/// Writes header + payload atomically (temp file in the same directory,
-/// then rename). Returns false on any I/O failure.
+/// Writes header + payload atomically (a temp file unique to this writer
+/// in the same directory, then rename). Returns false on any I/O failure.
 bool writeSnapshotFile(const std::string& path, const SnapshotHeader& header,
                        const std::vector<std::uint8_t>& payload);
 

@@ -1,5 +1,6 @@
 #include "snapshot/warm_cache.h"
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 
@@ -9,12 +10,41 @@
 
 namespace rair::snapshot {
 
-WarmCacheStats& warmCacheStats() {
-  static WarmCacheStats stats;
+namespace {
+
+struct AtomicStats {
+  std::atomic<std::uint64_t> hits{0};
+  std::atomic<std::uint64_t> misses{0};
+  std::atomic<std::uint64_t> stores{0};
+  std::atomic<std::uint64_t> warmupCyclesSaved{0};
+};
+
+AtomicStats& counters() {
+  static AtomicStats stats;
   return stats;
 }
 
-void resetWarmCacheStats() { warmCacheStats() = WarmCacheStats{}; }
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t by = 1) {
+  c.fetch_add(by, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+WarmCacheStats warmCacheStats() {
+  const AtomicStats& c = counters();
+  WarmCacheStats s;
+  s.hits = c.hits.load(std::memory_order_relaxed);
+  s.misses = c.misses.load(std::memory_order_relaxed);
+  s.stores = c.stores.load(std::memory_order_relaxed);
+  s.warmupCyclesSaved = c.warmupCyclesSaved.load(std::memory_order_relaxed);
+  return s;
+}
+
+void resetWarmCacheStats() {
+  AtomicStats& c = counters();
+  for (auto* a : {&c.hits, &c.misses, &c.stores, &c.warmupCyclesSaved})
+    a->store(0, std::memory_order_relaxed);
+}
 
 std::string warmSnapshotPath(const std::string& dir, std::uint64_t warmKey) {
   char name[32];
@@ -27,13 +57,13 @@ bool tryRestoreWarm(Simulator& sim, const std::string& dir,
   auto snap = readSnapshotFile(warmSnapshotPath(dir, warmKey));
   if (!snap || snap->header.stateVersion != kStateVersion ||
       snap->header.scenarioKey != warmKey) {
-    ++warmCacheStats().misses;
+    bump(counters().misses);
     return false;
   }
   Reader r(snap->payload);
   sim.restore(r);
-  ++warmCacheStats().hits;
-  warmCacheStats().warmupCyclesSaved += warmupCycles;
+  bump(counters().hits);
+  bump(counters().warmupCyclesSaved, warmupCycles);
   return true;
 }
 
@@ -49,7 +79,7 @@ bool storeWarm(const Simulator& sim, const std::string& dir,
   if (!writeSnapshotFile(warmSnapshotPath(dir, warmKey), header,
                          w.payload()))
     return false;
-  ++warmCacheStats().stores;
+  bump(counters().stores);
   return true;
 }
 

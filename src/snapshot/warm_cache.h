@@ -22,7 +22,9 @@ class Simulator;
 namespace rair::snapshot {
 
 /// Process-wide cache accounting, for tests and for reporting how much
-/// warm-up work the cache eliminated.
+/// warm-up work the cache eliminated. Concurrent runs (campaign jobs,
+/// parallel saturation probes) count into relaxed atomics; this struct is
+/// a copy of their values.
 struct WarmCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -31,7 +33,7 @@ struct WarmCacheStats {
   std::uint64_t warmupCyclesSaved = 0;
 };
 
-WarmCacheStats& warmCacheStats();
+WarmCacheStats warmCacheStats();
 void resetWarmCacheStats();
 
 /// File a given warm key lives at inside `dir`.

@@ -380,7 +380,8 @@ TEST(LazyCampaign, MemoizesAndMatchesRunner) {
 
 TEST(Termination, NamesRoundTrip) {
   for (Termination t : {Termination::Drained, Termination::DrainLimit,
-                        Termination::ProgressTimeout}) {
+                        Termination::ProgressTimeout,
+                        Termination::AboveKnee}) {
     const auto back = terminationFromName(terminationName(t));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, t);

@@ -3,8 +3,12 @@
 // and the warm-state cache / checkpoint flows of runScenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -136,6 +140,46 @@ TEST(SnapshotFile, RoundTripAndCorruptionRejected) {
   }
   EXPECT_FALSE(snapshot::readSnapshotFile(path).has_value());
   snapshot::removeFile(path);
+}
+
+TEST(SnapshotFile, ConcurrentWritersOfOnePathLeaveAWholeFile) {
+  // Two campaigns sharing a warm-cache directory can store the same key
+  // at once. Each writer must go through its own temp file, so the final
+  // file is one writer's whole snapshot, never an interleaving.
+  const std::string dir = ::testing::TempDir() + "rair_snapfile_writers";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(snapshot::ensureDir(dir));
+  const std::string path = dir + "/shared.snap";
+  constexpr int kWriters = 4;
+  std::vector<std::vector<std::uint8_t>> payloads(kWriters);
+  for (int t = 0; t < kWriters; ++t)
+    payloads[static_cast<std::size_t>(t)].assign(
+        std::size_t{1} << 18, static_cast<std::uint8_t>(t + 1));
+  std::atomic<int> failed{0};
+  {
+    std::vector<std::jthread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        snapshot::SnapshotHeader hdr;
+        hdr.stateVersion = snapshot::kStateVersion;
+        hdr.scenarioKey = 7;
+        for (int i = 0; i < 20; ++i)
+          if (!snapshot::writeSnapshotFile(
+                  path, hdr, payloads[static_cast<std::size_t>(t)]))
+            ++failed;
+      });
+    }
+  }
+  EXPECT_EQ(failed.load(), 0);
+  const auto loaded = snapshot::readSnapshotFile(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_NE(std::find(payloads.begin(), payloads.end(), loaded->payload),
+            payloads.end());
+  // Every temp file was renamed into place.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator{}),
+            1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SnapshotRng, RestoredStateReplaysDraws) {
