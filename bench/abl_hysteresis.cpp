@@ -41,7 +41,7 @@ std::vector<AppTrafficSpec> workload(char scen) {
 
 const ScenarioResult& cell(double delta, char scen) {
   const std::string key =
-      "d" + formatNum(delta, 2) + "/" + scen;
+      std::string("d").append(formatNum(delta, 2)).append("/").append(1, scen);
   return ResultStore::instance().scenario(key, [&, delta, scen] {
     SchemeSpec s = schemeRaRair();
     s.rair.hysteresisDelta = delta;

@@ -46,7 +46,7 @@ const ScenarioResult& baseline() {
 }
 
 const ScenarioResult& cell(int globalVcs) {
-  const std::string key = "g" + std::to_string(globalVcs);
+  const std::string key = std::string("g").append(std::to_string(globalVcs));
   return ResultStore::instance().scenario(key, [globalVcs] {
     SimConfig cfg = paperSimConfig();
     cfg.net.globalVcsPerClass = globalVcs;

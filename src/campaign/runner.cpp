@@ -76,10 +76,17 @@ CampaignSummary runCampaign(const CampaignSpec& spec,
       if (options.log) {
         const std::lock_guard<std::mutex> lock(logMu);
         const CellRecord& r = summary.records[i];
-        options.log("[" + std::to_string(done) + "/" +
-                    std::to_string(pending.size()) + "] " + cell.key + ": " +
-                    terminationName(r.termination) + ", " +
-                    std::to_string(r.wallMs / 1000.0) + " s");
+        options.log(std::string("[")
+                        .append(std::to_string(done))
+                        .append("/")
+                        .append(std::to_string(pending.size()))
+                        .append("] ")
+                        .append(cell.key)
+                        .append(": ")
+                        .append(terminationName(r.termination))
+                        .append(", ")
+                        .append(std::to_string(r.wallMs / 1000.0))
+                        .append(" s"));
       }
     }
   };

@@ -86,31 +86,4 @@ void IdealLink::restore(snapshot::Reader& r) {
   snapshot::restoreDelayPipe(r, credits_, snapshot::restoreCreditMsg);
 }
 
-// The non-virtual fast path intercepts every hot call on an ideal link, so
-// these bodies are unreachable; aborting here catches any future kind that
-// inherits them by mistake.
-#define RAIR_IDEAL_UNREACHABLE() \
-  RAIR_CHECK_MSG(false, "IdealLink virtual slow path is unreachable")
-
-void IdealLink::vSendFlit(Cycle, const Flit&, int) { RAIR_IDEAL_UNREACHABLE(); }
-const CreditMsg* IdealLink::vPeekCredit(Cycle) {
-  RAIR_IDEAL_UNREACHABLE();
-  return nullptr;
-}
-void IdealLink::vPopCredit() { RAIR_IDEAL_UNREACHABLE(); }
-void IdealLink::vTickUpstream(Cycle) { RAIR_IDEAL_UNREACHABLE(); }
-const FlitMsg* IdealLink::vPeekFlit(Cycle) {
-  RAIR_IDEAL_UNREACHABLE();
-  return nullptr;
-}
-void IdealLink::vPopFlit() { RAIR_IDEAL_UNREACHABLE(); }
-void IdealLink::vSendCredit(Cycle, int) { RAIR_IDEAL_UNREACHABLE(); }
-void IdealLink::vTickDownstream(Cycle) { RAIR_IDEAL_UNREACHABLE(); }
-bool IdealLink::vIdle() const {
-  RAIR_IDEAL_UNREACHABLE();
-  return false;
-}
-
-#undef RAIR_IDEAL_UNREACHABLE
-
 }  // namespace rair

@@ -24,11 +24,13 @@
 // race-free and retransmission byte-identical across shard-thread
 // counts (DESIGN.md §5d).
 //
-// The hot-path methods are non-virtual and dispatch on the kind tag so
-// an ideal link compiles to exactly the pre-refactor pipe operations;
-// only non-ideal layers pay a virtual call. Introspection (oracle
-// views), fault hooks and snapshot save/restore are virtual — they run
-// off the per-cycle path.
+// The set of link kinds is closed, so the hot-path methods are
+// non-virtual: each tests the kind tag and calls the concrete class's
+// same-named inline body — IdealLink's pipe operations below (exactly
+// the pre-refactor ones) or RetxLink's. The dispatch lives in
+// link/retx.h, which this header includes at its end. Introspection
+// (oracle views), fault hooks and snapshot save/restore are virtual —
+// they run off the per-cycle path.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +74,7 @@ class LinkLayer {
   LinkLayerKind kind() const { return kind_; }
   Cycle latency() const { return latency_; }
 
-  // ---- Hot-path interface (non-virtual; ideal stays fully inline) ------
+  // ---- Hot-path interface (non-virtual, inline dispatch on the kind) ---
 
   // Upstream side.
   inline void sendFlit(Cycle now, const Flit& f, int vc);
@@ -151,19 +153,13 @@ class LinkLayer {
     RAIR_CHECK(latency >= 1);
   }
 
-  // Slow-path twins of the hot-path methods, reached only when
-  // kind() != Ideal. RetxLink overrides all of them.
-  virtual void vSendFlit(Cycle now, const Flit& f, int vc) = 0;
-  virtual const CreditMsg* vPeekCredit(Cycle now) = 0;
-  virtual void vPopCredit() = 0;
-  virtual void vTickUpstream(Cycle now) = 0;
-  virtual const FlitMsg* vPeekFlit(Cycle now) = 0;
-  virtual void vPopFlit() = 0;
-  virtual void vSendCredit(Cycle now, int vc) = 0;
-  virtual void vTickDownstream(Cycle now) = 0;
-  virtual bool vIdle() const = 0;
-
  private:
+  /// Calls `fn` with this link as its concrete kind (link/retx.h).
+  template <typename Fn>
+  decltype(auto) visit(Fn&& fn);
+  template <typename Fn>
+  decltype(auto) visit(Fn&& fn) const;
+
   LinkLayerKind kind_;
   Cycle latency_;
 };
@@ -177,6 +173,20 @@ class IdealLink final : public LinkLayer {
       : LinkLayer(LinkLayerKind::Ideal, latency),
         data_(latency),
         credits_(latency) {}
+
+  // Hot path under LinkLayer's contract names: its dispatch lands here
+  // for ideal links, and a caller holding an IdealLink binds statically.
+  void sendFlit(Cycle now, const Flit& f, int vc) {
+    data_.push(now, FlitMsg{f, vc});
+  }
+  const CreditMsg* peekCredit(Cycle now) const { return credits_.peek(now); }
+  void popCredit() { credits_.popFront(); }
+  void tickUpstream(Cycle) {}
+  const FlitMsg* peekFlit(Cycle now) const { return data_.peek(now); }
+  void popFlit() { data_.popFront(); }
+  void sendCredit(Cycle now, int vc) { credits_.push(now, CreditMsg{vc}); }
+  void tickDownstream(Cycle) {}
+  bool idle() const { return data_.empty() && credits_.empty(); }
 
   /// Blocking-style receives for unit tests (the simulator uses the
   /// zero-copy peek/pop pairs).
@@ -202,84 +212,12 @@ class IdealLink final : public LinkLayer {
   void save(snapshot::Writer& w) const override;
   void restore(snapshot::Reader& r) override;
 
- protected:
-  // Unreachable: the non-virtual fast path handles Ideal before
-  // dispatching. Implemented as hard failures so a future kind that
-  // forgets to override them is caught immediately.
-  void vSendFlit(Cycle, const Flit&, int) override;
-  const CreditMsg* vPeekCredit(Cycle) override;
-  void vPopCredit() override;
-  void vTickUpstream(Cycle) override;
-  const FlitMsg* vPeekFlit(Cycle) override;
-  void vPopFlit() override;
-  void vSendCredit(Cycle, int) override;
-  void vTickDownstream(Cycle) override;
-  bool vIdle() const override;
-
  private:
-  friend class LinkLayer;  // the inline fast path below
   DelayPipe<FlitMsg> data_;
   DelayPipe<CreditMsg> credits_;
 };
 
-// ---- Hot-path fast paths: ideal links run the pre-refactor pipe ops
-// inline; anything else takes one predicted branch into the virtual
-// slow path. ------------------------------------------------------------
-
-inline void LinkLayer::sendFlit(Cycle now, const Flit& f, int vc) {
-  if (kind_ == LinkLayerKind::Ideal)
-    static_cast<IdealLink*>(this)->data_.push(now, FlitMsg{f, vc});
-  else
-    vSendFlit(now, f, vc);
-}
-
-inline const CreditMsg* LinkLayer::peekCredit(Cycle now) {
-  if (kind_ == LinkLayerKind::Ideal)
-    return static_cast<IdealLink*>(this)->credits_.peek(now);
-  return vPeekCredit(now);
-}
-
-inline void LinkLayer::popCredit() {
-  if (kind_ == LinkLayerKind::Ideal)
-    static_cast<IdealLink*>(this)->credits_.popFront();
-  else
-    vPopCredit();
-}
-
-inline void LinkLayer::tickUpstream(Cycle now) {
-  if (kind_ != LinkLayerKind::Ideal) vTickUpstream(now);
-}
-
-inline const FlitMsg* LinkLayer::peekFlit(Cycle now) {
-  if (kind_ == LinkLayerKind::Ideal)
-    return static_cast<IdealLink*>(this)->data_.peek(now);
-  return vPeekFlit(now);
-}
-
-inline void LinkLayer::popFlit() {
-  if (kind_ == LinkLayerKind::Ideal)
-    static_cast<IdealLink*>(this)->data_.popFront();
-  else
-    vPopFlit();
-}
-
-inline void LinkLayer::sendCredit(Cycle now, int vc) {
-  if (kind_ == LinkLayerKind::Ideal)
-    static_cast<IdealLink*>(this)->credits_.push(now, CreditMsg{vc});
-  else
-    vSendCredit(now, vc);
-}
-
-inline void LinkLayer::tickDownstream(Cycle now) {
-  if (kind_ != LinkLayerKind::Ideal) vTickDownstream(now);
-}
-
-inline bool LinkLayer::idle() const {
-  if (kind_ == LinkLayerKind::Ideal) {
-    const auto* self = static_cast<const IdealLink*>(this);
-    return self->data_.empty() && self->credits_.empty();
-  }
-  return vIdle();
-}
-
 }  // namespace rair
+
+// The inline hot-path dispatch needs both concrete kinds complete.
+#include "link/retx.h"

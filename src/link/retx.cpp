@@ -1,7 +1,5 @@
 #include "link/retx.h"
 
-#include <algorithm>
-
 #include "snapshot/codec.h"
 
 namespace rair {
@@ -17,20 +15,6 @@ RetxLink::RetxLink(Cycle latency, std::size_t replayCapacity)
 
 // ---- Sender side -------------------------------------------------------
 
-void RetxLink::vSendFlit(Cycle, const Flit& f, int vc) {
-  applyPendingControl();
-  // The credit loop bounds un-ACKed occupancy below the capacity the
-  // network sized us with; overflow means flow control is broken.
-  RAIR_CHECK_MSG(replay_.size() < replayCap_, "retx replay buffer overflow");
-  replay_.push_back(ReplayEntry{FlitMsg{f, vc}, nextSeq_++});
-}
-
-void RetxLink::retireAcked(std::uint64_t seq) {
-  // Cumulative: everything below seq was delivered. Retirement waits for
-  // phase B: the receiver may be reading the replay buffer right now.
-  retireBelow_ = std::max(retireBelow_, seq);
-}
-
 void RetxLink::applyCtl(const RevMsg& m) {
   // Go-back-N: a NAK is cumulative too; it also rewinds the pump over the
   // rest.
@@ -40,63 +24,28 @@ void RetxLink::applyCtl(const RevMsg& m) {
 }
 
 void RetxLink::applyPendingControl() {
-  while (!replay_.empty() && replay_.front().seq < retireBelow_) {
-    replay_.pop_front();
-    if (!rewindPending_) {
-      RAIR_DCHECK(cursor_ > 0);
-      --cursor_;
-    }
+  RAIR_DCHECK(replay_.empty() || replay_.front().seq == frontSeq());
+  // A cumulative ACK/NAK never exceeds nextSeq_: the receiver cannot
+  // expect a flit that was never sent.
+  const std::uint64_t front = frontSeq();
+  const std::size_t retire =
+      retireBelow_ > front ? static_cast<std::size_t>(retireBelow_ - front)
+                           : 0;
+  RAIR_DCHECK(retire <= replay_.size());
+  for (std::size_t i = 0; i < retire; ++i) replay_.pop_front();
+  if (rewindPending_) {
+    cursor_ = 0;
+  } else {
+    RAIR_DCHECK(cursor_ >= retire);
+    cursor_ -= retire;
   }
-  if (rewindPending_) cursor_ = 0;
   retireBelow_ = 0;
   rewindPending_ = false;
 }
 
-void RetxLink::pump(Cycle now) {
-  if (cursor_ >= replay_.size()) return;
-  const ReplayEntry& e = replay_[cursor_];
-  const bool corrupt = corruptPending_ > 0;
-  if (corrupt) {
-    --corruptPending_;
-    ++corrupted_;
-  }
-  if (e.seq < wireHigh_)
-    ++retransmitted_;
-  else
-    wireHigh_ = e.seq + 1;
-  fwd_.push(now, WireFlit{e.seq, corrupt});
-  ++cursor_;
-}
-
-const CreditMsg* RetxLink::vPeekCredit(Cycle now) {
-  // Piggybacked ACK/NAK control is consumed transparently here; the
-  // caller only ever sees credits (whose own cumulative ACK is applied
-  // before they surface — idempotent across repeated peeks).
-  while (const RevMsg* m = rev_.peek(now)) {
-    if (m->kind == RevKind::Credit) {
-      retireAcked(m->seq);
-      creditScratch_.vc = m->vc;
-      return &creditScratch_;
-    }
-    applyCtl(*m);
-    rev_.popFront();
-  }
-  return nullptr;
-}
-
-void RetxLink::vPopCredit() { rev_.popFront(); }
-
-void RetxLink::vTickUpstream(Cycle now) {
-  // Control was already applied by this cycle's credit poll (every
-  // upstream endpoint drains peekCredit each cycle); touching the reverse
-  // wire here would race the downstream endpoint's same-phase pushes.
-  applyPendingControl();
-  pump(now);
-}
-
 // ---- Receiver side -----------------------------------------------------
 
-const FlitMsg* RetxLink::vPeekFlit(Cycle now) {
+const FlitMsg* RetxLink::peekFlitSlow(Cycle now) {
   while (const WireFlit* wf = fwd_.peek(now)) {
     if (receiverDown_) {
       // The downstream router is in soft reset: every arrival fails the
@@ -114,12 +63,9 @@ const FlitMsg* RetxLink::vPeekFlit(Cycle now) {
       continue;
     }
     if (!wf->corrupt && wf->seq == expectSeq_) {
-      // The wire carries only the tag; the payload is read out of the
-      // replay buffer, which must still hold this entry (it retires only
-      // on a cumulative ACK the receiver has not sent for seq yet).
-      RAIR_DCHECK(!replay_.empty() && replay_.front().seq <= wf->seq);
+      RAIR_DCHECK(frontSeq() <= wf->seq);
       ReplayEntry& e =
-          replay_[static_cast<std::size_t>(wf->seq - replay_.front().seq)];
+          replay_[static_cast<std::size_t>(wf->seq - frontSeq())];
       if (e.doomed) {
         // Tombstone from a reconfiguration purge: advance the protocol
         // past it without surfacing a flit or charging a credit.
@@ -146,38 +92,6 @@ const FlitMsg* RetxLink::vPeekFlit(Cycle now) {
     fwd_.popFront();
   }
   return nullptr;
-}
-
-void RetxLink::vPopFlit() {
-  fwd_.popFront();
-  ++expectSeq_;
-  ackPending_ = true;
-  nakArmed_ = false;
-}
-
-void RetxLink::vSendCredit(Cycle now, int vc) {
-  // Every credit piggybacks the cumulative ACK for free, covering any
-  // delivery staged earlier this cycle.
-  rev_.push(now, RevMsg{RevKind::Credit, vc, expectSeq_});
-  ackPending_ = false;
-}
-
-void RetxLink::vTickDownstream(Cycle now) {
-  // One control message per cycle; a pending go-back beats the ACK (the
-  // ACK stays staged and flushes next cycle). Standalone ACKs only fire
-  // on cycles where a flit was accepted after the last credit went out.
-  if (nakPending_) {
-    rev_.push(now, RevMsg{RevKind::Nak, 0, nakSeq_});
-    nakPending_ = false;
-  } else if (ackPending_) {
-    rev_.push(now, RevMsg{RevKind::Ack, 0, expectSeq_});
-    ackPending_ = false;
-  }
-}
-
-bool RetxLink::vIdle() const {
-  return fwd_.empty() && rev_.empty() && replay_.empty() && !ackPending_ &&
-         !nakPending_;
 }
 
 // ---- Introspection -----------------------------------------------------
@@ -297,6 +211,10 @@ void RetxLink::restore(snapshot::Reader& r) {
                           e.doomed = r2.boolean();
                         });
   nextSeq_ = r.u64();
+  // The hot path derives replay sequence numbers from nextSeq_.
+  for (std::size_t i = 0; i < replay_.size(); ++i)
+    RAIR_CHECK_MSG(replay_[i].seq == frontSeq() + i,
+                   "retx replay sequence numbers are not consecutive");
   cursor_ = static_cast<std::size_t>(r.u64());
   retireBelow_ = 0;
   rewindPending_ = false;

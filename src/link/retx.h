@@ -29,8 +29,15 @@
 // link object, and the engine-phase discipline in link_layer.h means each
 // wire is mutated by exactly one endpoint in exactly one phase — recovery
 // schedules are byte-identical across shard-thread counts.
+//
+// Hot path. LinkLayer's inline dispatch (end of this file) calls the
+// inline bodies below directly — no virtual call per cycle. Sequence
+// numbers in the replay buffer are consecutive from the front, so the
+// sender and the receiver's replay index derive them from nextSeq_
+// instead of loading old entries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "link/link_layer.h"
@@ -64,16 +71,17 @@ class RetxLink final : public LinkLayer {
   std::size_t replayOccupancy() const { return replay_.size(); }
   std::uint64_t expectSeq() const { return expectSeq_; }
 
- protected:
-  void vSendFlit(Cycle now, const Flit& f, int vc) override;
-  const CreditMsg* vPeekCredit(Cycle now) override;
-  void vPopCredit() override;
-  void vTickUpstream(Cycle now) override;
-  const FlitMsg* vPeekFlit(Cycle now) override;
-  void vPopFlit() override;
-  void vSendCredit(Cycle now, int vc) override;
-  void vTickDownstream(Cycle now) override;
-  bool vIdle() const override;
+  // Hot path under LinkLayer's contract names, defined inline below: its
+  // dispatch lands here for retransmission links.
+  inline void sendFlit(Cycle now, const Flit& f, int vc);
+  inline const CreditMsg* peekCredit(Cycle now);
+  void popCredit() { rev_.popFront(); }
+  inline void tickUpstream(Cycle now);
+  inline const FlitMsg* peekFlit(Cycle now);
+  inline void popFlit();
+  inline void sendCredit(Cycle now, int vc);
+  inline void tickDownstream(Cycle now);
+  inline bool idle() const;
 
  private:
   /// One flit on the forward wire: its link sequence number and whether
@@ -116,12 +124,25 @@ class RetxLink final : public LinkLayer {
     bool doomed = false;
   };
 
-  void retireAcked(std::uint64_t seq);
+  /// Sequence number of replay_[0] (of the next send when empty).
+  std::uint64_t frontSeq() const { return nextSeq_ - replay_.size(); }
+  /// True when polled ACK/NAK control awaits applyPendingControl().
+  bool controlPending() const { return retireBelow_ != 0 || rewindPending_; }
+  void retireAcked(std::uint64_t seq) {
+    // Cumulative: everything below seq was delivered. Retirement waits
+    // for phase B: the receiver may be reading the replay buffer now.
+    retireBelow_ = std::max(retireBelow_, seq);
+  }
   void applyCtl(const RevMsg& m);
   /// Retires the replay entries the noted ACKs/NAKs released and applies
   /// a noted go-back rewind. Sender-side, phase B.
   void applyPendingControl();
-  void pump(Cycle now);
+  /// Places replay_[cursor_] on the forward wire (cursor_ < size).
+  inline void pump(Cycle now);
+  /// The receiver's filter loop for every arrival the inline fast path
+  /// does not accept outright: receiver down, corrupt, gapped, stale or
+  /// tombstoned.
+  const FlitMsg* peekFlitSlow(Cycle now);
 
   std::size_t replayCap_;
 
@@ -153,5 +174,146 @@ class RetxLink final : public LinkLayer {
   std::uint64_t corrupted_ = 0;
   std::uint64_t retransmitted_ = 0;
 };
+
+// ---- RetxLink hot path ---------------------------------------------------
+
+inline void RetxLink::sendFlit(Cycle, const Flit& f, int vc) {
+  if (controlPending()) applyPendingControl();
+  // The credit loop bounds un-ACKed occupancy below the capacity the
+  // network sized us with; overflow means flow control is broken.
+  RAIR_CHECK_MSG(replay_.size() < replayCap_, "retx replay buffer overflow");
+  replay_.push_back(ReplayEntry{FlitMsg{f, vc}, nextSeq_++});
+}
+
+inline const CreditMsg* RetxLink::peekCredit(Cycle now) {
+  // Piggybacked ACK/NAK control is consumed transparently here; the
+  // caller only ever sees credits (whose own cumulative ACK is applied
+  // before they surface — idempotent across repeated peeks).
+  while (const RevMsg* m = rev_.peek(now)) {
+    if (m->kind == RevKind::Credit) {
+      retireAcked(m->seq);
+      creditScratch_.vc = m->vc;
+      return &creditScratch_;
+    }
+    applyCtl(*m);
+    rev_.popFront();
+  }
+  return nullptr;
+}
+
+inline void RetxLink::pump(Cycle now) {
+  const std::uint64_t seq = frontSeq() + cursor_;
+  RAIR_DCHECK(replay_[cursor_].seq == seq);
+  const bool corrupt = corruptPending_ > 0;
+  if (corrupt) {
+    --corruptPending_;
+    ++corrupted_;
+  }
+  if (seq < wireHigh_)
+    ++retransmitted_;
+  else
+    wireHigh_ = seq + 1;
+  fwd_.push(now, WireFlit{seq, corrupt});
+  ++cursor_;
+}
+
+inline void RetxLink::tickUpstream(Cycle now) {
+  // Control was already noted by this cycle's credit poll (every
+  // upstream endpoint drains peekCredit each cycle); touching the reverse
+  // wire here would race the downstream endpoint's same-phase pushes.
+  if (controlPending()) applyPendingControl();
+  if (cursor_ < replay_.size()) pump(now);
+}
+
+inline const FlitMsg* RetxLink::peekFlit(Cycle now) {
+  const WireFlit* wf = fwd_.peek(now);
+  if (wf == nullptr) return nullptr;
+  // Common case: the uncorrupted in-order flit. The wire carries only the
+  // tag; the payload is read out of the replay buffer, which must still
+  // hold this entry (it retires only on a cumulative ACK the receiver has
+  // not sent for seq yet).
+  if (!receiverDown_ && !wf->corrupt && wf->seq == expectSeq_) {
+    RAIR_DCHECK(frontSeq() <= wf->seq);
+    ReplayEntry& e = replay_[static_cast<std::size_t>(wf->seq - frontSeq())];
+    RAIR_DCHECK(e.seq == wf->seq);
+    if (!e.doomed) return &e.msg;
+  }
+  return peekFlitSlow(now);
+}
+
+inline void RetxLink::popFlit() {
+  fwd_.popFront();
+  ++expectSeq_;
+  ackPending_ = true;
+  nakArmed_ = false;
+}
+
+inline void RetxLink::sendCredit(Cycle now, int vc) {
+  // Every credit piggybacks the cumulative ACK for free, covering any
+  // delivery staged earlier this cycle.
+  rev_.push(now, RevMsg{RevKind::Credit, vc, expectSeq_});
+  ackPending_ = false;
+}
+
+inline void RetxLink::tickDownstream(Cycle now) {
+  // One control message per cycle; a pending go-back beats the ACK (the
+  // ACK stays staged and flushes next cycle). Standalone ACKs only fire
+  // on cycles where a flit was accepted after the last credit went out.
+  if (nakPending_) {
+    rev_.push(now, RevMsg{RevKind::Nak, 0, nakSeq_});
+    nakPending_ = false;
+  } else if (ackPending_) {
+    rev_.push(now, RevMsg{RevKind::Ack, 0, expectSeq_});
+    ackPending_ = false;
+  }
+}
+
+inline bool RetxLink::idle() const {
+  return fwd_.empty() && rev_.empty() && replay_.empty() && !ackPending_ &&
+         !nakPending_;
+}
+
+// ---- LinkLayer dispatch: the closed set of link kinds, inline. --------
+
+template <typename Fn>
+decltype(auto) LinkLayer::visit(Fn&& fn) {
+  if (kind_ == LinkLayerKind::Ideal) return fn(*static_cast<IdealLink*>(this));
+  return fn(*static_cast<RetxLink*>(this));
+}
+
+template <typename Fn>
+decltype(auto) LinkLayer::visit(Fn&& fn) const {
+  if (kind_ == LinkLayerKind::Ideal)
+    return fn(*static_cast<const IdealLink*>(this));
+  return fn(*static_cast<const RetxLink*>(this));
+}
+
+inline void LinkLayer::sendFlit(Cycle now, const Flit& f, int vc) {
+  visit([&](auto& link) { link.sendFlit(now, f, vc); });
+}
+inline const CreditMsg* LinkLayer::peekCredit(Cycle now) {
+  return visit([&](auto& link) { return link.peekCredit(now); });
+}
+inline void LinkLayer::popCredit() {
+  visit([](auto& link) { link.popCredit(); });
+}
+inline void LinkLayer::tickUpstream(Cycle now) {
+  visit([&](auto& link) { link.tickUpstream(now); });
+}
+inline const FlitMsg* LinkLayer::peekFlit(Cycle now) {
+  return visit([&](auto& link) { return link.peekFlit(now); });
+}
+inline void LinkLayer::popFlit() {
+  visit([](auto& link) { link.popFlit(); });
+}
+inline void LinkLayer::sendCredit(Cycle now, int vc) {
+  visit([&](auto& link) { link.sendCredit(now, vc); });
+}
+inline void LinkLayer::tickDownstream(Cycle now) {
+  visit([&](auto& link) { link.tickDownstream(now); });
+}
+inline bool LinkLayer::idle() const {
+  return visit([](const auto& link) { return link.idle(); });
+}
 
 }  // namespace rair

@@ -63,7 +63,7 @@ JsonObject& JsonObject::add(std::string_view key, double v) {
 }
 
 JsonObject& JsonObject::addString(std::string_view key, std::string_view v) {
-  return addRaw(key, "\"" + jsonEscape(v) + "\"");
+  return addRaw(key, std::string("\"").append(jsonEscape(v)).append("\""));
 }
 
 JsonObject& JsonObject::addRaw(std::string_view key, std::string_view json) {
@@ -243,7 +243,7 @@ std::string routerCsv(const MetricsRegistry& registry, int numRouters) {
         rem /= extent;
       }
       for (const std::size_t coord : coords)
-        name += "." + std::to_string(coord);
+        name.append(".").append(std::to_string(coord));
       header.push_back(name);
       columns.push_back(Column{v.counters, stride, c});
     }

@@ -214,48 +214,60 @@ bool Router::selectOutputVc(Cycle now, int inPort, int inVcIdx,
                             VaRequest& out) {
   InputVc& ivc = inVc(inPort, inVcIdx);
   const Flit& head = ivc.buf.front();
+  const RouteResult& route = ivc.route;
   out.inPort = inPort;
   out.inVc = inVcIdx;
 
-  if (ivc.route.ejecting) {
-    // Delivery through the Local port; any VC of the packet's class works
-    // (the NIC sink cannot deadlock), adaptive VCs preferred.
-    const int port = portIdx(Dir::Local);
-    int vc = pickAdaptiveVc(port, head);
-    if (vc < 0) {
-      const int escape = layout_.firstVcOf(head.msgClass);
-      if (outVcAvailable(port, escape, head.pktFlits)) vc = escape;
-    }
-    if (vc < 0) return false;
-    out.outPort = port;
-    out.outVc = vc;
-    return true;
-  }
+  const int escPort = route.ejecting ? portIdx(Dir::Local)
+                                     : portIdx(route.escapeDir);
+  const int escVc = layout_.firstVcOf(head.msgClass);
 
-  // Selection function: order the productive directions by current
-  // congestion information, then take the first with a free adaptive VC.
-  RouteResult ordered = ivc.route;
-  routing_->orderBySelection(*mesh_, *congestion_, id_, head, ordered);
-  for (int i = 0; i < ordered.numAdaptive; ++i) {
-    const int port = portIdx(ordered.adaptiveDirs[i]);
-    const int vc = pickAdaptiveVc(port, head);
-    if (vc >= 0) {
-      out.outPort = port;
-      out.outVc = vc;
-      return true;
+  // Exact fast path: an adaptive VC that outVcAvailable() would grant
+  // also countsAsFree() (atomic or not), so when no candidate port has a
+  // free adaptive VC the scans below cannot succeed and only the escape
+  // VC is left. Most failing VA attempts under load end here. An
+  // ejecting head's only candidate is the Local port.
+  const auto hasFreeAdaptive = [&](int port) {
+    return freeAdaptive_[static_cast<size_t>(port)] > 0;
+  };
+  bool anyFreeAdaptive = route.ejecting && hasFreeAdaptive(escPort);
+  for (int i = 0; i < route.numAdaptive; ++i)
+    anyFreeAdaptive |= hasFreeAdaptive(portIdx(route.adaptiveDirs[i]));
+
+  if (anyFreeAdaptive) {
+    if (route.ejecting) {
+      // Delivery through the Local port; any VC of the packet's class
+      // works (the NIC sink cannot deadlock), adaptive VCs preferred.
+      const int vc = pickAdaptiveVc(escPort, head);
+      if (vc >= 0) {
+        out.outPort = escPort;
+        out.outVc = vc;
+        return true;
+      }
+    } else {
+      // Selection function: order the productive directions by current
+      // congestion information, then take the first with a free
+      // adaptive VC.
+      RouteResult ordered = route;
+      routing_->orderBySelection(*mesh_, *congestion_, id_, head, ordered);
+      for (int i = 0; i < ordered.numAdaptive; ++i) {
+        const int port = portIdx(ordered.adaptiveDirs[i]);
+        const int vc = pickAdaptiveVc(port, head);
+        if (vc >= 0) {
+          out.outPort = port;
+          out.outVc = vc;
+          return true;
+        }
+      }
     }
   }
   // Fall back to the escape VC on the dimension-ordered direction
   // (Duato's protocol: always eventually available).
-  const int escPort = portIdx(ivc.route.escapeDir);
-  const int escVc = layout_.firstVcOf(head.msgClass);
-  if (outVcAvailable(escPort, escVc, head.pktFlits)) {
-    out.outPort = escPort;
-    out.outVc = escVc;
-    return true;
-  }
+  if (!outVcAvailable(escPort, escVc, head.pktFlits)) return false;
+  out.outPort = escPort;
+  out.outVc = escVc;
   (void)now;
-  return false;
+  return true;
 }
 
 ArbCandidate Router::makeCandidate(const Flit& f, VcClass outClass,

@@ -77,9 +77,15 @@ TEST(MetricsRegistry, MixedKindsKeepIndependentStorage) {
   int seen = 0;
   reg.forEach([&](const MetricsRegistry::MetricView& v) {
     ++seen;
-    if (v.spec->name == "c") EXPECT_EQ(v.counters.size(), 5u);
-    if (v.spec->name == "g") EXPECT_EQ(v.gauges.size(), 5u);
-    if (v.spec->name == "h") EXPECT_EQ(v.histograms.size(), 2u);
+    if (v.spec->name == "c") {
+      EXPECT_EQ(v.counters.size(), 5u);
+    }
+    if (v.spec->name == "g") {
+      EXPECT_EQ(v.gauges.size(), 5u);
+    }
+    if (v.spec->name == "h") {
+      EXPECT_EQ(v.histograms.size(), 2u);
+    }
   });
   EXPECT_EQ(seen, 3);
 }

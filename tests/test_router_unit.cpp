@@ -3,7 +3,9 @@
 // arbitration and flow-control semantics the end-to-end tests rely on.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
+#include <optional>
 
 #include "core/rair_policy.h"
 #include "policy/policy.h"
@@ -57,6 +59,11 @@ class RouterBench {
     while (auto m = out_[static_cast<int>(p)].recvFlit(now_))
       out.push_back(*m);
     return out;
+  }
+
+  /// Returns one credit for output VC (p, vc); it arrives next cycle.
+  void returnCredit(Dir p, int vc) {
+    out_[static_cast<int>(p)].sendCredit(now_, vc);
   }
 
   /// Feeds credits back for everything that left through `p` (models an
@@ -274,6 +281,94 @@ TEST(RouterUnit, CountersTrackGrants) {
   EXPECT_EQ(c.saGrantsNative, 1u);
   EXPECT_EQ(c.saGrantsForeign, 1u);
   EXPECT_EQ(c.flitsTraversed, 2u);
+}
+
+// ---- VA fast reject --------------------------------------------------------
+// VA skips the selection function when no candidate port has a free
+// adaptive VC. The escape VC must still be granted, and a head that fits
+// no VC must still wait.
+
+/// Drops `n` credits of every adaptive output VC on port `p`.
+void dropAdaptiveCredits(Router& r, const VcLayout& layout, Dir p, int n) {
+  for (int vc = 0; vc < layout.totalVcs(); ++vc) {
+    if (!layout.isAdaptive(vc)) continue;
+    for (int i = 0; i < n; ++i) ASSERT_TRUE(r.debugDropCredit(p, vc));
+  }
+}
+
+struct Departure {
+  Dir port;
+  int vc;
+};
+
+/// Steps until a flit of packet `id` leaves through one of `ports`.
+std::optional<Departure> runUntilAnyOut(RouterBench& bench,
+                                        std::initializer_list<Dir> ports,
+                                        PacketId id, int maxCycles = 30) {
+  for (int i = 0; i < maxCycles; ++i) {
+    bench.step();
+    for (const Dir p : ports)
+      for (const auto& m : bench.drainOutput(p))
+        if (m.flit.pkt == id) return Departure{p, m.vc};
+  }
+  return std::nullopt;
+}
+
+TEST(RouterUnit, FreeEscapeVcGrantedWhenAllAdaptiveVcsTaken) {
+  RoundRobinPolicy rr;
+  const RouterConfig cfg = plainConfig();
+  RouterBench bench(rr, cfg);
+  // Node 8 is diagonal from the center: two productive ports.
+  const auto md = Mesh(3, 3).minimalDirs(4, 8);
+  ASSERT_EQ(md.count, 2);
+  for (const Dir d : md.dirs) {
+    dropAdaptiveCredits(bench.router(), cfg.layout, d, 1);
+    ASSERT_EQ(bench.router().freeAdaptiveOutVcs(d), 0);
+  }
+  bench.inject(Dir::West, 1, headTail(1, 8, 0));
+  const auto left = runUntilAnyOut(bench, {md.dirs[0], md.dirs[1]}, 1);
+  ASSERT_TRUE(left.has_value()) << "head never granted the free escape VC";
+  EXPECT_EQ(left->port, md.dirs[0]) << "escape VC is on the XY direction";
+  EXPECT_EQ(left->vc, 0);
+}
+
+TEST(RouterUnit, EjectingHeadGetsEscapeVcWhenLocalAdaptiveVcsTaken) {
+  RoundRobinPolicy rr;
+  const RouterConfig cfg = plainConfig();
+  RouterBench bench(rr, cfg);
+  dropAdaptiveCredits(bench.router(), cfg.layout, Dir::Local, 1);
+  ASSERT_EQ(bench.router().freeAdaptiveOutVcs(Dir::Local), 0);
+  bench.inject(Dir::North, 2, headTail(7, /*dst=*/4, 0));
+  const auto left = runUntilAnyOut(bench, {Dir::Local}, 7);
+  ASSERT_TRUE(left.has_value()) << "ejecting head never granted escape VC";
+  EXPECT_EQ(left->vc, 0);
+}
+
+TEST(RouterUnit, NonAtomicVaRejectsVcsWithTooFewCreditsForThePacket) {
+  // Non-atomic VCs count as free with a single credit, so the fast reject
+  // does not fire here; the full scan must still refuse a 3-flit packet
+  // every VC holding only 2 credits (escape: 4 of 5, not drained).
+  RoundRobinPolicy rr;
+  RouterConfig cfg = plainConfig();
+  cfg.atomicVcs = false;
+  RouterBench bench(rr, cfg);
+  dropAdaptiveCredits(bench.router(), cfg.layout, Dir::East,
+                      cfg.vcDepth - 2);
+  ASSERT_TRUE(bench.router().debugDropCredit(Dir::East, 0));
+  ASSERT_EQ(bench.router().freeAdaptiveOutVcs(Dir::East), 4);
+
+  Flit h = headTail(3, 5, 0);
+  h.type = FlitType::Head;
+  h.pktFlits = 3;
+  bench.inject(Dir::West, 1, h);
+  EXPECT_FALSE(runUntilAnyOut(bench, {Dir::East}, 3, 20).has_value())
+      << "packet granted a VC without room for all its flits";
+
+  // One more credit on VC 2 makes exactly that VC fit the packet.
+  bench.returnCredit(Dir::East, 2);
+  const auto left = runUntilAnyOut(bench, {Dir::East}, 3);
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(left->vc, 2);
 }
 
 TEST(RouterUnit, QuiescentAfterTraffic) {

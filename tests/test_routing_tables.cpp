@@ -62,9 +62,10 @@ void expectMatchesFullRebuild(const Mesh& mesh, const RoutingTables& inc) {
       ASSERT_EQ(inc.distance(v, dst), full.distance(v, dst))
           << "dist " << v << "->" << dst;
       ASSERT_EQ(inc.reachable(v, dst), full.reachable(v, dst));
-      if (v != dst && inc.reachable(v, dst))
+      if (v != dst && inc.reachable(v, dst)) {
         ASSERT_EQ(inc.escapeDir(v, dst), full.escapeDir(v, dst))
             << "escape " << v << "->" << dst;
+      }
     }
   }
   ASSERT_EQ(inc.unreachablePairs(), full.unreachablePairs());

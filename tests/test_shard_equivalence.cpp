@@ -131,7 +131,8 @@ TEST_P(ShardGolden, Fig14RaRairMatchesRecordedGolden) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ShardGolden, ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           return std::string("t").append(
+                               std::to_string(info.param));
                          });
 
 // ---- Serialized-state byte equality ---------------------------------------

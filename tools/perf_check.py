@@ -28,16 +28,30 @@ the current file, every benchmark named "X<suffix>" against its bare twin
 snapshot hook effectively free on the per-cycle hot path. A suffix may
 carry its own bound as "SUFFIX:MAXOVERHEAD" (e.g. "_sharded1:0.03" allows
 the 1-shard cycle engine 3%% where the default bound is 2%%).
+
+A baseline must say which host it came from: the check refuses (exit 1)
+a baseline whose "context" lacks usable_cores, build_type or compiler,
+because a rate without its core count and build is not comparable.
 """
 
 import argparse
 import json
 import sys
 
+# Host context every baseline must carry (bench/core_hotpath records it).
+REQUIRED_CONTEXT = ("usable_cores", "build_type", "compiler")
 
-def load_metrics(path, metric):
+
+def load_metrics(path, metric, require_context=False):
     with open(path) as fh:
         data = json.load(fh)
+    if require_context:
+        context = data.get("context") or {}
+        missing = [k for k in REQUIRED_CONTEXT if not context.get(k)]
+        if missing:
+            sys.exit(f"perf_check: {path}: baseline context lacks "
+                     f"{', '.join(missing)}; re-record it with "
+                     f"bench/core_hotpath so the host it came from is known")
     out = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
@@ -79,7 +93,7 @@ def main():
                          "overridden per suffix by 'SUFFIX:BOUND')")
     args = ap.parse_args()
 
-    base = load_metrics(args.baseline, args.metric)
+    base = load_metrics(args.baseline, args.metric, require_context=True)
     cur = load_metrics(args.current, args.metric)
 
     failures = []
