@@ -39,11 +39,11 @@ constexpr double kHalfSat = 0.38195418397913583;
 constexpr Cycle kWarmupCycles = 5'000;
 constexpr Cycle kCyclesPerIteration = 10'000;
 
-/// Knobs beyond the scheme/load shape; defaults reproduce the classic
-/// 8x8 single-threaded loop.
+/// Knobs beyond the scheme/load shape; defaults give the 8x8 loop on one
+/// shard thread.
 struct HotLoopOptions {
   int meshDim = 8;        ///< square mesh side (8 or 16)
-  int shardThreads = 0;   ///< 0 = legacy engine; n >= 1 = sharded engine
+  int shardThreads = 1;   ///< sharded cycle engine threads (>= 1)
   bool withMetrics = false;
   bool withSnapshotHook = false;
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
@@ -182,16 +182,11 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
     ->UseRealTime();
 
 // 16x16 mesh (256 nodes), the workload size where intra-run parallelism
-// pays: the bare cell, its 1-shard sharded twin ("_sharded1" pairs with
-// the bare name so perf_check.py bounds the engine's staging overhead at
-// <= 3%), and the thread sweep. Speedup at t8 depends on physical cores;
-// BENCH_core_hotpath.json records the machine it was generated on.
+// pays: the bare one-thread cell and the thread sweep. Speedup at t8
+// depends on physical cores; BENCH_core_hotpath.json records the machine
+// it was generated on.
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16, schemeRaRair(), 0.85,
                   HotLoopOptions{.meshDim = 16})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_sharded1, schemeRaRair(), 0.85,
-                  HotLoopOptions{.meshDim = 16, .shardThreads = 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t2, schemeRaRair(), 0.85,

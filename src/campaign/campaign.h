@@ -91,10 +91,10 @@ struct CellRecord {
 struct CellContext {
   std::uint64_t seed = 0;
   snapshot::SnapshotOptions snap;
-  /// Sharded-engine threads per cell (ScenarioSpec::withThreads); 0 keeps
-  /// the single-threaded engine. Orthogonal to the runner's --jobs and
-  /// invisible in the records: results are byte-identical either way.
-  int shardThreads = 0;
+  /// Sharded-engine threads per cell (ScenarioSpec::withThreads, >= 1).
+  /// Orthogonal to the runner's --jobs and invisible in the records:
+  /// results are byte-identical for every value.
+  int shardThreads = 1;
   /// Campaign-wide fault plan (rair_campaign --faults): attached to every
   /// cell that does not already define its own plan. Part of each cell's
   /// scenario identity, so faulted records never alias fault-free ones in
@@ -103,8 +103,7 @@ struct CellContext {
 
   /// Applies this context to a spec (seed + snapshot options + threads).
   ScenarioSpec& applyTo(ScenarioSpec& spec) const {
-    spec.withSeed(seed).withSnapshot(snap);
-    if (shardThreads > 0) spec.withThreads(shardThreads);
+    spec.withSeed(seed).withSnapshot(snap).withThreads(shardThreads);
     if (!faults.empty() && spec.faults.empty()) spec.withFaults(faults);
     return spec;
   }

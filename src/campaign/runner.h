@@ -35,9 +35,9 @@ struct RunnerOptions {
   std::string checkpointDir;
   Cycle checkpointEvery = 25'000;
   /// Sharded-engine threads inside each cell's simulation (composes with
-  /// `jobs`: total concurrency ~ jobs x shardThreads). 0 = single-threaded
-  /// cells; records are byte-identical for every value.
-  int shardThreads = 0;
+  /// `jobs`: total concurrency ~ jobs x shardThreads); records are
+  /// byte-identical for every value >= 1.
+  int shardThreads = 1;
   /// Campaign-wide fault plan (the --faults file): attached to every cell
   /// that does not define its own plan. Changes results — faulted records
   /// must go to their own outPath.

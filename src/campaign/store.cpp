@@ -1,5 +1,7 @@
 #include "campaign/store.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 
 #include "campaign/json.h"
@@ -44,8 +46,40 @@ std::string valueJsonLine(const std::string& campaign, const std::string& key,
   return rec.dump();
 }
 
+namespace {
+
+/// Bytes of the `size`-byte file `path` up to and including its last
+/// newline (0 when it has none): the length that drops a record cut off
+/// mid-line. Returns `size`, keeping everything, when the file cannot be
+/// read.
+std::uintmax_t lengthThroughLastNewline(const std::string& path,
+                                        std::uintmax_t size) {
+  std::ifstream in(path, std::ios::binary);
+  char buf[4096];
+  for (std::uintmax_t end = size; end > 0;) {
+    const std::uintmax_t n = std::min<std::uintmax_t>(end, sizeof buf);
+    in.seekg(static_cast<std::streamoff>(end - n));
+    if (!in.read(buf, static_cast<std::streamsize>(n))) return size;
+    for (std::uintmax_t i = n; i > 0; --i)
+      if (buf[i - 1] == '\n') return end - n + i;
+    end -= n;
+  }
+  return 0;
+}
+
+}  // namespace
+
 JsonlWriter::JsonlWriter(const std::string& path) {
   if (path.empty()) return;
+  // A crash can cut the last record off mid-line. loadCampaignFile treats
+  // it as absent, so drop it: appending the re-run cell's record onto it
+  // would fuse the two into one unparseable line.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec && size > 0) {
+    const std::uintmax_t keep = lengthThroughLastNewline(path, size);
+    if (keep != size) std::filesystem::resize_file(path, keep, ec);
+  }
   file_ = std::fopen(path.c_str(), "a");
   RAIR_CHECK_MSG(file_ != nullptr, "cannot open campaign results file");
 }

@@ -40,7 +40,8 @@ std::string valueJsonLine(const std::string& campaign, const std::string& key,
 /// interleave mid-record.
 class JsonlWriter {
  public:
-  /// Opens `path` for append; an empty path disables the writer.
+  /// Opens `path` for append, first dropping a record cut off mid-line at
+  /// its end; an empty path disables the writer.
   explicit JsonlWriter(const std::string& path);
   ~JsonlWriter();
 

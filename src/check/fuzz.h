@@ -97,11 +97,10 @@ struct FuzzOptions {
   /// every undelivered packet must land in the droppedByFault bucket.
   bool faultPlan = false;
   bool shrink = true;        ///< shrink failing cases (off in fault mode)
-  /// Run every case on the sharded cycle engine with this many threads
-  /// (SimConfig::shardThreads); 0 = single-threaded. Outcomes are
-  /// byte-identical either way — fuzzing with threads > 1 exercises the
-  /// engine's barriers under the oracle (and TSan in CI).
-  int shardThreads = 0;
+  /// Shard threads every case runs with (SimConfig::shardThreads, >= 1).
+  /// Outcomes are byte-identical for every value — fuzzing with threads
+  /// > 1 exercises the engine's barriers under the oracle (and TSan in CI).
+  int shardThreads = 1;
   /// Link layer every generated case is built with (FuzzCase::linkLayer).
   /// With Retx plus faultPlan, plans become corruption bursts.
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;

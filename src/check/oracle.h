@@ -99,7 +99,7 @@ struct OracleReport {
 
 /// Pure observer over one Network + packet ledger. Drive it either through
 /// Simulator::observers().attach() (the RAIR_CHECKS auto-arm path) or by
-/// calling onCycleEnd() manually after each Network::step().
+/// calling onCycleEnd() manually after each ShardEngine::step().
 class NetworkOracle final : public SimObserver {
  public:
   NetworkOracle(const Network& net, const PacketPool& ledger,

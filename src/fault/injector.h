@@ -2,10 +2,10 @@
 //
 // The injector is a SimObserver whose onCycleBegin applies every event
 // scheduled at or before the current cycle — always inside the
-// single-threaded observer window, so the same mutations happen at the
-// same points under any shard-thread count. Event application is the only
-// place simulation state is mutated out-of-band; the warm loop itself
-// stays allocation-free and fault-unaware.
+// coordinator's serial observer window, so the same mutations happen at
+// the same points under any shard-thread count. Event application is the
+// only place simulation state is mutated out-of-band; the warm loop
+// itself stays allocation-free and fault-unaware.
 //
 // Topology events (link down/up, router reset/recover) trigger the
 // "reconfiguration flush":
@@ -72,7 +72,7 @@
 #include <vector>
 
 #include "fault/plan.h"
-#include "routing/degraded.h"
+#include "routing/tables.h"
 #include "sim/simulator.h"
 
 namespace rair::fault {
@@ -97,7 +97,7 @@ class FaultInjector final : public SimObserver,
   void detach();
 
   const FaultPlan& plan() const { return plan_; }
-  const DegradedTopology& degraded() const { return degraded_; }
+  const RoutingTables& degraded() const { return degraded_; }
 
   /// Degradation totals so far. Drop counts are read from the simulator's
   /// droppedByFault bucket (which also counts unreachable-at-creation
@@ -139,7 +139,7 @@ class FaultInjector final : public SimObserver,
   Simulator* sim_;
   Network* net_;
   FaultPlan plan_;
-  DegradedTopology degraded_;
+  RoutingTables degraded_;
   bool attached_ = false;
 
   std::size_t cursor_ = 0;  ///< first plan event not yet applied

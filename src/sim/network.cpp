@@ -104,26 +104,6 @@ void Network::wire() {
   RAIR_CHECK(links_.size() == numLinks);
 }
 
-int Network::step(Cycle now) {
-  for (auto& nic : nics_) nic.tick(now);
-  for (auto& r : routers_) r.beginCycle(now);
-  for (auto& r : routers_) r.routeCompute(now);
-  for (auto& r : routers_) r.vcAllocate(now);
-  int moved = 0;
-  for (auto& r : routers_) {
-    r.switchAllocateAndTraverse(now);
-    moved += r.flitsMovedLastCycle();
-  }
-  for (auto& r : routers_) r.endCycle(now);
-  propagateCongestion();
-  return moved;
-}
-
-void Network::propagateCongestion() {
-  std::swap(agg_, aggPrev_);
-  for (NodeId n = 0; n < mesh_->numNodes(); ++n) propagateCongestionRow(n);
-}
-
 void Network::propagateCongestionRow(NodeId n) {
   const std::size_t H = static_cast<std::size_t>(maxHops_);
   for (int di = 0; di < 4; ++di) {

@@ -48,26 +48,24 @@ struct NetworkConfig {
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
 };
 
-/// Owns every hardware element; advances them one cycle at a time.
+/// Owns every hardware element. The sharded cycle engine (sim/shard.h)
+/// advances them one cycle at a time through the phase slices below.
 class Network final : public CongestionView {
  public:
   Network(const Mesh& mesh, const RegionMap& regions, NetworkConfig config,
           RoutingKind routingKind, const ArbiterPolicy& policy);
 
-  /// One clock edge: NICs first (inject/eject), then the router pipeline
-  /// phases, then congestion-information propagation. Returns the flits
-  /// moved: the sum of Router::flitsMovedLastCycle() after the edge.
-  int step(Cycle now);
-
   // --- Shard-callable phase slices (sim/shard.h) -------------------------
-  // The sharded engine advances disjoint contiguous node ranges through
-  // two fused phases with a barrier between them (and runs the congestion
+  // One clock edge is phase A over every node, the congestion retire,
+  // then phase B over every node. The sharded engine runs each phase on
+  // disjoint contiguous node ranges with a barrier between them (and the
   // retire once, on the coordinator, at that barrier). Each slice touches
   // only range-local state: a node's own NIC/router buffers plus its own
   // side of the attached links — the two DelayPipes of a link (flits
   // downstream, credits upstream) are each written by exactly one endpoint
   // per phase, so disjoint ranges never race and the fused schedule is
-  // byte-identical to step() for any partition.
+  // byte-identical to the unfused whole-network pass order (all NIC
+  // ticks, then each router stage over all routers) for any partition.
 
   /// Fused phase A over [begin, end): NIC tick, then router beginCycle /
   /// routeCompute / vcAllocate per node. Reads the congestion table
@@ -79,7 +77,7 @@ class Network final : public CongestionView {
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
   /// per node, then the node's congestion-aggregate row (own free-VC count
   /// combined with the neighbors' retired previous-cycle rows). Returns the
-  /// range's share of step()'s moved-flit count.
+  /// flits the range's switches moved this cycle.
   int phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
 
   Nic& nic(NodeId n) { return nics_[static_cast<size_t>(n)]; }
@@ -121,10 +119,8 @@ class Network final : public CongestionView {
 
  private:
   void wire();
-  void propagateCongestion();
   /// One node's congestion-aggregate row, from its post-traversal free-VC
-  /// counts and the neighbors' aggPrev_ rows (shared by propagateCongestion
-  /// and phaseTraversePropagate).
+  /// counts and the neighbors' aggPrev_ rows.
   void propagateCongestionRow(NodeId n);
 
   const Mesh* mesh_;
@@ -147,8 +143,8 @@ class Network final : public CongestionView {
   std::vector<LinkLayer*> links_;
 
   // Mesh adjacency flattened once at construction: [node][4 router dirs]
-  // -> neighbor id or -1. propagateCongestion runs every cycle and would
-  // otherwise recompute coordinate arithmetic per (node, dir).
+  // -> neighbor id or -1. propagateCongestionRow runs every cycle and
+  // would otherwise recompute coordinate arithmetic per (node, dir).
   std::vector<NodeId> neighborTable_;
 
   // Side-band congestion network. agg_[n][d][h] = sum of free adaptive VC

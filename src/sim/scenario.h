@@ -131,11 +131,10 @@ struct ScenarioSpec {
     config.net.linkLayer = kind;
     return *this;
   }
-  /// Runs the simulation on the deterministic sharded cycle engine with
-  /// `n` shards/worker threads (n >= 1); results and snapshots are
-  /// byte-identical for every value, and to the default single-threaded
-  /// engine. Excluded from warm/full scenario keys, so checkpoints and
-  /// warm caches are shared across thread counts.
+  /// Runs the simulation on `n` shards/worker threads of the sharded cycle
+  /// engine (n >= 1, default 1); results and snapshots are byte-identical
+  /// for every value. Excluded from warm/full scenario keys, so
+  /// checkpoints and warm caches are shared across thread counts.
   ScenarioSpec& withThreads(int n) {
     config.shardThreads = n;
     return *this;

@@ -332,8 +332,8 @@ int ShardEngine::step(Cycle now) {
     dispatch(Phase::TraversePropagate, now);
     for (const Shard& s : shards_) moved += s.moved;
   }
-  // Canonical replay: shard order = ascending node order = the exact event
-  // order of the single-threaded NIC loop.
+  // Canonical replay: shard order = ascending node order, the same event
+  // order for every partition.
   for (Shard& s : shards_) {
     for (const NicEventRecord& e : s.stage.events) {
       if (e.kind == NicEventRecord::Kind::Injected)

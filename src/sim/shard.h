@@ -1,5 +1,6 @@
-// Deterministic sharded cycle engine: space-partitioned intra-run
-// parallelism over the flattened Network.
+// Deterministic sharded cycle engine: the only way a Simulator advances a
+// cycle, with space-partitioned intra-run parallelism over the flattened
+// Network.
 //
 // The network is split into contiguous node ranges (shards), one worker
 // thread per shard, and every cycle runs as two barrier-separated fused
@@ -11,11 +12,11 @@
 // endpoint per phase. The one cross-cutting side effect — NIC lifecycle
 // events into the simulator's packet ledger — is staged per shard during
 // the NIC phase and replayed on the coordinator in canonical shard order
-// (= ascending node order, exactly the single-threaded NIC loop order).
+// (= ascending node order, whatever the partition).
 //
 // Determinism contract: results, statistics, observer callback sequences
-// and snapshot bytes are identical to the single-threaded engine for any
-// shard count and any contiguous partition. There is no per-shard RNG to
+// and snapshot bytes are identical for any shard count and any contiguous
+// partition. There is no per-shard RNG to
 // split: traffic sources tick on the coordinator before the phases run, so
 // the parallel section consumes no random numbers at all. The partition
 // itself moves between cycles (rebalance()) as a pure function of router
@@ -33,9 +34,10 @@
 namespace rair {
 
 /// One staged NIC lifecycle event, replayed by the coordinator after the
-/// parallel phases so the simulator observes deliveries in the exact
-/// single-threaded order (the packet pool's free list is order-dependent
-/// and snapshot-serialized, so replay order is part of byte-identity).
+/// parallel phases so the simulator observes deliveries in ascending node
+/// order at every shard count (the packet pool's free list is
+/// order-dependent and snapshot-serialized, so replay order is part of
+/// byte-identity).
 struct NicEventRecord {
   enum class Kind : std::uint8_t { Injected, Delivered };
   PacketId id;
@@ -70,10 +72,9 @@ class ShardEngine {
 
   int numShards() const { return static_cast<int>(shards_.size()); }
 
-  /// Advances the network one cycle (equivalent to Network::step) and
-  /// replays the staged NIC events into the sink in shard order. Returns
-  /// the flits moved, summed per shard during phase B (the value
-  /// Network::step returns).
+  /// Advances the network one cycle and replays the staged NIC events into
+  /// the sink in shard order. Returns the flits the switches moved, summed
+  /// per shard during phase B.
   int step(Cycle now);
 
   /// Current partition as numShards() + 1 ascending node boundaries.

@@ -36,19 +36,10 @@ Simulator::Simulator(const Mesh& mesh, const RegionMap& regions,
       net_(std::make_unique<Network>(mesh, regions, config.net,
                                      config.routing, policy)),
       stats_(numApps) {
-  for (NodeId n = 0; n < mesh.numNodes(); ++n) net_->nic(n).setEvents(this);
-  if (config_.shardThreads >= 1)
-    engine_ = std::make_unique<ShardEngine>(
-        *net_, static_cast<NicEvents&>(*this), config_.shardThreads);
+  RAIR_CHECK_MSG(config_.shardThreads >= 1, "shardThreads must be >= 1");
+  engine_ = std::make_unique<ShardEngine>(
+      *net_, static_cast<NicEvents&>(*this), config_.shardThreads);
   snapTripwire_.sim = this;
-}
-
-void Simulator::setDeliveryHook(DeliveryHook hook) {
-  deliveryHook_ = std::move(hook);
-  // A hook creates packets mid-delivery; the staged replay of the sharded
-  // engine cannot reproduce the single-threaded interleaving of those
-  // injections, so hooked simulations step single-threaded.
-  if (deliveryHook_ && engine_ != nullptr) engine_.reset();
 }
 
 void Simulator::SnapshotTripwire::onCycleBegin(Cycle now) {
@@ -142,8 +133,7 @@ void Simulator::stepCycle() {
     createPacket(d.src, d.dst, d.app, d.cls, d.numFlits);
   }
   for (auto& src : sources_) src->tick(*this);
-  const int moved =
-      engine_ != nullptr ? engine_->step(now_) : net_->step(now_);
+  const int moved = engine_->step(now_);
   if (moved > 0 || delivered_ != lastDelivered_ ||
       ledger_.empty()) {
     lastProgress_ = now_;

@@ -38,12 +38,12 @@ struct SimConfig {
   /// Abort if no flit moves and nothing is delivered for this many cycles
   /// while packets are in flight (deadlock/livelock tripwire).
   Cycle progressTimeout = 50'000;
-  /// 0 = classic single-threaded stepping. n >= 1 runs the deterministic
-  /// sharded cycle engine (sim/shard.h) with n shards/worker threads;
-  /// results, observer sequences and snapshot bytes are byte-identical to
-  /// the single-threaded engine for every value. Excluded from scenario
-  /// snapshot keys — checkpoints are thread-count-agnostic.
-  int shardThreads = 0;
+  /// Shards/worker threads of the deterministic sharded cycle engine
+  /// (sim/shard.h), n >= 1; 1 steps on the calling thread alone. Results,
+  /// observer sequences and snapshot bytes are byte-identical for every
+  /// value. Excluded from scenario snapshot keys — checkpoints are
+  /// thread-count-agnostic.
+  int shardThreads = 1;
 };
 
 /// How a run ended. Callers that must distinguish a clean drain from a
@@ -202,12 +202,11 @@ class Simulator final : public InjectionSink, private NicEvents {
   void addSource(std::unique_ptr<TrafficSource> src);
 
   /// Optional hook fired on every delivery — used by the trace substrate
-  /// to synthesize replies to requests. Installing a hook reverts the
-  /// simulator to single-threaded stepping: a hook may create packets
-  /// mid-delivery, which the sharded engine's staged replay cannot
-  /// reproduce in the single-threaded event order.
+  /// to synthesize replies to requests. It runs on the coordinator during
+  /// the engine's staged replay, after the cycle's network step, so a
+  /// hooked run behaves the same at every thread count.
   using DeliveryHook = std::function<void(const Packet&, InjectionSink&)>;
-  void setDeliveryHook(DeliveryHook hook);
+  void setDeliveryHook(DeliveryHook hook) { deliveryHook_ = std::move(hook); }
 
   /// Schedules a packet to be created at a future cycle (e.g. a reply
   /// after a cache-service latency).
@@ -292,8 +291,8 @@ class Simulator final : public InjectionSink, private NicEvents {
   void setSnapshotHook(SnapshotHook hook, Cycle savePoint, Cycle every = 0);
 
  private:
-  // NicEvents: every NIC reports into the simulator's ledger directly
-  // (via the sharded engine's staged replay when one is active).
+  // NicEvents: the sharded engine's staged replay reports every NIC
+  // event into the simulator's ledger.
   void onInjected(PacketId id, Cycle when) override;
   void onDelivered(PacketId id, Cycle when, std::uint16_t hops) override;
 
@@ -313,7 +312,7 @@ class Simulator final : public InjectionSink, private NicEvents {
   const Mesh* mesh_;
   SimConfig config_;
   std::unique_ptr<Network> net_;
-  std::unique_ptr<ShardEngine> engine_;  ///< present when shardThreads >= 1
+  std::unique_ptr<ShardEngine> engine_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   StatsCollector stats_;
   DeliveryHook deliveryHook_;

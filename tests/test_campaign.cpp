@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -327,6 +329,47 @@ TEST(Runner, PartialResumeRunsOnlyMissingCells) {
   fresh.outPath.clear();
   fresh.resume = false;
   EXPECT_EQ(runCampaign(full, fresh).executed, full.cells.size());
+  std::remove(path.c_str());
+}
+
+TEST(Runner, ResumeAfterCutOffLastRecordLeavesEveryLineParseable) {
+  const CampaignSpec spec = smallSpec();
+  const std::string path = freshTempFile("rair_cut_resume.jsonl");
+  RunnerOptions opts;
+  opts.jobs = 2;
+  opts.outPath = path;
+  const CampaignSummary first = runCampaign(spec, opts);
+
+  // Cut the file in the middle of its last record, as a crash would.
+  std::string text;
+  {
+    std::ifstream in(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(text.back(), '\n');
+  const std::size_t lastStart = text.rfind('\n', text.size() - 2) + 1;
+  const std::string cutKey =
+      CellRecord::fromJsonLine(text.substr(lastStart))->key;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text.substr(0, lastStart + (text.size() - lastStart) / 2);
+  }
+
+  const CampaignSummary second = runCampaign(spec, opts);
+  EXPECT_EQ(second.executed, 1u);
+  EXPECT_EQ(canonicalLines(second.records), canonicalLines(first.records));
+
+  std::ifstream in(path);
+  std::string line;
+  std::size_t lines = 0, cutKeyRecords = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    const auto rec = CellRecord::fromJsonLine(line);
+    ASSERT_TRUE(rec.has_value()) << "unparseable line " << lines;
+    if (rec->key == cutKey) ++cutKeyRecords;
+  }
+  EXPECT_EQ(lines, spec.cells.size());
+  EXPECT_EQ(cutKeyRecords, 1u);
   std::remove(path.c_str());
 }
 

@@ -4,6 +4,7 @@
 
 #include "policy/policy.h"
 #include "sim/network.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -44,10 +45,10 @@ TEST(CongestionInfo, AggregationNeedsPropagationTime) {
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 3), 0);
   // After one cycle only the 1-hop term is live (4 free VCs); the deeper
   // terms still add stale zeros from neighbors.
-  net.step(0);
+  testutil::referenceStep(net, 0);
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 1), 4);
   // After h cycles, an h-hop horizon is fully populated: 4 per hop.
-  for (Cycle t = 1; t < 5; ++t) net.step(t);
+  for (Cycle t = 1; t < 5; ++t) testutil::referenceStep(net, t);
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 1), 4);
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 2), 8);
   EXPECT_EQ(net.aggregatedFree(0, Dir::East, 3), 12);
@@ -59,7 +60,7 @@ TEST(CongestionInfo, HorizonClampsAtMeshEdge) {
   const auto rm = RegionMap::halves(m);
   RoundRobinPolicy policy;
   Network net(m, rm, cfg(), RoutingKind::LocalAdaptive, policy);
-  for (Cycle t = 0; t < 6; ++t) net.step(t);
+  for (Cycle t = 0; t < 6; ++t) testutil::referenceStep(net, t);
   // From (1,1) eastward only 2 more routers exist; a huge horizon is
   // clamped to the stored maximum (width-1 = 3 hops), and hops beyond the
   // edge contribute nothing.
@@ -94,12 +95,12 @@ TEST(CongestionInfo, OccupiedVcsReduceTheCount) {
   net.nic(0).enqueue(q);
   bool dipped = false;
   for (Cycle t = 0; t < 20; ++t) {
-    net.step(t);
+    testutil::referenceStep(net, t);
     if (net.freeVcsThrough(0, Dir::East) < 4) dipped = true;
   }
   EXPECT_TRUE(dipped) << "in-flight packets never occupied an output VC";
   // After draining, everything is free again.
-  for (Cycle t = 20; t < 60; ++t) net.step(t);
+  for (Cycle t = 20; t < 60; ++t) testutil::referenceStep(net, t);
   EXPECT_EQ(net.freeVcsThrough(0, Dir::East), 4);
   EXPECT_TRUE(net.quiescent());
 }

@@ -12,7 +12,7 @@
 #include "check/oracle.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
-#include "routing/degraded.h"
+#include "routing/tables.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -117,7 +117,7 @@ TEST(FaultPlan, EventsStaySortedByCycle) {
 
 TEST(DegradedTopology, SingleDeadLinkKeepsMeshConnected) {
   Mesh mesh(4, 4);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   EXPECT_FALSE(deg.active());
 
   // Kill the channel between (1,1) and (2,1).
@@ -166,7 +166,7 @@ TEST(DegradedTopology, SingleDeadLinkKeepsMeshConnected) {
 
 TEST(DegradedTopology, ConnectivityBitsReflectDeadLinks) {
   Mesh mesh(3, 3);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   const NodeId center = mesh.nodeAt({1, 1});
   const std::uint8_t before = deg.connectivityBits(center);
   EXPECT_EQ(before, 0b1111);  // all four links of the center node alive
@@ -182,7 +182,7 @@ TEST(DegradedTopology, ConnectivityBitsReflectDeadLinks) {
 
 TEST(DegradedTopology, CutIsolatingACornerPartitionsTheMesh) {
   Mesh mesh(2, 2);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   // Kill both links of node (0,0): the mesh splits {corner} | {rest}.
   const NodeId corner = mesh.nodeAt({0, 0});
   for (int d = 1; d < kNumPorts; ++d) {
@@ -203,7 +203,7 @@ TEST(DegradedTopology, CutIsolatingACornerPartitionsTheMesh) {
 
 TEST(DegradedTopology, RoutingAlgorithmBypassesInactiveTables) {
   Mesh mesh(4, 4);
-  DegradedTopology deg(mesh);
+  RoutingTables deg(mesh);
   XyRouting xy;
   Packet p;
   p.id = 1;
@@ -405,8 +405,8 @@ TEST(FaultOracle, SoftResetOnRetxLayerIsCleanAndThreadInvariant) {
   EXPECT_LE(ref.run.packetsDelivered + ref.droppedByFault,
             ref.run.packetsCreated);
 
-  // Identical drop/retransmit totals on the sharded engine.
-  for (const int threads : {1, 4}) {
+  // Identical drop/retransmit totals on more shard threads.
+  for (const int threads : {2, 4}) {
     const AuditedRun t = runAudited(ScenarioSpec(base).withThreads(threads));
     EXPECT_TRUE(t.report.ok()) << "threads=" << threads;
     EXPECT_EQ(t.run.cyclesRun, ref.run.cyclesRun) << threads;
@@ -472,12 +472,12 @@ TEST(FaultGolden, IncrementalRecomputeIsByteInvisible) {
   const ScenarioSpec faulted = midOutageSpec(mesh, regions);
 
   for (const ScenarioSpec* spec : {&faultFree, &faulted}) {
-    DegradedTopology::forceFullRebuildForTest = true;
+    RoutingTables::forceFullRebuildForTest = true;
     const auto full = serializedAfter(*spec, 3'000, false);
-    DegradedTopology::forceFullRebuildForTest = false;
+    RoutingTables::forceFullRebuildForTest = false;
     const auto incremental = serializedAfter(*spec, 3'000, false);
     EXPECT_TRUE(full == incremental);
-    for (const int threads : {1, 2, 4}) {
+    for (const int threads : {2, 4}) {
       const auto sharded = serializedAfter(
           ScenarioSpec(*spec).withThreads(threads), 3'000, false);
       EXPECT_TRUE(full == sharded) << "threads=" << threads;
@@ -489,12 +489,12 @@ TEST(FaultSnapshot, MidOutageStateIsByteStableAcrossShardThreadCounts) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = midOutageSpec(mesh, regions);
-  const auto legacy = serializedAfter(spec, 3'000, false);
-  for (const int threads : {1, 2, 4}) {
+  const auto t1 = serializedAfter(spec, 3'000, false);
+  for (const int threads : {2, 4}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3'000,
                         false);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads;
+    EXPECT_TRUE(t1 == sharded) << "threads=" << threads;
   }
 }
 
@@ -544,12 +544,12 @@ TEST(FaultSnapshot, MidResetStateIsByteStableAcrossShardThreadCounts) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = midResetSpec(mesh, regions);
-  const auto legacy = serializedAfter(spec, 3'000, false);
-  for (const int threads : {1, 2, 4}) {
+  const auto t1 = serializedAfter(spec, 3'000, false);
+  for (const int threads : {2, 4}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3'000,
                         false);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads;
+    EXPECT_TRUE(t1 == sharded) << "threads=" << threads;
   }
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "routing/degraded.h"
+#include "routing/tables.h"
 
 namespace rair {
 namespace {
@@ -70,7 +70,7 @@ TEST(Lbdr, UnassignedNodesDoNotSatisfyConstraint) {
 
 TEST(Lbdr, ConnectivityBitsTrackDeadLinksOnBothEndpoints) {
   Mesh m(4, 4);
-  DegradedTopology topo(m);
+  RoutingTables topo(m);
   // Interior node: all four links alive. Corner (0,0): East + South only.
   EXPECT_EQ(topo.connectivityBits(m.nodeAt({1, 1})), 0b1111);
   EXPECT_EQ(topo.connectivityBits(m.nodeAt({0, 0})), 0b0110);
@@ -95,7 +95,7 @@ TEST(Lbdr, ValidMappingDoesNotImplyMcReachabilityUnderFaults) {
   ASSERT_TRUE(lbdrMappingValid(quads, mcs));
 
   // Isolate corner 0 — region 0's only MC.
-  DegradedTopology topo(m);
+  RoutingTables topo(m);
   for (int d = 1; d < kNumPorts; ++d)
     if (m.neighbor(0, static_cast<Dir>(d)))
       topo.setLinkDead(0, static_cast<Dir>(d), true);
@@ -119,7 +119,7 @@ TEST(Lbdr, LegalPacketMayBecomeUnreachableUnderDegradation) {
   const NodeId dst = m.nodeAt({3, 7});
   ASSERT_TRUE(lbdrPacketAllowed(rm, src, dst));
 
-  DegradedTopology topo(m);
+  RoutingTables topo(m);
   for (int d = 1; d < kNumPorts; ++d)
     if (m.neighbor(dst, static_cast<Dir>(d)))
       topo.setLinkDead(dst, static_cast<Dir>(d), true);

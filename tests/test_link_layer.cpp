@@ -208,9 +208,6 @@ TEST(LinkLayerScenario, CleanRetxRunMatchesIdealAtEveryThreadCount) {
   // cycle, same acceptance cycle — the simulated outcome is identical to
   // the ideal layer, under any shard-thread count.
   const ScenarioResult ideal = runScenario(base);
-  const ScenarioResult retxLegacy =
-      runScenario(ScenarioSpec(base).withLinkLayer(LinkLayerKind::Retx));
-  expectSameResult(retxLegacy, ideal);
   for (const int threads : {1, 4}) {
     const ScenarioResult retx =
         runScenario(ScenarioSpec(base)
@@ -234,7 +231,7 @@ TEST(LinkLayerScenario, CorruptionRecoveryIsThreadCountInvariant) {
   EXPECT_GE(single.faultStats->retransmittedFlits, 15u);
   EXPECT_EQ(single.run.termination, Termination::Drained);
 
-  for (const int threads : {1, 4}) {
+  for (const int threads : {2, 4}) {
     const ScenarioResult sharded =
         runScenario(ScenarioSpec(spec).withThreads(threads));
     expectSameResult(sharded, single);
@@ -265,24 +262,24 @@ TEST(RetxSnapshot, MidRetransmissionStateIsByteStable) {
       ScenarioSpec(smallSpec(mesh, regions))
           .withLinkLayer(LinkLayerKind::Retx)
           .withFaults(corruptionPlan(mesh));
-  const auto legacy = serializedAfter(spec, 402);
+  const auto t1 = serializedAfter(spec, 402);
 
   // Identical bytes at every shard-thread count...
-  for (const int threads : {1, 2, 4}) {
+  for (const int threads : {2, 4}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 402);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads;
+    EXPECT_TRUE(t1 == sharded) << "threads=" << threads;
   }
 
   // ...and restore -> save round-trips byte-stably.
   AssembledScenario restored = assembleScenario(spec);
-  snapshot::Reader r(legacy);
+  snapshot::Reader r(t1);
   restored.sim->restore(r);
   EXPECT_TRUE(r.atEnd());
   EXPECT_EQ(restored.sim->now(), 402u);
   snapshot::Writer w2;
   restored.sim->save(w2);
-  EXPECT_TRUE(w2.payload() == legacy);
+  EXPECT_TRUE(w2.payload() == t1);
 }
 
 TEST(RetxSnapshot, MidRetransmissionCheckpointResumeMatchesStraightRun) {

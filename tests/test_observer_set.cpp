@@ -1,8 +1,7 @@
 // ObserverSet: the simulator's dynamic observer list. Attach/detach
 // ordering, the absence of a slot-count ceiling, dispatch of all three
-// callbacks through a live simulation, the deprecated setDeliveryObserver
-// shim, and the delivery-hook fallback that reverts a sharded simulator
-// to single-threaded stepping.
+// callbacks through a live simulation, and a delivery hook that creates
+// packets giving the same bytes at one and four shard threads.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -123,32 +122,41 @@ TEST(ObserverSet, SimulatorDispatchesAllThreeCallbacks) {
   EXPECT_EQ(counter.begins, 500);
 }
 
-TEST(ObserverSet, DeliveryHookRevertsShardedSimulatorToLegacyStepping) {
+TEST(ObserverSet, DeliveryHookRunIsByteIdenticalAtOneAndFourThreads) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec = smallSpec(mesh, regions);
 
-  // Reference: plain single-threaded run.
-  AssembledScenario legacy = assembleScenario(spec);
-  legacy.sim->begin();
-  for (int i = 0; i < 2000; ++i) legacy.sim->stepCycle();
-  snapshot::Writer wl;
-  legacy.sim->save(wl);
+  // The hook answers a delivery from a lower to a higher node id at once
+  // (answers go the other way, so they are never answered) and schedules
+  // a second answer a few cycles later. It runs during the engine's
+  // staged replay, so both kinds of injection land at the same point of
+  // the cycle at every thread count.
+  auto runHooked = [&](int threads) {
+    AssembledScenario as =
+        assembleScenario(ScenarioSpec(spec).withThreads(threads));
+    Simulator& sim = *as.sim;
+    std::uint64_t answers = 0;
+    sim.setDeliveryHook([&sim, &answers](const Packet& p,
+                                         InjectionSink& sink) {
+      if (p.src >= p.dst) return;
+      sink.createPacket(p.dst, p.src, p.app, p.msgClass, 1);
+      sim.injectAt(sink.now() + 3, p.dst, p.src, p.app, p.msgClass, 5);
+      ++answers;
+    });
+    EXPECT_FALSE(sim.snapshotSupported());
+    sim.begin();
+    for (int i = 0; i < 2000; ++i) sim.stepCycle();
+    snapshot::Writer w;
+    sim.save(w);
+    return std::pair(w.payload(), answers);
+  };
 
-  // Sharded simulator with a no-op delivery hook installed: the hook
-  // forces the fallback (hooks may create packets mid-delivery, which the
-  // staged replay cannot reproduce), and the run must still match the
-  // reference byte for byte.
-  AssembledScenario sharded =
-      assembleScenario(ScenarioSpec(spec).withThreads(4));
-  sharded.sim->setDeliveryHook([](const Packet&, InjectionSink&) {});
-  EXPECT_FALSE(sharded.sim->snapshotSupported());
-  sharded.sim->begin();
-  for (int i = 0; i < 2000; ++i) sharded.sim->stepCycle();
-  snapshot::Writer ws;
-  sharded.sim->save(ws);
-
-  EXPECT_TRUE(wl.payload() == ws.payload());
+  const auto [t1, t1Answers] = runHooked(1);
+  const auto [t4, t4Answers] = runHooked(4);
+  EXPECT_GT(t1Answers, 100u);
+  EXPECT_EQ(t4Answers, t1Answers);
+  EXPECT_TRUE(t1 == t4);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Sharded-engine equivalence: the deterministic sharded cycle engine
-// (sim/shard.h) must reproduce the single-threaded simulator bit-for-bit
-// at every thread count. The golden constants are the same recorded
+// (sim/shard.h) must give the same bytes at every thread count, with one
+// thread as the reference. The golden constants are the same recorded
 // seed-implementation numbers test_equivalence.cpp pins — a sharded run
 // is held to the exact same trajectory, not merely to a same-binary
 // reference. Suite names all start with "Shard" so CI can select this
@@ -13,6 +13,7 @@
 
 #include "campaign/runner.h"
 #include "scenarios/paper_scenarios.h"
+#include "scenarios/parsec_scenario.h"
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
 #include "snapshot/buffer.h"
@@ -135,7 +136,43 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardGolden, ::testing::Values(1, 2, 4, 8),
                                std::to_string(info.param));
                          });
 
+// ---- Request/reply trace golden -------------------------------------------
+
+class ShardTraceGolden : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardTraceGolden, Fig16RoRrRequestReplyMatchesRecordedGolden) {
+  // The Fig. 16/17 PARSEC scenario: its delivery hook schedules every
+  // reply. Recorded from the unfused single-threaded schedule, before
+  // hooked runs moved onto the sharded engine.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
+  cfg.shardThreads = GetParam();
+  scenarios::ParsecScenarioOptions opts;
+  opts.seed = 7;
+  const ScenarioResult r = scenarios::runParsecScenario(
+      mesh, regions, cfg, schemeRoRr(), scenarios::fig16Benchmarks(), opts);
+  ASSERT_EQ(r.appApl.size(), 4u);
+  EXPECT_EQ(r.appApl[0], 19.585480093676814);
+  EXPECT_EQ(r.appApl[1], 19.820044988752812);
+  EXPECT_EQ(r.appApl[2], 20.874155225154727);
+  EXPECT_EQ(r.appApl[3], 21.661094773770831);
+  EXPECT_EQ(r.run.cyclesRun, 22033u);
+  EXPECT_EQ(r.run.packetsCreated, 42742u);
+  EXPECT_EQ(r.run.packetsDelivered, 42720u);
+  EXPECT_EQ(r.run.flitHops, 557258u);
+  EXPECT_EQ(r.run.termination, Termination::Drained);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ShardTraceGolden, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return std::string("t").append(
+                               std::to_string(info.param));
+                         });
+
 // ---- Serialized-state byte equality ---------------------------------------
+// Test names below that say "Legacy" keep their established ids; the
+// reference they name is the one-thread run.
 
 std::vector<std::uint8_t> serializedAfter(const ScenarioSpec& spec,
                                           Cycle cycles) {
@@ -152,12 +189,12 @@ TEST(ShardState, SerializedStateMatchesLegacyByteForByte8x8) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.5, schemeRaRair(), 17911839290282890590ull);
-  const auto legacy = serializedAfter(spec, 3000);
-  for (const int threads : {1, 2, 4, 8}) {
+  const auto t1 = serializedAfter(spec, 3000);
+  for (const int threads : {2, 4, 8}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 3000);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads << ": "
-        << snapshot::firstDifferingSection(legacy, sharded);
+    EXPECT_TRUE(t1 == sharded) << "threads=" << threads << ": "
+        << snapshot::firstDifferingSection(t1, sharded);
   }
 }
 
@@ -168,21 +205,21 @@ TEST(ShardState, SerializedStateMatchesLegacyByteForByte16x16) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.25, schemeRaRair(), 8196980753821780235ull);
-  const auto legacy = serializedAfter(spec, 1500);
+  const auto t1 = serializedAfter(spec, 1500);
   for (const int threads : {3, 7, 8}) {
     const auto sharded =
         serializedAfter(ScenarioSpec(spec).withThreads(threads), 1500);
-    EXPECT_TRUE(legacy == sharded) << "threads=" << threads << ": "
-        << snapshot::firstDifferingSection(legacy, sharded);
+    EXPECT_TRUE(t1 == sharded) << "threads=" << threads << ": "
+        << snapshot::firstDifferingSection(t1, sharded);
   }
 }
 
 // ---- Delivery hooks under the sharded engine ------------------------------
 
 /// Records the exact onDelivery callback sequence. The staged NIC replay
-/// (shard.h) promises observer callback order identical to the
-/// single-threaded engine, which this pins directly — the golden tests
-/// above only see the aggregated statistics.
+/// (shard.h) promises the same observer callback order at every thread
+/// count, which this pins directly — the golden tests above only see the
+/// aggregated statistics.
 struct DeliveryRecorder final : SimObserver {
   std::vector<std::pair<PacketId, Cycle>> seq;
   Cycle now = 0;
@@ -206,17 +243,15 @@ TEST(ShardObserver, DeliveryHookSequenceIdenticalAcrossThreadCounts) {
     return rec.seq;
   };
 
-  const auto legacy = sequence(0);
-  ASSERT_FALSE(legacy.empty());
-  for (const int threads : {1, 2, 8})
-    EXPECT_TRUE(legacy == sequence(threads)) << "threads=" << threads;
+  const auto t1 = sequence(1);
+  ASSERT_FALSE(t1.empty());
+  for (const int threads : {2, 4, 8})
+    EXPECT_TRUE(t1 == sequence(threads)) << "threads=" << threads;
 }
 
-TEST(ShardFallback, DeliveryHookRevertsToSingleThreadedStepping) {
-  // setDeliveryHook on a sharded simulator drops the shard engine (hooks
-  // create packets mid-delivery, which staged replay cannot reproduce in
-  // event order) — the run must silently fall back and still hit the
-  // golden trajectory.
+TEST(ShardObserver, HookedRunHitsGoldenAtOneAndFourThreads) {
+  // A delivery hook runs on the coordinator during the staged replay, so
+  // a hooked run takes the golden trajectory at every thread count.
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
@@ -232,14 +267,15 @@ TEST(ShardFallback, DeliveryHookRevertsToSingleThreadedStepping) {
     return std::pair<RunResult, std::uint64_t>(r, hookCalls);
   };
 
-  const auto [legacy, legacyCalls] = runWithHook(0);
-  EXPECT_EQ(legacy.packetsDelivered, 85224u);
-  const auto [sharded, shardedCalls] = runWithHook(8);
-  EXPECT_EQ(sharded.termination, legacy.termination);
-  EXPECT_EQ(sharded.cyclesRun, legacy.cyclesRun);
-  EXPECT_EQ(sharded.packetsCreated, legacy.packetsCreated);
-  EXPECT_EQ(sharded.packetsDelivered, legacy.packetsDelivered);
-  EXPECT_EQ(shardedCalls, legacyCalls);
+  const auto [t1, t1Calls] = runWithHook(1);
+  EXPECT_EQ(t1.packetsDelivered, 85224u);
+  EXPECT_EQ(t1Calls, t1.packetsDelivered);
+  const auto [t4, t4Calls] = runWithHook(4);
+  EXPECT_EQ(t4.termination, t1.termination);
+  EXPECT_EQ(t4.cyclesRun, t1.cyclesRun);
+  EXPECT_EQ(t4.packetsCreated, t1.packetsCreated);
+  EXPECT_EQ(t4.packetsDelivered, t1.packetsDelivered);
+  EXPECT_EQ(t4Calls, t1Calls);
 }
 
 // ---- Oversubscribed fallback: more shards than nodes ----------------------
@@ -252,11 +288,10 @@ TEST(ShardFallback, MoreShardsThanNodesMatchesLegacyByteForByte) {
   const RegionMap regions = RegionMap::halves(mesh);
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.5, schemeRaRair(), 8042142155559163816ull);
-  const auto legacy = serializedAfter(spec, 1000);
+  const auto t1 = serializedAfter(spec, 1000);
   const auto sharded =
       serializedAfter(ScenarioSpec(spec).withThreads(24), 1000);
-  EXPECT_TRUE(legacy == sharded)
-      << snapshot::firstDifferingSection(legacy, sharded);
+  EXPECT_TRUE(t1 == sharded) << snapshot::firstDifferingSection(t1, sharded);
 }
 
 // ---- Campaign records across --shard-threads x --jobs ---------------------
@@ -329,7 +364,7 @@ TEST(ShardContinuation, CheckpointAt8ThreadsResumesLegacyToGolden) {
   ASSERT_TRUE(writeScenarioCheckpoint(ScenarioSpec(spec).withThreads(8),
                                       kMidWindow, path));
 
-  // Resume on the classic single-threaded engine (shardThreads = 0).
+  // Resume on one shard thread (the default).
   const ScenarioResult r = runScenario(ScenarioSpec(spec).withCheckpoint(path));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
   expectFig09Golden(r);

@@ -3,7 +3,7 @@
 // usable core; these tests run more shard threads than cores (pinned to
 // one CPU, and two 4-shard simulators at once) and must still finish —
 // under the ctest TIMEOUT set in CMakeLists.txt — with state identical to
-// the single-threaded engine. Suite names start with "Shard" so the
+// a one-thread run. Suite names start with "Shard" so the
 // ThreadSanitizer CI subset (`ctest -R Shard`) picks them up.
 #include <gtest/gtest.h>
 

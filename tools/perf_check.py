@@ -5,7 +5,7 @@ Usage:
     perf_check.py --baseline BENCH_core_hotpath.json --current run.json \
                   [--max-regression 0.25] [--metric cycles_per_sec] \
                   [--paired-suffix _metrics --paired-suffix _snapshot \
-                   --paired-suffix _sharded1:0.03 --max-overhead 0.02]
+                   --paired-suffix _retx0:0.32 --max-overhead 0.02]
 
 Both files are google-benchmark JSON (--benchmark_format=json). The check
 fails (exit 1) when any benchmark present in both files regresses by more
@@ -26,8 +26,9 @@ the current file, every benchmark named "X<suffix>" against its bare twin
 "X" and fails when the suffixed variant is more than --max-overhead slower
 — the guard that keeps default-level metrics collection and the armed
 snapshot hook effectively free on the per-cycle hot path. A suffix may
-carry its own bound as "SUFFIX:MAXOVERHEAD" (e.g. "_sharded1:0.03" allows
-the 1-shard cycle engine 3%% where the default bound is 2%%).
+carry its own bound as "SUFFIX:MAXOVERHEAD" (e.g. "_retx0:0.32" allows
+the fault-free retransmitting link layer 32%% where the default bound is
+2%%).
 
 A baseline must say which host it came from: the check refuses (exit 1)
 a baseline whose "context" lacks usable_cores, build_type or compiler,

@@ -63,8 +63,8 @@ void usage(std::FILE* to) {
       "  --shard-threads N\n"
       "                run each cell's simulation on the deterministic\n"
       "                sharded cycle engine with N threads (composes with\n"
-      "                --jobs; records are byte-identical to\n"
-      "                single-threaded runs; default 0 = off)\n"
+      "                --jobs; records are byte-identical for every\n"
+      "                N >= 1; default 1)\n"
       "  --link-layer KIND\n"
       "                ideal (default) | retx: build every channel with\n"
       "                the CRC/retransmission link layer. Ideal-link runs\n"
@@ -96,7 +96,7 @@ struct Args {
   rair::LinkLayerKind linkLayer = rair::LinkLayerKind::Ideal;
   double faultDensity = 0.0;
   int jobs = 0;
-  int shardThreads = 0;
+  int shardThreads = 1;
   std::uint64_t seed = 1;
   bool fast = false;
   bool fresh = false;
@@ -138,7 +138,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.shardThreads = std::atoi(v);
-      if (args.shardThreads < 0) return false;
+      if (args.shardThreads <= 0) return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;

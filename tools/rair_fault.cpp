@@ -64,8 +64,8 @@ void usage(std::FILE* to) {
       "  --seed N      simulation seed (default 1); under --cell this is\n"
       "                the campaign master seed\n"
       "  --fast        5x-shrunk windows (= RAIR_BENCH_FAST=1)\n"
-      "  --threads N   sharded cycle engine with N threads (default 0 =\n"
-      "                single-threaded; results are byte-identical)\n"
+      "  --threads N   sharded cycle engine with N threads (default 1;\n"
+      "                results are byte-identical for every N)\n"
       "  --link-layer KIND\n"
       "                ideal (default) | retx: build every channel with\n"
       "                the CRC/retransmission link layer. corrupt events\n"
@@ -128,7 +128,7 @@ struct Args {
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
   int p = 50;
   std::uint64_t seed = 1;
-  int threads = 0;
+  int threads = 1;
   bool fast = false;
   bool check = false;
 };
@@ -186,7 +186,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.threads = std::atoi(v);
-      if (args.threads < 0) return false;
+      if (args.threads <= 0) return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;

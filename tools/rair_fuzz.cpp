@@ -56,9 +56,9 @@ void usage(std::FILE* to) {
       "  --repro SEED         replay one case seed (decimal or 0x hex)\n"
       "  --no-shrink          report failures without shrinking\n"
       "  --shard-threads N    run every case on the sharded cycle engine\n"
-      "                       with N threads (0 = single-threaded,\n"
-      "                       default); outcomes are byte-identical, the\n"
-      "                       engine's barriers run under the oracle\n"
+      "                       with N threads (default 1); outcomes are\n"
+      "                       byte-identical, the engine's barriers run\n"
+      "                       under the oracle\n"
       "  --quiet              suppress per-case progress dots\n");
 }
 
@@ -123,7 +123,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.opts.shardThreads = std::atoi(v);
-      if (args.opts.shardThreads < 0) return false;
+      if (args.opts.shardThreads <= 0) return false;
     } else if (arg == "--link-layer") {
       const char* v = next();
       if (!v) return false;

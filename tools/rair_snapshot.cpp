@@ -44,10 +44,9 @@ void usage(std::FILE* to) {
       "  --shard-threads N\n"
       "                 write the snapshot (and run the straight\n"
       "                 reference) on the sharded cycle engine with N\n"
-      "                 threads while the restored run continues\n"
-      "                 single-threaded -- verifies checkpoints are\n"
-      "                 thread-count-agnostic (default 0 = both\n"
-      "                 single-threaded)\n");
+      "                 threads while the restored run continues on\n"
+      "                 one thread -- verifies checkpoints are\n"
+      "                 thread-count-agnostic (default 1)\n");
 }
 
 bool schemeByName(const std::string& name, rair::SchemeSpec& out) {
@@ -127,10 +126,8 @@ int bisect(const rair::SchemeSpec& scheme, int p, std::uint64_t seed,
               static_cast<std::uint64_t>(snapAt),
               static_cast<std::uint64_t>(horizon),
               snapshot::fullStateKey(spec), shardThreads);
-  ScenarioSpec saveSpec = spec;
-  if (shardThreads > 0) saveSpec.withThreads(shardThreads);
-  const snapshot::BisectResult r =
-      snapshot::bisectDivergence(saveSpec, spec, snapAt, horizon);
+  const snapshot::BisectResult r = snapshot::bisectDivergence(
+      ScenarioSpec(spec).withThreads(shardThreads), spec, snapAt, horizon);
   if (!r.diverged) {
     std::printf("no divergence: restored run is byte-identical to the "
                 "straight run over the whole range\n");
@@ -153,7 +150,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   rair::Cycle snapAt = 1'000;
   rair::Cycle horizon = 3'000;
-  int shardThreads = 0;
+  int shardThreads = 1;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -182,7 +179,7 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
       shardThreads = std::atoi(v);
-      if (shardThreads < 0) { usage(stderr); return 2; }
+      if (shardThreads <= 0) { usage(stderr); return 2; }
     } else if (arg == "--snap-at") {
       const char* v = next();
       if (!v) { usage(stderr); return 2; }
