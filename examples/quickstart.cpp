@@ -8,7 +8,7 @@
 //   scheme   APL App0  APL App1  ...
 //
 // This is the Fig. 8 setup of the paper at fixed loads; see
-// bench/fig09_msp for the fully calibrated sweep.
+// `rair_campaign --name fig09` for the fully calibrated sweep.
 #include <cstdio>
 
 #include "scenarios/paper_scenarios.h"

@@ -7,8 +7,9 @@
 // Runs all four interference-reduction schemes (RO_RR, RA_DBAR, RO_Rank,
 // RA_RAIR) on six concurrently running applications with differentiated
 // loads and prints per-application APLs and reductions — the data behind
-// Figs. 14 and 15 at fixed (uncalibrated) loads. Use bench/fig14_sixapp
-// for the saturation-calibrated reproduction.
+// Figs. 14 and 15 at fixed (uncalibrated) loads. Use
+// `rair_campaign --name fig14` (or fig15) for the saturation-calibrated
+// reproduction.
 #include <cstdio>
 #include <cstring>
 

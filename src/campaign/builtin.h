@@ -1,7 +1,7 @@
 // Built-in campaigns: one per reproduced paper figure / ablation, built
 // from the exact workloads in scenarios/paper_scenarios.h. These are the
-// single source of truth for the scheme x load grids — both the
-// tools/rair_campaign CLI and the bench binaries build their grids here.
+// single source of truth for the scheme x load grids: tools/rair_campaign
+// runs them, one campaign per figure or ablation.
 //
 // Building a campaign resolves the paper's "x% of saturation" loads via
 // empirical calibration (sim/saturation.h), which is the expensive
@@ -59,6 +59,12 @@ BuildContext defaultBuildContext(bool fast);
 /// Names of all built-in campaigns ("fig09", "fig10", ...).
 std::vector<std::string> builtinCampaignNames();
 bool isBuiltinCampaign(const std::string& name);
+
+/// True for campaigns whose cells run the PARSEC request/reply scenario
+/// (fig17). Those cells bypass ScenarioSpec: they apply CellContext's seed
+/// and shard threads, but not its snapshot options or fault plan, and they
+/// record no metrics block.
+bool builtinCampaignRunsParsecCells(const std::string& name);
 
 /// Builds the named campaign (RAIR_CHECKs on unknown names). Calibration
 /// runs eagerly through ctx.value; cell simulations stay lazy.

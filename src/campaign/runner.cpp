@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "campaign/store.h"
@@ -111,36 +112,6 @@ CampaignSummary runCampaign(const CampaignSpec& spec,
     if (!r.drained()) ++summary.tripwired;
   summary.wallMs = msSince(start);
   return summary;
-}
-
-LazyCampaign::LazyCampaign(CampaignSpec spec) : spec_(std::move(spec)) {
-  for (std::size_t i = 0; i < spec_.cells.size(); ++i)
-    index_.emplace(spec_.cells[i].key, i);
-}
-
-const CellRecord& LazyCampaign::cell(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto hit = done_.find(key);
-  if (hit != done_.end()) return hit->second;
-  const auto it = index_.find(key);
-  RAIR_CHECK_MSG(it != index_.end(), "unknown campaign cell key");
-  const std::size_t i = it->second;
-  const CampaignCell& c = spec_.cells[i];
-  CellContext ctx;
-  ctx.seed = cellSeed(spec_.campaignSeed, i);
-  const auto t0 = std::chrono::steady_clock::now();
-  const ScenarioResult result = c.run(ctx);
-  CellRecord rec = makeCellRecord(spec_, c, ctx.seed, result, msSince(t0));
-  return done_.emplace(key, std::move(rec)).first->second;
-}
-
-std::string LazyCampaign::tables() {
-  for (const CampaignCell& c : spec_.cells) cell(c.key);
-  if (!spec_.renderTables) return {};
-  const std::lock_guard<std::mutex> lock(mu_);
-  CellLookup lookup;
-  for (const auto& [key, rec] : done_) lookup.insert(rec);
-  return spec_.renderTables(lookup);
 }
 
 }  // namespace rair::campaign

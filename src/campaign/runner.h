@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "campaign/campaign.h"
@@ -59,30 +58,5 @@ struct CampaignSummary {
 
 CampaignSummary runCampaign(const CampaignSpec& spec,
                             const RunnerOptions& options = {});
-
-/// Memoized on-demand executor over a campaign, for callers that drive
-/// cells one at a time (the bench binaries: google-benchmark attributes
-/// wall time per registered cell, while this class supplies execution and
-/// caching — replacing the former bench-local ResultStore). Thread-safe;
-/// a cell's simulation runs under the lock, so concurrent callers
-/// serialize (benchmarks run cells serially anyway).
-class LazyCampaign {
- public:
-  explicit LazyCampaign(CampaignSpec spec);
-
-  const CampaignSpec& spec() const { return spec_; }
-
-  /// Runs the cell on first use; later calls return the cached record.
-  const CellRecord& cell(const std::string& key);
-
-  /// Runs any remaining cells, then renders the spec's tables.
-  std::string tables();
-
- private:
-  CampaignSpec spec_;
-  std::map<std::string, std::size_t> index_;  ///< key -> cell position
-  std::mutex mu_;
-  std::map<std::string, CellRecord> done_;  ///< node-stable record storage
-};
 
 }  // namespace rair::campaign

@@ -7,7 +7,7 @@
 // younger ones, regardless of application rank.
 //
 // Following the paper's evaluation (Sec. V.E), this implementation is the
-// *optimized* STC: the ranking is an oracle — benches install the true
+// *optimized* STC: the ranking is an oracle — scenarios install the true
 // intensity ordering rather than estimating it online — so RO_Rank is an
 // upper bound on what STC could achieve. It remains region-oblivious: it
 // cannot distinguish regional from global traffic, and batching may

@@ -1,7 +1,7 @@
 // The exact workload setups of the paper's evaluation section, expressed
 // as AppTrafficSpec lists. Loads are given in absolute flits/cycle/node;
-// benches resolve the paper's "x% of saturation load" via
-// sim/saturation.h and pass the resolved rates here.
+// the campaigns (campaign/builtin.cpp) resolve the paper's "x% of
+// saturation load" via sim/saturation.h and pass the resolved rates here.
 #pragma once
 
 #include <span>

@@ -5,6 +5,7 @@
 
 #include <span>
 
+#include "sim/saturation.h"
 #include "sim/scenario.h"
 #include "trace/parsec.h"
 
@@ -26,6 +27,15 @@ ScenarioResult runParsecScenario(const Mesh& mesh, const RegionMap& regions,
                                  SimConfig cfg, const SchemeSpec& scheme,
                                  std::span<const ParsecBenchmark> benchmarks,
                                  const ParsecScenarioOptions& opts = {});
+
+/// Knee probe of Fig. 17's flood alone on the chip: `numApps` idle
+/// applications plus the chip-wide UR attacker (AppId `numApps`) under
+/// RO_RR, on the calibration windows of `opts`. With a knee it stops at
+/// the flood's KneeVerdict, as appSaturationRate's probes do, so
+/// findSaturationRate(probe, width, opts) gives the serial search's value
+/// at every width. `mesh` and `regions` must outlive the probe.
+KneeProbe floodKneeProbe(const Mesh& mesh, const RegionMap& regions,
+                         int numApps, const SaturationOptions& opts);
 
 /// The paper's representative subset (Fig. 16): blackscholes, swaptions,
 /// fluidanimate, raytrace — spanning low to high network intensity.

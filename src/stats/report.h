@@ -1,4 +1,4 @@
-// Plain-text table reporting used by benches and examples to print
+// Plain-text table reporting used by campaigns and examples to print
 // paper-style result rows.
 #pragma once
 

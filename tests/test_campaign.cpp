@@ -8,9 +8,11 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "campaign/builtin.h"
 #include "campaign/store.h"
 #include "sim/scheme.h"
 
@@ -409,16 +411,34 @@ TEST(Runner, TripwiredCellIsRecordedNotFatal) {
   EXPECT_EQ(summary.records[1].cyclesRun, 123u);
 }
 
-TEST(LazyCampaign, MemoizesAndMatchesRunner) {
-  LazyCampaign lazy(smallSpec());
-  const CellRecord& first = lazy.cell("RO_RR/low");
-  const CellRecord& again = lazy.cell("RO_RR/low");
-  EXPECT_EQ(&first, &again);  // node-stable, computed once
+TEST(Builtin, EveryCampaignRendersItsTables) {
+  // Calibration stubbed to a fixed rate (fn is never called) and tiny
+  // windows run every cell of every built-in campaign cheaply. A renderer
+  // that looks up a key its campaign does not define aborts in
+  // CellLookup::at.
+  for (const std::string& name : builtinCampaignNames()) {
+    SCOPED_TRACE(name);
+    BuildContext ctx = defaultBuildContext(true);
+    ctx.sim.warmupCycles = 100;
+    ctx.sim.measureCycles = 400;
+    ctx.sim.drainLimit = 2'000;
+    ctx.value = [](const std::string&, const std::function<double()>&) {
+      return 0.1;
+    };
+    const CampaignSpec spec = buildBuiltinCampaign(name, ctx);
+    EXPECT_EQ(spec.name, name);
+    std::set<std::string> keys;
+    for (const CampaignCell& c : spec.cells)
+      EXPECT_TRUE(keys.insert(c.key).second) << c.key;
+    ASSERT_FALSE(spec.cells.empty());
+    ASSERT_TRUE(spec.renderTables);
 
-  RunnerOptions serial;
-  serial.jobs = 1;
-  const CampaignSummary summary = runCampaign(smallSpec(), serial);
-  EXPECT_EQ(first.toJsonLine(false), summary.records[0].toJsonLine(false));
+    RunnerOptions opts;
+    opts.jobs = 2;
+    const CampaignSummary summary = runCampaign(spec, opts);
+    EXPECT_EQ(summary.records.size(), spec.cells.size());
+    EXPECT_FALSE(spec.renderTables(summary.lookup()).empty());
+  }
 }
 
 TEST(Termination, NamesRoundTrip) {

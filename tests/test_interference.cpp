@@ -1,6 +1,6 @@
 // Behavioral reproduction checks: the directional claims of the paper's
 // evaluation must hold in this implementation (shape, not absolute
-// numbers). These use shorter windows than the benches; the benches
+// numbers). These use shorter windows than the campaigns; the campaigns
 // regenerate the full figures.
 #include <gtest/gtest.h>
 
@@ -31,8 +31,8 @@ ScenarioResult run(const Mesh& m, const RegionMap& rm,
                          .withAdversarialRate(adversarialRate));
 }
 
-// Fixed loads standing in for "10% / 90% of saturation" (the benches
-// calibrate properly; see bench/fig09_msp.cpp).
+// Fixed loads standing in for "10% / 90% of saturation" (the campaigns
+// calibrate properly; see the fig09 campaign in campaign/builtin.cpp).
 constexpr double kLowLoad = 0.04;
 constexpr double kHighLoad = 0.26;
 
@@ -112,7 +112,8 @@ TEST(Interference, RairLimitsAdversarialSlowdown) {
   }
   // The paper floods at 0.4 flits/cycle/node, ~80% of its network's
   // saturation throughput; our substrate saturates at ~0.36 for chip-wide
-  // UR, so the equivalent flood is ~0.3 (bench/fig17 calibrates exactly).
+  // UR, so the equivalent flood is ~0.3 (the fig17 campaign calibrates
+  // exactly).
   constexpr double kAttackRate = 0.30;
 
   auto meanApps = [](const ScenarioResult& r) {

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "campaign/builtin.h"
+#include "scenarios/parsec_scenario.h"
+#include "sim/shard.h"
 #include "snapshot/warm_cache.h"
 
 namespace rair {
@@ -389,6 +391,22 @@ TEST(SaturationVerdict, EarlyVerdictMatchesFullRunOnHalves) {
     }
   }
   EXPECT_GE(stoppedEarly, 4);
+}
+
+TEST(SaturationVerdict, FloodKneeMatchesSerialSearch) {
+  // Fig. 17's flood knee: speculative probes stopped by the flood's knee
+  // verdict give exactly the serial search over full-length probe runs.
+  const Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  const SaturationOptions opts = campaign::paperSatOptions(true);
+  const KneeProbe probe = scenarios::floodKneeProbe(
+      mesh, regions, static_cast<int>(scenarios::fig16Benchmarks().size()),
+      opts);
+  const double serial = findSaturationRate(
+      [&](double rate) { return probe(rate, std::nullopt, nullptr); }, opts);
+  EXPECT_EQ(findSaturationRate(probe, usableCores(), opts), serial);
+  // The fast fig17 campaign records this as "fig17/floodSat".
+  EXPECT_EQ(serial, 0.32482907141920636);
 }
 
 TEST(SaturationVerdict, FastHalfSaturationIsPinned) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "campaign/builtin.h"
 #include "campaign/runner.h"
@@ -36,7 +37,7 @@ void usage(std::FILE* to) {
       "  --jobs N      worker threads (default: hardware concurrency)\n"
       "  --out FILE    JSON Lines results file (default: BENCH_<name>.json)\n"
       "  --seed N      campaign master seed (default: 1)\n"
-      "  --fast        5x-shrunk simulation windows (= RAIR_BENCH_FAST=1)\n"
+      "  --fast        5x-shrunk simulation windows\n"
       "  --fresh       discard an existing results file instead of resuming\n"
       "  --no-table    skip the paper-style table rendering\n"
       "  --metrics LEVEL\n"
@@ -219,9 +220,27 @@ int main(int argc, char** argv) {
                          "built-ins\n", args.name.c_str());
     return 2;
   }
+  if (builtinCampaignRunsParsecCells(args.name)) {
+    // PARSEC cells bypass ScenarioSpec, so these options would be ignored.
+    const std::pair<bool, std::string> unsupported[] = {
+        {!args.warmCache.empty(), "--warm-cache"},
+        {!args.checkpointDir.empty(), "--checkpoint-dir"},
+        {!args.faultsFile.empty(), "--faults"},
+        {args.metrics.level >= rair::metrics::MetricsLevel::Summary,
+         std::string("--metrics ")
+             .append(rair::metrics::metricsLevelName(args.metrics.level))},
+        {!args.metrics.outPrefix.empty(), "--metrics-out"},
+    };
+    for (const auto& [given, option] : unsupported) {
+      if (!given) continue;
+      std::fprintf(stderr, "campaign '%s' runs PARSEC request/reply cells, "
+                           "which cannot apply %s\n",
+                   args.name.c_str(), option.c_str());
+      return 2;
+    }
+  }
   if (args.out.empty()) args.out = "BENCH_" + args.name + ".json";
   if (args.fresh) std::remove(args.out.c_str());
-  if (std::getenv("RAIR_BENCH_FAST") != nullptr) args.fast = true;
 
   const auto logLine = [](const std::string& msg) {
     std::fprintf(stderr, "rair_campaign: %s\n", msg.c_str());

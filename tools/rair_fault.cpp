@@ -63,7 +63,7 @@ void usage(std::FILE* to) {
       "  --p N         inter-region percent of app 0's traffic (default 50)\n"
       "  --seed N      simulation seed (default 1); under --cell this is\n"
       "                the campaign master seed\n"
-      "  --fast        5x-shrunk windows (= RAIR_BENCH_FAST=1)\n"
+      "  --fast        5x-shrunk windows\n"
       "  --threads N   sharded cycle engine with N threads (default 1;\n"
       "                results are byte-identical for every N)\n"
       "  --link-layer KIND\n"
@@ -307,6 +307,11 @@ int runCellMode(const Args& args, const fault::FaultPlan& plan) {
     std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
     return 2;
   }
+  if (campaign::builtinCampaignRunsParsecCells(name)) {
+    std::fprintf(stderr, "campaign %s runs PARSEC request/reply cells, "
+                         "which cannot apply a fault plan\n", name.c_str());
+    return 2;
+  }
 
   campaign::BuildContext ctx = campaign::defaultBuildContext(args.fast);
   ctx.campaignSeed = args.seed;
@@ -465,7 +470,6 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 2;
   }
-  if (std::getenv("RAIR_BENCH_FAST") != nullptr) args.fast = true;
 
   SchemeSpec scheme;
   if (!findScheme(args.schemeName, scheme)) {
