@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "scenarios/parsec_scenario.h"
+#include "sim/scenario.h"
 #include "stats/report.h"
 
 int main(int argc, char** argv) {
@@ -35,12 +36,13 @@ int main(int argc, char** argv) {
   TextTable table({"scheme", "blackscholes", "swaptions", "fluidanimate",
                    "raytrace", "mean slowdown"});
   for (const SchemeSpec& scheme : {schemeRoRr(), schemeRaRair()}) {
-    scenarios::ParsecScenarioOptions clean, attacked;
-    attacked.adversarialRate = floodRate;
-    const auto base = scenarios::runParsecScenario(mesh, regions, cfg,
-                                                   scheme, benchmarks, clean);
-    const auto atk = scenarios::runParsecScenario(
-        mesh, regions, cfg, scheme, benchmarks, attacked);
+    const ScenarioSpec clean = ScenarioSpec(mesh, regions)
+                                   .withConfig(cfg)
+                                   .withScheme(scheme)
+                                   .withParsecApps(benchmarks);
+    const auto base = runScenario(clean);
+    const auto atk =
+        runScenario(ScenarioSpec(clean).withAdversarialRate(floodRate));
 
     const auto row = table.addRow();
     table.set(row, 0, scheme.label);

@@ -113,32 +113,15 @@ std::vector<double> cachedRates(
   return out;
 }
 
-/// Resolves the campaign-wide metrics options into per-cell options: with
-/// a sink prefix configured, each cell writes its files under
-/// "<prefix><campaign>_<key>." ('/' in keys flattened to '_').
-metrics::MetricsOptions cellMetricsOptions(
-    const metrics::MetricsOptions& base, const std::string& campaign,
-    const std::string& key) {
-  metrics::MetricsOptions mo = base;
-  if (!mo.outPrefix.empty()) {
-    std::string k = campaign + "_" + key;
-    for (char& c : k)
-      if (c == '/') c = '_';
-    mo.outPrefix += k + ".";
-  }
-  return mo;
+/// The spec every cell starts from: the fixture, the windows and the
+/// scheme; the cell adds its workload.
+ScenarioSpec cellSpec(const Fixture& fx, const SimConfig& cfg,
+                      const SchemeSpec& scheme) {
+  return ScenarioSpec(*fx.mesh, *fx.regions).withConfig(cfg).withScheme(scheme);
 }
 
-ScenarioResult runCell(const Fixture& fx, const SimConfig& cfg,
-                       const SchemeSpec& scheme,
-                       std::vector<AppTrafficSpec> apps,
-                       const CellContext& ctx,
-                       const metrics::MetricsOptions& mo) {
-  ScenarioSpec spec = ScenarioSpec(*fx.mesh, *fx.regions)
-                          .withConfig(cfg)
-                          .withScheme(scheme)
-                          .withApps(std::move(apps))
-                          .withMetrics(mo);
+/// Runs a cell's spec under the runner's context.
+ScenarioResult runCell(ScenarioSpec spec, const CellContext& ctx) {
   return runScenario(ctx.applyTo(spec));
 }
 
@@ -176,12 +159,12 @@ CampaignSpec twoAppSweepCampaign(const std::string& name, BuildContext& ctx,
       CampaignCell cell;
       cell.key = s.label + "/p" + std::to_string(p);
       cell.labels = {{"scheme", s.label}, {"p", std::to_string(p)}};
-      const auto mo = cellMetricsOptions(ctx.metrics, name, cell.key);
-      cell.run = [fx, cfg, s, p, sat, mo](const CellContext& ctx) {
-        const auto apps = scenarios::twoAppInterRegion(
-            p / 100.0, scenarios::kLowLoadFraction * sat,
-            scenarios::kHighLoadFraction * sat);
-        return runCell(fx, cfg, s, apps, ctx, mo);
+      cell.run = [fx, cfg, s, p, sat](const CellContext& ctx) {
+        return runCell(cellSpec(fx, cfg, s)
+                           .withApps(scenarios::twoAppInterRegion(
+                               p / 100.0, scenarios::kLowLoadFraction * sat,
+                               scenarios::kHighLoadFraction * sat)),
+                       ctx);
       };
       spec.add(std::move(cell));
     }
@@ -331,9 +314,8 @@ CampaignSpec buildFig12(BuildContext& ctx) {
       cell.labels = {{"scheme", s.label},
                      {"scenario", std::string(1, scen)}};
       const auto apps = fig12Apps(scen, rates[scen]);
-      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
-      cell.run = [fx, cfg, s, apps, mo](const CellContext& ctx) {
-        return runCell(fx, cfg, s, apps, ctx, mo);
+      cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
+        return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
       };
       spec.add(std::move(cell));
     }
@@ -397,18 +379,17 @@ const std::vector<SchemeSpec>& fourSchemes() {
 
 void addSixAppCells(CampaignSpec& spec, const Fixture& fx,
                     const SimConfig& cfg, PatternKind pattern,
-                    const std::vector<double>& rates, bool keyByPattern,
-                    const metrics::MetricsOptions& baseMo) {
+                    const std::vector<double>& rates, bool keyByPattern) {
   for (const SchemeSpec& s : fourSchemes()) {
     CampaignCell cell;
     const std::string pname = patternName(pattern);
     cell.key = keyByPattern ? s.label + "/" + pname : s.label;
     cell.labels = {{"scheme", s.label}};
     if (keyByPattern) cell.labels.emplace_back("pattern", pname);
-    const auto mo = cellMetricsOptions(baseMo, spec.name, cell.key);
-    cell.run = [fx, cfg, s, pattern, rates, mo](const CellContext& ctx) {
-      const auto apps = scenarios::sixAppMixed(pattern, rates);
-      return runCell(fx, cfg, s, apps, ctx, mo);
+    cell.run = [fx, cfg, s, pattern, rates](const CellContext& ctx) {
+      return runCell(
+          cellSpec(fx, cfg, s).withApps(scenarios::sixAppMixed(pattern, rates)),
+          ctx);
     };
     spec.add(std::move(cell));
   }
@@ -422,7 +403,7 @@ CampaignSpec buildFig14(BuildContext& ctx) {
   spec.name = "fig14";
   spec.campaignSeed = ctx.campaignSeed;
   addSixAppCells(spec, fx, ctx.sim, PatternKind::UniformRandom, rates,
-                 /*keyByPattern=*/false, ctx.metrics);
+                 /*keyByPattern=*/false);
 
   std::vector<std::string> labels;
   for (const auto& s : fourSchemes())
@@ -471,7 +452,7 @@ CampaignSpec buildFig15(BuildContext& ctx) {
   // scenarios::calibrateLoads).
   for (const PatternKind pat : patterns)
     addSixAppCells(spec, fx, ctx.sim, pat, sixAppRates(ctx, fx, pat),
-                   /*keyByPattern=*/true, ctx.metrics);
+                   /*keyByPattern=*/true);
 
   std::vector<std::string> labels;
   for (const auto& s : fourSchemes())
@@ -544,18 +525,11 @@ CampaignSpec buildFig17(BuildContext& ctx) {
       cell.key = s.label + "/" + run;
       cell.labels = {{"scheme", s.label}, {"run", run}};
       const double rate = attacked ? flood : 0.0;
-      // PARSEC cells run outside ScenarioSpec: they apply the context's
-      // seed and shard threads, and rair_campaign rejects the options they
-      // cannot apply (builtinCampaignRunsParsecCells).
-      cell.run = [fx, cfg, s, rate](const CellContext& cc) {
-        SimConfig c = cfg;
-        c.shardThreads = cc.shardThreads;
-        scenarios::ParsecScenarioOptions opts;
-        opts.adversarialRate = rate;
-        opts.seed = cc.seed;
-        return scenarios::runParsecScenario(*fx.mesh, *fx.regions, c, s,
-                                            scenarios::fig16Benchmarks(),
-                                            opts);
+      cell.run = [fx, cfg, s, rate](const CellContext& ctx) {
+        return runCell(cellSpec(fx, cfg, s)
+                           .withParsecApps(scenarios::fig16Benchmarks())
+                           .withAdversarialRate(rate),
+                       ctx);
       };
       spec.add(std::move(cell));
     }
@@ -630,9 +604,7 @@ CampaignSpec buildAblRegions(BuildContext& ctx) {
       cell.key = std::to_string(count) + (rairScheme ? "/RAIR" : "/RR");
       cell.labels = {{"regions", std::to_string(count)},
                      {"scheme", rairScheme ? "RA_RAIR" : "RO_RR"}};
-      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
-      cell.run = [fx, cfg, count, rairScheme, rates,
-                  mo](const CellContext& ctx) {
+      cell.run = [fx, cfg, count, rairScheme, rates](const CellContext& ctx) {
         std::vector<AppTrafficSpec> shapes(
             static_cast<std::size_t>(count));
         for (AppId a = 0; a < count; ++a) {
@@ -643,8 +615,10 @@ CampaignSpec buildAblRegions(BuildContext& ctx) {
           s.mcFraction = 0.05;
           s.injectionRate = rates[static_cast<std::size_t>(a)];
         }
-        return runCell(fx, cfg, rairScheme ? schemeRaRair() : schemeRoRr(),
-                       shapes, ctx, mo);
+        return runCell(
+            cellSpec(fx, cfg, rairScheme ? schemeRaRair() : schemeRoRr())
+                .withApps(std::move(shapes)),
+            ctx);
       };
       spec.add(std::move(cell));
     }
@@ -695,9 +669,8 @@ CampaignSpec buildAblHysteresis(BuildContext& ctx) {
       cell.labels = {{"delta", d}, {"scenario", std::string(1, scen)}};
       SchemeSpec s = schemeRaRair();
       s.rair.hysteresisDelta = delta;
-      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
-      cell.run = [fx, cfg, s, apps, mo](const CellContext& ctx) {
-        return runCell(fx, cfg, s, apps, ctx, mo);
+      cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
+        return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
       };
       spec.add(std::move(cell));
     }
@@ -749,9 +722,8 @@ CampaignSpec buildAblVcSplit(BuildContext& ctx) {
       cfg.net.globalVcsPerClass = global;
       cell.labels.emplace_back("global_vcs", std::to_string(global));
     }
-    const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
-    cell.run = [fx, cfg, s, apps, mo](const CellContext& ctx) {
-      return runCell(fx, cfg, s, apps, ctx, mo);
+    cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
+      return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
     };
     spec.add(std::move(cell));
   };
@@ -829,10 +801,10 @@ CampaignSpec buildAblSaturation(BuildContext& ctx) {
       CampaignCell cell;
       cell.key = pname + "/" + formatNum(rate, 3);
       cell.labels = {{"pattern", pname}, {"rate", formatNum(rate, 3)}};
-      const auto mo = cellMetricsOptions(ctx.metrics, spec.name, cell.key);
-      cell.run = [fx, cfg, pat, rate, mo](const CellContext& ctx) {
-        return runCell(fx, cfg, schemeRoRr(), {patternShape(pat, rate)}, ctx,
-                       mo);
+      cell.run = [fx, cfg, pat, rate](const CellContext& ctx) {
+        return runCell(
+            cellSpec(fx, cfg, schemeRoRr()).withApps({patternShape(pat, rate)}),
+            ctx);
       };
       spec.add(std::move(cell));
     }
@@ -938,18 +910,13 @@ CampaignSpec buildFaults(BuildContext& ctx) {
       CampaignCell cell;
       cell.key = s.label + "/" + which;
       cell.labels = {{"scheme", s.label}, {"fault", which}};
-      const auto mo = cellMetricsOptions(ctx.metrics, "faults", cell.key);
-      cell.run = [fx, cfg, s, which, sat, mo](const CellContext& cc) {
-        ScenarioSpec ss =
-            ScenarioSpec(*fx.mesh, *fx.regions)
-                .withConfig(cfg)
-                .withScheme(s)
-                .withApps(scenarios::twoAppInterRegion(
-                    0.5, scenarios::kLowLoadFraction * sat,
-                    scenarios::kHighLoadFraction * sat))
-                .withMetrics(mo)
-                .withFaults(faultScenarioPlan(which, *fx.mesh, cfg));
-        return runScenario(cc.applyTo(ss));
+      cell.run = [fx, cfg, s, which, sat](const CellContext& ctx) {
+        return runCell(cellSpec(fx, cfg, s)
+                           .withApps(scenarios::twoAppInterRegion(
+                               0.5, scenarios::kLowLoadFraction * sat,
+                               scenarios::kHighLoadFraction * sat))
+                           .withFaults(faultScenarioPlan(which, *fx.mesh, cfg)),
+                       ctx);
       };
       spec.add(std::move(cell));
     }
@@ -985,22 +952,17 @@ CampaignSpec buildFaults(BuildContext& ctx) {
         CampaignCell cell;
         cell.key = s.label + "/" + name;
         cell.labels = {{"scheme", s.label}, {"fault", name}};
-        const auto mo = cellMetricsOptions(ctx.metrics, "faults", cell.key);
         // Per-cell plan seed, decoupled from the run seed the runner
         // hands each cell: the plan is scenario identity, not RNG state.
         const fault::FaultPlan plan = fault::generateRandomPlan(
             cellSeed(ctx.campaignSeed, 0xD0'000 + mi * 8 + si), po);
-        cell.run = [fx, cfg, s, sat, mo, plan](const CellContext& cc) {
-          ScenarioSpec ss =
-              ScenarioSpec(*fx.mesh, *fx.regions)
-                  .withConfig(cfg)
-                  .withScheme(s)
-                  .withApps(scenarios::twoAppInterRegion(
-                      0.5, scenarios::kLowLoadFraction * sat,
-                      scenarios::kHighLoadFraction * sat))
-                  .withMetrics(mo)
-                  .withFaults(plan);
-          return runScenario(cc.applyTo(ss));
+        cell.run = [fx, cfg, s, sat, plan](const CellContext& ctx) {
+          return runCell(cellSpec(fx, cfg, s)
+                             .withApps(scenarios::twoAppInterRegion(
+                                 0.5, scenarios::kLowLoadFraction * sat,
+                                 scenarios::kHighLoadFraction * sat))
+                             .withFaults(plan),
+                         ctx);
         };
         spec.add(std::move(cell));
       }
@@ -1096,10 +1058,6 @@ std::vector<std::string> builtinCampaignNames() {
 
 bool isBuiltinCampaign(const std::string& name) {
   return builders().count(name) > 0;
-}
-
-bool builtinCampaignRunsParsecCells(const std::string& name) {
-  return name == "fig17";
 }
 
 CampaignSpec buildBuiltinCampaign(const std::string& name,

@@ -31,11 +31,6 @@ struct BuildContext {
   SimConfig sim;          ///< measurement windows for the cells
   SaturationOptions sat;  ///< calibration windows
   std::uint64_t campaignSeed = 1;
-  /// Instrumentation applied to every cell. The default (counters level,
-  /// no sink prefix) keeps records byte-identical to uninstrumented runs;
-  /// a non-empty outPrefix makes each cell write its sinks under
-  /// "<outPrefix><campaign>_<key>." with '/' flattened to '_'.
-  metrics::MetricsOptions metrics;
   /// Fault-density axis of the `faults` campaign: base event rate in
   /// faults per 1000 cycles of the measurement window. When > 0, the
   /// campaign grows `<scheme>/density{0.5x,1x,2x}` cells whose plans are
@@ -59,12 +54,6 @@ BuildContext defaultBuildContext(bool fast);
 /// Names of all built-in campaigns ("fig09", "fig10", ...).
 std::vector<std::string> builtinCampaignNames();
 bool isBuiltinCampaign(const std::string& name);
-
-/// True for campaigns whose cells run the PARSEC request/reply scenario
-/// (fig17). Those cells bypass ScenarioSpec: they apply CellContext's seed
-/// and shard threads, but not its snapshot options or fault plan, and they
-/// record no metrics block.
-bool builtinCampaignRunsParsecCells(const std::string& name);
 
 /// Builds the named campaign (RAIR_CHECKs on unknown names). Calibration
 /// runs eagerly through ctx.value; cell simulations stay lazy.

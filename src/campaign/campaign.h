@@ -84,12 +84,13 @@ struct CellRecord {
 };
 
 /// Everything the runner hands a cell for one execution: the derived RNG
-/// seed plus the campaign-wide snapshot configuration (warm-state cache
-/// directory, checkpoint directory) the cell should apply to its
-/// ScenarioSpec. A default-constructed context (seed only) reproduces the
-/// cell standalone.
+/// seed plus the campaign-wide settings (snapshot options, shard threads,
+/// fault plan, instrumentation) the cell applies to its ScenarioSpec. A
+/// default-constructed context (seed only) reproduces the cell standalone.
 struct CellContext {
   std::uint64_t seed = 0;
+  /// Warm-state cache and checkpoint options; cells that cannot snapshot
+  /// (PARSEC request/reply cells) run without them, with the same results.
   snapshot::SnapshotOptions snap;
   /// Sharded-engine threads per cell (ScenarioSpec::withThreads, >= 1).
   /// Orthogonal to the runner's --jobs and invisible in the records:
@@ -100,10 +101,16 @@ struct CellContext {
   /// scenario identity, so faulted records never alias fault-free ones in
   /// snapshot caches.
   fault::FaultPlan faults;
+  /// Instrumentation of the cell's run. The default (counters level, no
+  /// sink prefix) keeps records byte-identical to uninstrumented runs; the
+  /// runner gives each cell its own sink prefix.
+  metrics::MetricsOptions metrics;
 
-  /// Applies this context to a spec (seed + snapshot options + threads).
+  /// Applies this context to a spec (seed, snapshot options, threads,
+  /// metrics, and the fault plan unless the spec has its own).
   ScenarioSpec& applyTo(ScenarioSpec& spec) const {
-    spec.withSeed(seed).withSnapshot(snap).withThreads(shardThreads);
+    spec.withSeed(seed).withSnapshot(snap).withThreads(shardThreads)
+        .withMetrics(metrics);
     if (!faults.empty() && spec.faults.empty()) spec.withFaults(faults);
     return spec;
   }

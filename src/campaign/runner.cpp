@@ -17,6 +17,21 @@ double msSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(d).count();
 }
 
+/// The context of cell `i`: the campaign-wide template with the cell's
+/// seed and, when sinks are configured, its own sink prefix.
+CellContext cellContext(const CampaignSpec& spec, std::size_t i,
+                        const CellContext& campaignWide) {
+  CellContext ctx = campaignWide;
+  ctx.seed = cellSeed(spec.campaignSeed, i);
+  if (!ctx.metrics.outPrefix.empty()) {
+    std::string k = spec.name + "_" + spec.cells[i].key;
+    for (char& c : k)
+      if (c == '/') c = '_';
+    ctx.metrics.outPrefix += k + ".";
+  }
+  return ctx;
+}
+
 }  // namespace
 
 CellLookup CampaignSummary::lookup() const {
@@ -57,13 +72,7 @@ CampaignSummary runCampaign(const CampaignSpec& spec,
       if (slot >= pending.size()) return;
       const std::size_t i = pending[slot];
       const CampaignCell& cell = spec.cells[i];
-      CellContext ctx;
-      ctx.seed = cellSeed(spec.campaignSeed, i);
-      ctx.snap.warmCacheDir = options.warmCacheDir;
-      ctx.snap.checkpointDir = options.checkpointDir;
-      ctx.snap.checkpointEvery = options.checkpointEvery;
-      ctx.shardThreads = options.shardThreads;
-      ctx.faults = options.faults;
+      const CellContext ctx = cellContext(spec, i, options.cell);
 
       const auto t0 = std::chrono::steady_clock::now();
       const ScenarioResult result = cell.run(ctx);

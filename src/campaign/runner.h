@@ -24,23 +24,13 @@ struct RunnerOptions {
   int jobs = 0;         ///< worker threads; 0 = hardware_concurrency
   std::string outPath;  ///< JSON Lines sink; empty disables persistence
   bool resume = true;   ///< skip cells already recorded in outPath
-  /// Warm-state cache directory shared by all cells (snapshot subsystem);
-  /// empty disables warm caching.
-  std::string warmCacheDir;
-  /// Checkpoint directory: each running cell refreshes a per-cell
-  /// checkpoint every `checkpointEvery` cycles, and an interrupted
-  /// campaign resumes unfinished cells from their last checkpoint. Empty
-  /// disables checkpointing.
-  std::string checkpointDir;
-  Cycle checkpointEvery = 25'000;
-  /// Sharded-engine threads inside each cell's simulation (composes with
-  /// `jobs`: total concurrency ~ jobs x shardThreads); records are
-  /// byte-identical for every value >= 1.
-  int shardThreads = 1;
-  /// Campaign-wide fault plan (the --faults file): attached to every cell
-  /// that does not define its own plan. Changes results — faulted records
+  /// Campaign-wide settings every cell runs with: snapshot options, shard
+  /// threads, fault plan and metrics. The runner sets each cell's seed
+  /// and, when `cell.metrics.outPrefix` is set, extends it to the cell's
+  /// own sink prefix "<outPrefix><campaign>_<key>." ('/' in keys
+  /// flattened to '_'). A fault plan changes results — faulted records
   /// must go to their own outPath.
-  fault::FaultPlan faults;
+  CellContext cell;
   /// Progress reporting (one line per completed cell); null = silent.
   std::function<void(const std::string&)> log;
 };

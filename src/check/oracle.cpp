@@ -115,10 +115,26 @@ void NetworkOracle::scanNow(Cycle now) {
 
 void NetworkOracle::finish(Cycle now) {
   scanNow(now);
-  if (ledger_->empty() && !net_->quiescent())
+  if (ledger_->empty() && holdsTraffic())
     violation(now,
               "ledger fully drained but the network still holds traffic "
               "(orphaned flits or undrained VC state)");
+}
+
+bool NetworkOracle::holdsTraffic() const {
+  // Router and NIC state plus flits on the links. Credits on the wire are
+  // not traffic: the last delivery's credit is still returning on the
+  // cycle the ledger drains, and creditEquations audits every in-flight
+  // credit exactly.
+  const int numNodes = net_->mesh().numNodes();
+  for (NodeId n = 0; n < numNodes; ++n)
+    if (!net_->router(n).quiescent() || !net_->nic(n).quiescent())
+      return true;
+  const int tv = net_->layout().totalVcs();
+  for (const LinkLayer* link : net_->links())
+    for (int vc = 0; vc < tv; ++vc)
+      if (link->inFlightFlits(vc) != 0) return true;
+  return false;
 }
 
 void NetworkOracle::structuralScan(Cycle now) {

@@ -110,7 +110,8 @@ class NetworkOracle final : public SimObserver {
   void onDelivery(const Packet& p) override;
 
   /// End-of-run checks: one final full scan, plus ledger-vs-network
-  /// agreement (a drained ledger requires an empty network).
+  /// agreement (a drained ledger requires no flit or VC state left in a
+  /// router, NIC or link; credits still returning are allowed).
   void finish(Cycle now);
 
   /// Cross-validates an external delivery census (the metrics registry's
@@ -147,6 +148,7 @@ class NetworkOracle final : public SimObserver {
 
   void violation(Cycle now, std::string what);
 
+  bool holdsTraffic() const;
   void structuralScan(Cycle now);
   void scanRouter(Cycle now, NodeId n);
   void scanNic(Cycle now, NodeId n);

@@ -29,20 +29,31 @@ SimConfig ScenarioSpec::windowPreset(bool fast) {
 AssembledScenario assembleScenario(const ScenarioSpec& spec) {
   RAIR_CHECK_MSG(spec.mesh != nullptr && spec.regions != nullptr,
                  "ScenarioSpec without mesh/regions");
+  const bool parsec = !spec.parsecApps.empty();
+  RAIR_CHECK_MSG(!parsec || spec.apps.empty(),
+                 "ScenarioSpec with both synthetic and PARSEC applications");
+  RAIR_CHECK(static_cast<int>(spec.parsecApps.size()) <=
+             spec.regions->numApps());
   const bool adversarial = spec.adversarialRate > 0.0;
+  const int workloadApps = static_cast<int>(
+      parsec ? spec.parsecApps.size() : spec.apps.size());
+  const SimConfig cfg = spec.effectiveConfig();
 
   AssembledScenario as;
-  as.numApps = static_cast<int>(spec.apps.size()) + (adversarial ? 1 : 0);
+  as.numApps = workloadApps + (adversarial ? 1 : 0);
 
+  // Oracle intensities for RO_Rank; a PARSEC request moves ~6 flits end to
+  // end (1-flit request + 5-flit reply).
   std::vector<double> intensities;
   intensities.reserve(static_cast<size_t>(as.numApps));
   for (const auto& a : spec.apps) intensities.push_back(a.injectionRate);
+  for (const auto b : spec.parsecApps)
+    intensities.push_back(parsecProfile(b).requestRate * 6.0);
   if (adversarial) intensities.push_back(spec.adversarialRate);
 
   as.policy = makePolicy(spec.scheme, intensities);
-  as.sim = std::make_unique<Simulator>(*spec.mesh, *spec.regions,
-                                       spec.effectiveConfig(), *as.policy,
-                                       as.numApps);
+  as.sim = std::make_unique<Simulator>(*spec.mesh, *spec.regions, cfg,
+                                       *as.policy, as.numApps);
   std::uint64_t seed = spec.seed;
   for (const auto& a : spec.apps) {
     as.sim->addSource(std::make_unique<RegionalizedSource>(*spec.mesh,
@@ -50,10 +61,21 @@ AssembledScenario assembleScenario(const ScenarioSpec& spec) {
                                                            seed));
     seed += 0x9E3779B9ull;
   }
+  for (std::size_t i = 0; i < spec.parsecApps.size(); ++i) {
+    as.sim->addSource(std::make_unique<ParsecSource>(
+        *spec.mesh, *spec.regions, static_cast<AppId>(i),
+        parsecProfile(spec.parsecApps[i]), seed));
+    seed += 0x9E3779B9ull;
+  }
   if (adversarial) {
     as.sim->addSource(std::make_unique<AdversarialSource>(
-        *spec.mesh, static_cast<AppId>(spec.apps.size()),
-        spec.adversarialRate, seed));
+        *spec.mesh, static_cast<AppId>(workloadApps), spec.adversarialRate,
+        seed));
+  }
+  if (parsec) {
+    installRequestReplyHook(*as.sim, *spec.mesh, MemoryTimings{},
+                            cfg.warmupCycles + cfg.measureCycles,
+                            static_cast<AppId>(workloadApps));
   }
   if (!spec.faults.empty()) {
     as.injector =

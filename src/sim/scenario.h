@@ -1,6 +1,9 @@
 // Scenario runner: assembles a simulator from a scheme spec and a set of
 // per-application traffic specs, runs it, and returns per-application APL
-// — the shape every figure in the paper reports.
+// — the shape every figure in the paper reports. The workload is either
+// synthetic (AppTrafficSpec per application) or the Fig. 16/17 PARSEC
+// request/reply model (one ParsecBenchmark per region); both run through
+// the same assembler, observers, faults and metrics.
 //
 // The entry point is a single ScenarioSpec value type with named-chaining
 // setters:
@@ -13,6 +16,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "sim/scheme.h"
 #include "sim/simulator.h"
 #include "snapshot/options.h"
+#include "trace/parsec.h"
 #include "traffic/generator.h"
 
 namespace rair {
@@ -73,8 +78,14 @@ struct ScenarioSpec {
   SimConfig config;
   SchemeSpec scheme;
   std::vector<AppTrafficSpec> apps;
+  /// PARSEC request/reply workload (Figs. 16/17): benchmark i runs as
+  /// application i in region i, on Table 1's two protocol classes, and
+  /// every delivered request is answered by a 5-flit reply. Exclusive with
+  /// `apps`. Hooked runs cannot snapshot, so warm caches and checkpoints
+  /// skip them.
+  std::vector<ParsecBenchmark> parsecApps;
   /// Chip-wide adversarial flood rate in flits/cycle/node (Fig. 17 uses
-  /// 0.4); the flooder gets AppId = apps.size(). 0 disables it.
+  /// 0.4); the flooder gets AppId = number of applications. 0 disables it.
   double adversarialRate = 0.0;
   std::uint64_t seed = 1;
   /// Instrumentation level and sink configuration of the run.
@@ -91,11 +102,13 @@ struct ScenarioSpec {
   ScenarioSpec(const Mesh& m, const RegionMap& r) : mesh(&m), regions(&r) {}
 
   /// The configuration the simulator actually runs with: `config` with the
-  /// routing algorithm and RAIR VC partition normalized from the scheme.
+  /// routing algorithm and RAIR VC partition normalized from the scheme,
+  /// and Table 1's request/reply classes for a PARSEC workload.
   SimConfig effectiveConfig() const {
     SimConfig cfg = config;
     cfg.routing = scheme.routing;
     cfg.net.rairPartition = scheme.needsRairPartition();
+    if (!parsecApps.empty()) cfg.net.numClasses = 2;
     return cfg;
   }
 
@@ -115,6 +128,10 @@ struct ScenarioSpec {
   }
   ScenarioSpec& withApps(std::vector<AppTrafficSpec> a) {
     apps = std::move(a);
+    return *this;
+  }
+  ScenarioSpec& withParsecApps(std::span<const ParsecBenchmark> b) {
+    parsecApps.assign(b.begin(), b.end());
     return *this;
   }
   ScenarioSpec& withAdversarialRate(double rate) {

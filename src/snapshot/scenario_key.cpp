@@ -1,5 +1,6 @@
 #include "snapshot/scenario_key.h"
 
+#include "common/assert.h"
 #include "snapshot/buffer.h"
 
 namespace rair::snapshot {
@@ -11,6 +12,9 @@ namespace {
 /// reordering or widening silently invalidates every cached snapshot, so
 /// only append.
 void encodeWarmPrefix(Writer& w, const ScenarioSpec& spec) {
+  // PARSEC workloads are not encoded: their request/reply hook makes them
+  // snapshot-ineligible, so they must never reach a key.
+  RAIR_CHECK(spec.parsecApps.empty());
   w.u32(kStateVersion);
 
   // Topology and application placement.

@@ -14,6 +14,7 @@
 
 #include "campaign/builtin.h"
 #include "campaign/store.h"
+#include "scenarios/parsec_scenario.h"
 #include "sim/scheme.h"
 
 namespace rair::campaign {
@@ -409,6 +410,74 @@ TEST(Runner, TripwiredCellIsRecordedNotFatal) {
   EXPECT_EQ(summary.records[0].termination, Termination::Drained);
   EXPECT_EQ(summary.records[1].termination, Termination::ProgressTimeout);
   EXPECT_EQ(summary.records[1].cyclesRun, 123u);
+}
+
+// The runner is the one place campaign-wide settings reach a cell: a
+// synthetic cell and a PARSEC request/reply cell both pick up its metrics
+// level, per-cell sink prefix and fault plan, and neither carries a block
+// it was not asked for.
+TEST(Runner, MetricsAndFaultsReachEveryCell) {
+  auto mesh = std::make_shared<Mesh>(4, 4);
+  auto regions = std::make_shared<RegionMap>(RegionMap::quadrants(*mesh));
+  SimConfig cfg;
+  cfg.warmupCycles = 100;
+  cfg.measureCycles = 400;
+  cfg.drainLimit = 20'000;
+
+  CampaignSpec spec;
+  spec.name = "reach";
+  CampaignCell synthetic;
+  synthetic.key = "synthetic/RO_RR";
+  synthetic.run = [mesh, regions, cfg](const CellContext& ctx) {
+    std::vector<AppTrafficSpec> apps(4);
+    for (AppId a = 0; a < 4; ++a) {
+      apps[static_cast<std::size_t>(a)].app = a;
+      apps[static_cast<std::size_t>(a)].injectionRate = 0.05;
+    }
+    ScenarioSpec s = ScenarioSpec(*mesh, *regions)
+                         .withConfig(cfg)
+                         .withScheme(schemeRoRr())
+                         .withApps(std::move(apps));
+    return runScenario(ctx.applyTo(s));
+  };
+  spec.add(std::move(synthetic));
+  CampaignCell parsec;
+  parsec.key = "parsec/RA_RAIR";
+  parsec.run = [mesh, regions, cfg](const CellContext& ctx) {
+    ScenarioSpec s = ScenarioSpec(*mesh, *regions)
+                         .withConfig(cfg)
+                         .withScheme(schemeRaRair())
+                         .withParsecApps(scenarios::fig16Benchmarks());
+    return runScenario(ctx.applyTo(s));
+  };
+  spec.add(std::move(parsec));
+
+  const std::string prefix = ::testing::TempDir() + "rair_reach_";
+  RunnerOptions opts;
+  opts.jobs = 2;
+  opts.cell.metrics.level = metrics::MetricsLevel::Summary;
+  opts.cell.metrics.outPrefix = prefix;
+  opts.cell.faults.creditLoss(200, mesh->nodeAt({1, 1}), Dir::East, 1, 1);
+  for (const char* key : {"synthetic_RO_RR", "parsec_RA_RAIR"})
+    std::remove((prefix + "reach_" + key + ".summary.json").c_str());
+  const CampaignSummary instrumented = runCampaign(spec, opts);
+  ASSERT_EQ(instrumented.records.size(), 2u);
+  for (const CellRecord& r : instrumented.records) {
+    EXPECT_TRUE(r.drained()) << r.key;
+    EXPECT_TRUE(r.metrics.has_value()) << r.key;
+    ASSERT_TRUE(r.fault.has_value()) << r.key;
+    EXPECT_EQ(r.fault->eventsApplied, 1u) << r.key;
+  }
+  for (const char* key : {"synthetic_RO_RR", "parsec_RA_RAIR"})
+    EXPECT_TRUE(std::ifstream(prefix + "reach_" + key + ".summary.json"))
+        << key;
+
+  const CampaignSummary plain = runCampaign(spec, RunnerOptions{});
+  ASSERT_EQ(plain.records.size(), 2u);
+  for (const CellRecord& r : plain.records) {
+    EXPECT_FALSE(r.metrics.has_value()) << r.key;
+    EXPECT_FALSE(r.fault.has_value()) << r.key;
+  }
 }
 
 TEST(Builtin, EveryCampaignRendersItsTables) {

@@ -155,6 +155,78 @@ TEST(Oracle, FinishFlagsUndrainedTrafficOnEmptyLedger) {
   EXPECT_TRUE(oracle.report().ok()) << oracle.report().summary();
 }
 
+/// One packet on an otherwise idle 4x4 mesh, driven cycle by cycle under a
+/// per-cycle oracle: the end-of-run cross-check at its boundary cases.
+struct OnePacketFixture {
+  Mesh mesh{4, 4};
+  RegionMap regions{RegionMap::halves(mesh)};
+  std::unique_ptr<ArbiterPolicy> policy =
+      makePolicy(schemeRoRr(), {0.0, 0.0});
+  Simulator sim{mesh, regions, SimConfig{}, *policy, 2};
+  check::NetworkOracle oracle{sim.network(), sim.ledger(), [] {
+                                check::OracleOptions oo;
+                                oo.period = 1;
+                                oo.failFast = false;
+                                return oo;
+                              }()};
+
+  /// Begins the run and creates one `flits`-flit packet corner to corner.
+  PacketId start(std::uint16_t flits) {
+    sim.observers().attach(&oracle);
+    sim.begin();
+    return sim.createPacket(mesh.nodeAt({0, 0}), mesh.nodeAt({3, 3}), 0,
+                            MsgClass::Request, flits);
+  }
+
+  bool routersAndNicsQuiescent() const {
+    for (NodeId n = 0; n < mesh.numNodes(); ++n)
+      if (!sim.network().router(n).quiescent() ||
+          !sim.network().nic(n).quiescent())
+        return false;
+    return true;
+  }
+};
+
+TEST(Oracle, FinishAcceptsCreditsStillReturningAfterTheLastEjection) {
+  // On the cycle the last flit ejects, the credit its final buffer slot
+  // freed is still on the wire back upstream. Credit conservation accounts
+  // for it, so the drained ledger and the network agree.
+  OnePacketFixture fx;
+  fx.start(1);
+  while (fx.sim.inFlight() > 0) {
+    ASSERT_LT(fx.sim.now(), 200u) << "the packet never arrived";
+    fx.sim.stepCycle();
+  }
+  ASSERT_FALSE(fx.sim.network().quiescent())
+      << "no credit left on the wire: the case under test did not occur";
+  fx.oracle.finish(fx.sim.now());
+  EXPECT_TRUE(fx.oracle.report().ok()) << fx.oracle.report().summary();
+}
+
+TEST(Oracle, FinishFlagsAFlitLeftOnALinkWhenTheLedgerIsEmpty) {
+  OnePacketFixture fx;
+  const PacketId id = fx.start(1);
+  auto flitOnALink = [&] {
+    for (const LinkLayer* link : fx.sim.network().links())
+      for (int vc = 0; vc < fx.sim.network().layout().totalVcs(); ++vc)
+        if (link->inFlightFlits(vc) != 0) return true;
+    return false;
+  };
+  // Step until the flit sits on a link with every router and NIC idle,
+  // then drop the packet from the ledger behind the network's back.
+  while (!(flitOnALink() && fx.routersAndNicsQuiescent())) {
+    ASSERT_LT(fx.sim.now(), 200u) << "the flit never rested on a link alone";
+    fx.sim.stepCycle();
+  }
+  fx.sim.faultDropPacket(id);
+  ASSERT_EQ(fx.sim.inFlight(), 0u);
+  fx.oracle.finish(fx.sim.now());
+  bool reported = false;
+  for (const auto& v : fx.oracle.report().violations)
+    reported |= v.what.find("still holds traffic") != std::string::npos;
+  EXPECT_TRUE(reported) << fx.oracle.report().summary();
+}
+
 TEST(FuzzHarness, CaseGenerationIsDeterministic) {
   for (std::uint64_t seed : {1ull, 0xDEADBEEFull, 987654321ull}) {
     const check::FuzzCase a = check::generateCase(seed);

@@ -140,23 +140,45 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardGolden, ::testing::Values(1, 2, 4, 8),
 
 class ShardTraceGolden : public ::testing::TestWithParam<int> {};
 
+/// The Fig. 16/17 PARSEC scenario on fast windows, seed 7.
+ScenarioResult fig16Run(const SchemeSpec& scheme, int threads) {
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::quadrants(mesh);
+  return runScenario(ScenarioSpec(mesh, regions)
+                         .withFastWindows()
+                         .withScheme(scheme)
+                         .withParsecApps(scenarios::fig16Benchmarks())
+                         .withSeed(7)
+                         .withThreads(threads));
+}
+
 TEST_P(ShardTraceGolden, Fig16RoRrRequestReplyMatchesRecordedGolden) {
   // The Fig. 16/17 PARSEC scenario: its delivery hook schedules every
   // reply. Recorded from the unfused single-threaded schedule, before
   // hooked runs moved onto the sharded engine.
-  Mesh mesh(8, 8);
-  const RegionMap regions = RegionMap::quadrants(mesh);
-  SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
-  cfg.shardThreads = GetParam();
-  scenarios::ParsecScenarioOptions opts;
-  opts.seed = 7;
-  const ScenarioResult r = scenarios::runParsecScenario(
-      mesh, regions, cfg, schemeRoRr(), scenarios::fig16Benchmarks(), opts);
+  const ScenarioResult r = fig16Run(schemeRoRr(), GetParam());
   ASSERT_EQ(r.appApl.size(), 4u);
   EXPECT_EQ(r.appApl[0], 19.585480093676814);
   EXPECT_EQ(r.appApl[1], 19.820044988752812);
   EXPECT_EQ(r.appApl[2], 20.874155225154727);
   EXPECT_EQ(r.appApl[3], 21.661094773770831);
+  EXPECT_EQ(r.run.cyclesRun, 22033u);
+  EXPECT_EQ(r.run.packetsCreated, 42742u);
+  EXPECT_EQ(r.run.packetsDelivered, 42720u);
+  EXPECT_EQ(r.run.flitHops, 557258u);
+  EXPECT_EQ(r.run.termination, Termination::Drained);
+}
+
+TEST_P(ShardTraceGolden, Fig16RoRankRequestReplyMatchesRecordedGolden) {
+  // RO_Rank ranks the applications by their requestRate x 6 flit
+  // intensities. Recorded from the PARSEC scenario's former standalone
+  // assembler.
+  const ScenarioResult r = fig16Run(schemeRoRank(), GetParam());
+  ASSERT_EQ(r.appApl.size(), 4u);
+  EXPECT_EQ(r.appApl[0], 19.521467603434818);
+  EXPECT_EQ(r.appApl[1], 19.755061234691325);
+  EXPECT_EQ(r.appApl[2], 20.865760830902754);
+  EXPECT_EQ(r.appApl[3], 21.761027704689678);
   EXPECT_EQ(r.run.cyclesRun, 22033u);
   EXPECT_EQ(r.run.packetsCreated, 42742u);
   EXPECT_EQ(r.run.packetsDelivered, 42720u);
@@ -340,7 +362,7 @@ TEST(ShardCampaign, RecordsIndependentOfShardThreadsAndJobs) {
   for (const auto& g : grid) {
     campaign::RunnerOptions opts;
     opts.jobs = g.jobs;
-    opts.shardThreads = g.shardThreads;
+    opts.cell.shardThreads = g.shardThreads;
     const auto run = campaign::runCampaign(spec, opts);
     EXPECT_EQ(canonicalLines(run.records), canonicalLines(reference.records))
         << "jobs=" << g.jobs << " shardThreads=" << g.shardThreads;

@@ -184,7 +184,7 @@ TEST(Continuation, ResumedCampaignMatchesStraightRunAtAnyWorkerCount) {
     const auto paths = writeCellCheckpoints(dir);
     campaign::RunnerOptions resume;
     resume.jobs = jobs;
-    resume.checkpointDir = dir;
+    resume.cell.snap.checkpointDir = dir;
     const auto resumed = campaign::runCampaign(spec, resume);
     EXPECT_EQ(canonicalLines(resumed.records), canonicalLines(straight.records))
         << "jobs=" << jobs;

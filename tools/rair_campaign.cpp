@@ -15,7 +15,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "campaign/builtin.h"
 #include "campaign/runner.h"
@@ -53,11 +52,16 @@ void usage(std::FILE* to) {
       "                cache end-of-warm-up simulator states in DIR;\n"
       "                calibration probes and cells whose warm-up was\n"
       "                already simulated (e.g. on a re-run) restore it\n"
-      "                instead of re-simulating\n"
+      "                instead of re-simulating. Cells that cannot\n"
+      "                snapshot (fig17's PARSEC request/reply cells, and\n"
+      "                every cell under --metrics summary|series or\n"
+      "                --metrics-out) run without it, same records\n"
       "  --checkpoint-dir DIR\n"
       "                write per-cell mid-run checkpoints into DIR; an\n"
       "                interrupted campaign resumes unfinished cells from\n"
-      "                their last checkpoint, with byte-identical records\n"
+      "                their last checkpoint, with byte-identical records.\n"
+      "                Cells that cannot snapshot (as for --warm-cache)\n"
+      "                are not checkpointed and rerun from the start\n"
       "  --checkpoint-every N\n"
       "                checkpoint refresh period in cycles (default "
       "25000)\n"
@@ -220,25 +224,6 @@ int main(int argc, char** argv) {
                          "built-ins\n", args.name.c_str());
     return 2;
   }
-  if (builtinCampaignRunsParsecCells(args.name)) {
-    // PARSEC cells bypass ScenarioSpec, so these options would be ignored.
-    const std::pair<bool, std::string> unsupported[] = {
-        {!args.warmCache.empty(), "--warm-cache"},
-        {!args.checkpointDir.empty(), "--checkpoint-dir"},
-        {!args.faultsFile.empty(), "--faults"},
-        {args.metrics.level >= rair::metrics::MetricsLevel::Summary,
-         std::string("--metrics ")
-             .append(rair::metrics::metricsLevelName(args.metrics.level))},
-        {!args.metrics.outPrefix.empty(), "--metrics-out"},
-    };
-    for (const auto& [given, option] : unsupported) {
-      if (!given) continue;
-      std::fprintf(stderr, "campaign '%s' runs PARSEC request/reply cells, "
-                           "which cannot apply %s\n",
-                   args.name.c_str(), option.c_str());
-      return 2;
-    }
-  }
   if (args.out.empty()) args.out = "BENCH_" + args.name + ".json";
   if (args.fresh) std::remove(args.out.c_str());
 
@@ -255,7 +240,6 @@ int main(int argc, char** argv) {
     JsonlWriter writer(args.out);
     BuildContext ctx = defaultBuildContext(args.fast);
     ctx.campaignSeed = args.seed;
-    ctx.metrics = args.metrics;
     ctx.sim.net.linkLayer = args.linkLayer;
     ctx.faultDensity = args.faultDensity;
     ctx.sat.warmCacheDir = args.warmCache;
@@ -285,7 +269,7 @@ int main(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     std::string err;
-    if (!rair::fault::FaultPlan::parse(text.str(), opts.faults, &err)) {
+    if (!rair::fault::FaultPlan::parse(text.str(), opts.cell.faults, &err)) {
       std::fprintf(stderr, "bad fault plan '%s': %s\n",
                    args.faultsFile.c_str(), err.c_str());
       return 2;
@@ -294,10 +278,11 @@ int main(int argc, char** argv) {
   opts.jobs = args.jobs;
   opts.outPath = args.out;
   opts.resume = true;
-  opts.warmCacheDir = args.warmCache;
-  opts.checkpointDir = args.checkpointDir;
-  opts.checkpointEvery = args.checkpointEvery;
-  opts.shardThreads = args.shardThreads;
+  opts.cell.snap.warmCacheDir = args.warmCache;
+  opts.cell.snap.checkpointDir = args.checkpointDir;
+  opts.cell.snap.checkpointEvery = args.checkpointEvery;
+  opts.cell.shardThreads = args.shardThreads;
+  opts.cell.metrics = args.metrics;
   opts.log = logLine;
   const CampaignSummary summary = runCampaign(spec, opts);
 

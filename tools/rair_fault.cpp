@@ -307,11 +307,6 @@ int runCellMode(const Args& args, const fault::FaultPlan& plan) {
     std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
     return 2;
   }
-  if (campaign::builtinCampaignRunsParsecCells(name)) {
-    std::fprintf(stderr, "campaign %s runs PARSEC request/reply cells, "
-                         "which cannot apply a fault plan\n", name.c_str());
-    return 2;
-  }
 
   campaign::BuildContext ctx = campaign::defaultBuildContext(args.fast);
   ctx.campaignSeed = args.seed;
