@@ -1,6 +1,6 @@
 // Core hot-path microbenchmark: raw simulated-cycles/sec and
 // flit-hops/sec of the warm per-cycle loop (NIC tick + router pipeline +
-// congestion propagation), with no scenario termination logic in the way.
+// congestion history), with no scenario termination logic in the way.
 //
 // This is the repo's performance baseline: CI runs it in Release mode and
 // tools/perf_check.py fails the build on a large regression against the
@@ -35,6 +35,9 @@ namespace {
 /// "halves/halfSat" record); hard-coded so the benchmark starts instantly
 /// and the workload is identical on every machine.
 constexpr double kHalfSat = 0.38195418397913583;
+/// The same saturation on the 16x16 mesh (perfbench's kHalfSat16, from
+/// `rair_perfbench --calibrate-knee16`).
+constexpr double kHalfSat16 = 0.20444251195062507;
 
 constexpr Cycle kWarmupCycles = 5'000;
 constexpr Cycle kCyclesPerIteration = 10'000;
@@ -47,6 +50,7 @@ struct HotLoopOptions {
   bool withMetrics = false;
   bool withSnapshotHook = false;
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
+  double halfSat = kHalfSat;  ///< the loads are fractions of this
 };
 
 /// A warm, endlessly injectable simulation: measurement windows are
@@ -63,8 +67,8 @@ struct HotLoop {
           HotLoopOptions opts = {})
       : mesh(opts.meshDim, opts.meshDim), regions(RegionMap::halves(mesh)) {
     const auto apps = scenarios::twoAppInterRegion(
-        /*p=*/1.0, scenarios::kLowLoadFraction * kHalfSat,
-        app1Fraction * kHalfSat);
+        /*p=*/1.0, scenarios::kLowLoadFraction * opts.halfSat,
+        app1Fraction * opts.halfSat);
 
     SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
     cfg.measureCycles = 1'000'000'000;  // never stop admitting packets
@@ -139,6 +143,9 @@ RAIR_HOTPATH_BENCH(ro_rr_saturated, schemeRoRr(), 1.10);
 RAIR_HOTPATH_BENCH(ra_rair_low, schemeRaRair(), 0.10);
 RAIR_HOTPATH_BENCH(ra_rair_knee, schemeRaRair(), 0.85);
 RAIR_HOTPATH_BENCH(ra_rair_saturated, schemeRaRair(), 1.10);
+// DBAR is the one routing kind that reads the side-band congestion
+// history: its per-query h-hop sums are priced here.
+RAIR_HOTPATH_BENCH(ra_dbar_knee, schemeRaDbar(), 0.85);
 
 // Same knee workloads with the default-level metrics recorder attached:
 // the "_metrics" suffix pairs each with its bare twin so perf_check.py
@@ -182,25 +189,28 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_retx0, schemeRaRair(), 0.85,
     ->UseRealTime();
 
 // 16x16 mesh (256 nodes), the workload size where intra-run parallelism
-// pays: the bare one-thread cell and the thread sweep. Speedup at t8
+// pays: the bare one-thread cell and the thread sweep, twice. The
+// "_knee16" cells run at 70% of the 16x16 half-mesh saturation (the
+// perfbench knee16 shape). The "_saturated16" cells keep the 8x8 knee's
+// loads, which put App 1 at ~159% of the 16x16 saturation. Speedup at t8
 // depends on physical cores; BENCH_core_hotpath.json records the machine
 // it was generated on.
-BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16, schemeRaRair(), 0.85,
-                  HotLoopOptions{.meshDim = 16})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t2, schemeRaRair(), 0.85,
-                  HotLoopOptions{.meshDim = 16, .shardThreads = 2})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t4, schemeRaRair(), 0.85,
-                  HotLoopOptions{.meshDim = 16, .shardThreads = 4})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee16_t8, schemeRaRair(), 0.85,
-                  HotLoopOptions{.meshDim = 16, .shardThreads = 8})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+#define RAIR_HOTPATH_BENCH16(name, fraction, saturation, threads)       \
+  BENCHMARK_CAPTURE(BM_hotpath, name, schemeRaRair(), fraction,         \
+                    HotLoopOptions{.meshDim = 16,                       \
+                                   .shardThreads = threads,             \
+                                   .halfSat = saturation})              \
+      ->Unit(benchmark::kMillisecond)                                   \
+      ->UseRealTime()
+
+RAIR_HOTPATH_BENCH16(ra_rair_knee16, 0.70, kHalfSat16, 1);
+RAIR_HOTPATH_BENCH16(ra_rair_knee16_t2, 0.70, kHalfSat16, 2);
+RAIR_HOTPATH_BENCH16(ra_rair_knee16_t4, 0.70, kHalfSat16, 4);
+RAIR_HOTPATH_BENCH16(ra_rair_knee16_t8, 0.70, kHalfSat16, 8);
+RAIR_HOTPATH_BENCH16(ra_rair_saturated16, 0.85, kHalfSat, 1);
+RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t2, 0.85, kHalfSat, 2);
+RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t4, 0.85, kHalfSat, 4);
+RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t8, 0.85, kHalfSat, 8);
 
 // Topology-event (reconfiguration) cost: the per-event price of repairing
 // the routing tables after a link flap, measured on a 32x32 mesh

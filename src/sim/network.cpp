@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -24,7 +25,8 @@ Network::Network(const Mesh& mesh, const RegionMap& regions,
               config.globalVcsPerClass),
       routing_(makeRouting(routingKind, &regions)),
       policy_(&policy),
-      maxHops_(std::max(mesh.width(), mesh.height()) - 1) {
+      maxHops_(std::max(mesh.width(), mesh.height()) - 1),
+      histSlots_(static_cast<std::size_t>(maxHops_) + 1) {
   const RouterConfig rc{layout_, config_.vcDepth, config_.atomicVcs};
   routers_.reserve(static_cast<size_t>(mesh.numNodes()));
   nics_.reserve(static_cast<size_t>(mesh.numNodes()));
@@ -43,10 +45,7 @@ Network::Network(const Mesh& mesh, const RegionMap& regions,
                        static_cast<size_t>(dirIdx(d))] = *nb;
     }
   }
-  agg_.assign(static_cast<size_t>(mesh.numNodes()) * 4 *
-                  static_cast<size_t>(maxHops_),
-              0);
-  aggPrev_ = agg_;
+  freeHist_.assign(histSlots_ * static_cast<size_t>(mesh.numNodes()) * 4, 0);
 }
 
 void Network::wire() {
@@ -104,28 +103,6 @@ void Network::wire() {
   RAIR_CHECK(links_.size() == numLinks);
 }
 
-void Network::propagateCongestionRow(NodeId n) {
-  const std::size_t H = static_cast<std::size_t>(maxHops_);
-  for (int di = 0; di < 4; ++di) {
-    const Dir d = static_cast<Dir>(di + 1);
-    const int local = routers_[static_cast<size_t>(n)].freeAdaptiveOutVcs(d);
-    int* out = &agg_[(static_cast<size_t>(n) * 4 +
-                      static_cast<size_t>(di)) * H];
-    out[0] = local;
-    const NodeId nb = neighborTable_[static_cast<size_t>(n) * 4 +
-                                     static_cast<size_t>(di)];
-    if (nb >= 0) {
-      // h-hop info: local knowledge plus the neighbor's (h-1)-hop
-      // aggregate from the previous cycle (1 hop/cycle wire delay).
-      const int* prev = &aggPrev_[(static_cast<size_t>(nb) * 4 +
-                                   static_cast<size_t>(di)) * H];
-      for (std::size_t h = 1; h < H; ++h) out[h] = local + prev[h - 1];
-    } else {
-      for (std::size_t h = 1; h < H; ++h) out[h] = local;
-    }
-  }
-}
-
 void Network::phaseInjectRoute(Cycle now, NodeId begin, NodeId end) {
   for (NodeId n = begin; n < end; ++n) {
     nics_[static_cast<size_t>(n)].tick(now);
@@ -136,16 +113,18 @@ void Network::phaseInjectRoute(Cycle now, NodeId begin, NodeId end) {
   }
 }
 
-void Network::phaseRetireCongestion() { std::swap(agg_, aggPrev_); }
-
 int Network::phaseTraversePropagate(Cycle now, NodeId begin, NodeId end) {
+  int* slot = &freeHist_[writeSlot() *
+                         static_cast<size_t>(mesh_->numNodes()) * 4];
   int moved = 0;
   for (NodeId n = begin; n < end; ++n) {
     Router& r = routers_[static_cast<size_t>(n)];
     r.switchAllocateAndTraverse(now);
     moved += r.flitsMovedLastCycle();
     r.endCycle(now);
-    propagateCongestionRow(n);
+    int* row = slot + static_cast<size_t>(n) * 4;
+    for (int di = 0; di < 4; ++di)
+      row[di] = r.freeAdaptiveOutVcs(kRouterDirs[static_cast<size_t>(di)]);
   }
   return moved;
 }
@@ -184,8 +163,19 @@ int Network::freeVcsThrough(NodeId n, Dir d) const {
 
 int Network::aggregatedFree(NodeId n, Dir d, int hops) const {
   RAIR_DCHECK(d != Dir::Local);
-  const int h = std::clamp(hops, 1, maxHops_) - 1;
-  return aggAt(agg_, n, dirIdx(d), h);
+  // Router k hops down the chain, as it was k cycles ago, for k up to the
+  // horizon or the mesh edge.
+  const auto di = static_cast<size_t>(dirIdx(d));
+  const auto slotSize = static_cast<size_t>(mesh_->numNodes()) * 4;
+  const int terms = std::clamp(hops, 1, maxHops_);
+  std::size_t slot = newest_;
+  int sum = 0;
+  for (int k = 0; k < terms && n >= 0; ++k) {
+    sum += freeHist_[slot * slotSize + static_cast<size_t>(n) * 4 + di];
+    slot = slot == 0 ? histSlots_ - 1 : slot - 1;
+    n = neighborTable_[static_cast<size_t>(n) * 4 + di];
+  }
+  return sum;
 }
 
 namespace {
@@ -196,11 +186,32 @@ std::string elementSection(const char* kind, std::size_t i) {
 }
 }  // namespace
 
+void Network::saveAggregates(snapshot::Writer& w, std::size_t age) const {
+  for (NodeId n = 0; n < mesh_->numNodes(); ++n) {
+    for (int di = 0; di < 4; ++di) {
+      int sum = 0;
+      NodeId m = n;
+      for (int h = 0; h < maxHops_; ++h) {
+        if (m >= 0) {
+          sum += freeHist_[histIndex(age + static_cast<std::size_t>(h), m,
+                                     di)];
+          m = neighborTable_[static_cast<size_t>(m) * 4 +
+                             static_cast<size_t>(di)];
+        }
+        w.i32(sum);
+      }
+    }
+  }
+}
+
 void Network::save(snapshot::Writer& w) const {
+  // Two aggregate tables, which snapshots written before the history
+  // existed also hold: the aggregates after the newest completed cycle,
+  // then those after the cycle before.
   w.beginSection("net/agg");
-  w.u32(static_cast<std::uint32_t>(agg_.size()));
-  for (const int v : agg_) w.i32(v);
-  for (const int v : aggPrev_) w.i32(v);
+  w.u32(static_cast<std::uint32_t>(aggTableSize()));
+  saveAggregates(w, 0);
+  saveAggregates(w, 1);
   w.endSection();
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     w.beginSection(elementSection("router", i));
@@ -221,10 +232,46 @@ void Network::save(snapshot::Writer& w) const {
 
 void Network::restore(snapshot::Reader& r) {
   r.beginSection("net/agg");
-  RAIR_CHECK_MSG(r.u32() == agg_.size(),
+  RAIR_CHECK_MSG(r.u32() == aggTableSize(),
                  "network restore: congestion table size mismatch");
-  for (int& v : agg_) v = r.i32();
-  for (int& v : aggPrev_) v = r.i32();
+  // Each h term of a table adds the free-VC count of the router h hops on,
+  // h cycles older than the table, so adjacent terms' differences give the
+  // history back. A term is a VC count; an entry both tables determine
+  // must agree; a term past the mesh edge must add nothing. Entries
+  // neither table determines are never read: they stay 0.
+  std::fill(freeHist_.begin(), freeHist_.end(), 0);
+  newest_ = 0;
+  std::vector<bool> known(freeHist_.size(), false);
+  for (std::size_t age = 0; age < 2; ++age) {
+    for (NodeId n = 0; n < mesh_->numNodes(); ++n) {
+      for (int di = 0; di < 4; ++di) {
+        std::int64_t prev = 0;
+        NodeId m = n;
+        for (int h = 0; h < maxHops_; ++h) {
+          const std::int64_t v = r.i32();
+          const std::int64_t term = v - prev;
+          prev = v;
+          if (m < 0) {
+            RAIR_CHECK_MSG(term == 0,
+                           "network restore: congestion table adds a term "
+                           "past the mesh edge");
+            continue;
+          }
+          RAIR_CHECK_MSG(term >= 0 && term <= layout_.totalVcs(),
+                         "network restore: congestion table term is not a "
+                         "VC count");
+          const std::size_t i =
+              histIndex(age + static_cast<std::size_t>(h), m, di);
+          RAIR_CHECK_MSG(!known[i] || freeHist_[i] == term,
+                         "network restore: congestion tables disagree");
+          freeHist_[i] = static_cast<int>(term);
+          known[i] = true;
+          m = neighborTable_[static_cast<size_t>(m) * 4 +
+                             static_cast<size_t>(di)];
+        }
+      }
+    }
+  }
   r.endSection();
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     r.beginSection(elementSection("router", i));

@@ -2,6 +2,7 @@
 // congestion-information network used by non-local adaptive routing.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -56,29 +57,30 @@ class Network final : public CongestionView {
           RoutingKind routingKind, const ArbiterPolicy& policy);
 
   // --- Shard-callable phase slices (sim/shard.h) -------------------------
-  // One clock edge is phase A over every node, the congestion retire,
-  // then phase B over every node. The sharded engine runs each phase on
-  // disjoint contiguous node ranges with a barrier between them (and the
-  // retire once, on the coordinator, at that barrier). Each slice touches
-  // only range-local state: a node's own NIC/router buffers plus its own
-  // side of the attached links — the two DelayPipes of a link (flits
-  // downstream, credits upstream) are each written by exactly one endpoint
-  // per phase, so disjoint ranges never race and the fused schedule is
-  // byte-identical to the unfused whole-network pass order (all NIC
-  // ticks, then each router stage over all routers) for any partition.
+  // One clock edge is phase A over every node, then phase B over every
+  // node, then the congestion-history advance. The sharded engine runs
+  // each phase on disjoint contiguous node ranges with a barrier between
+  // them (and the advance once, on the coordinator, after phase B). Each
+  // slice touches only range-local state: a node's own NIC/router buffers,
+  // its own side of the attached links and its own free-VC history row —
+  // the two DelayPipes of a link (flits downstream, credits upstream) are
+  // each written by exactly one endpoint per phase, so disjoint ranges
+  // never race and the fused schedule is byte-identical to the unfused
+  // whole-network pass order (all NIC ticks, then each router stage over
+  // all routers) for any partition.
 
   /// Fused phase A over [begin, end): NIC tick, then router beginCycle /
-  /// routeCompute / vcAllocate per node. Reads the congestion table
-  /// (stable until phaseRetireCongestion), writes node-local state only.
+  /// routeCompute / vcAllocate per node. Reads the congestion history of
+  /// completed cycles (never the slot phase B writes), writes node-local
+  /// state only.
   void phaseInjectRoute(Cycle now, NodeId begin, NodeId end);
-  /// Run once between phase A and phase B: retires the congestion table
-  /// (current aggregates become the previous-cycle values phase B reads).
-  void phaseRetireCongestion();
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
-  /// per node, then the node's congestion-aggregate row (own free-VC count
-  /// combined with the neighbors' retired previous-cycle rows). Returns the
-  /// flits the range's switches moved this cycle.
+  /// per node, then the node's four free-VC counts into this cycle's
+  /// history slot. Returns the flits the range's switches moved this cycle.
   int phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
+  /// Run once after phase B: the cycle phase B just recorded becomes the
+  /// newest one aggregatedFree reads.
+  void advanceCongestionHistory() { newest_ = writeSlot(); }
 
   Nic& nic(NodeId n) { return nics_[static_cast<size_t>(n)]; }
   const Nic& nic(NodeId n) const { return nics_[static_cast<size_t>(n)]; }
@@ -119,9 +121,26 @@ class Network final : public CongestionView {
 
  private:
   void wire();
-  /// One node's congestion-aggregate row, from its post-traversal free-VC
-  /// counts and the neighbors' aggPrev_ rows.
-  void propagateCongestionRow(NodeId n);
+  /// The history slot phase B of the current cycle writes: the oldest one.
+  std::size_t writeSlot() const {
+    return newest_ + 1 == histSlots_ ? 0 : newest_ + 1;
+  }
+  /// freeHist_ index of (node, dir index) `age` completed cycles back.
+  std::size_t histIndex(std::size_t age, NodeId n, int dirIdx) const {
+    const std::size_t slot =
+        (newest_ + histSlots_ - age % histSlots_) % histSlots_;
+    return (slot * static_cast<std::size_t>(mesh_->numNodes()) +
+            static_cast<std::size_t>(n)) * 4 +
+           static_cast<std::size_t>(dirIdx);
+  }
+  /// Entries of one snapshot aggregate table.
+  std::size_t aggTableSize() const {
+    return static_cast<std::size_t>(mesh_->numNodes()) * 4 *
+           static_cast<std::size_t>(maxHops_);
+  }
+  /// Writes the aggregate table `age` completed cycles old, rebuilt from
+  /// the history: [node][4 dirs][maxHops_], the snapshot's net/agg layout.
+  void saveAggregates(snapshot::Writer& w, std::size_t age) const;
 
   const Mesh* mesh_;
   const RegionMap* regions_;
@@ -143,26 +162,22 @@ class Network final : public CongestionView {
   std::vector<LinkLayer*> links_;
 
   // Mesh adjacency flattened once at construction: [node][4 router dirs]
-  // -> neighbor id or -1. propagateCongestionRow runs every cycle and
-  // would otherwise recompute coordinate arithmetic per (node, dir).
+  // -> neighbor id or -1. aggregatedFree walks it instead of recomputing
+  // coordinate arithmetic per hop.
   std::vector<NodeId> neighborTable_;
 
-  // Side-band congestion network. agg_[n][d][h] = sum of free adaptive VC
-  // counts through port d over routers n, n+1d, ... n+hd (h+1 terms), with
-  // the h-hop term h cycles old (one-hop-per-cycle wire propagation).
+  // Side-band congestion network, kept as a history of per-cycle free
+  // adaptive VC counts: freeHist_[slot][node][4 dirs] holds
+  // router(node).freeAdaptiveOutVcs(dir) as phase B left it in one cycle.
+  // The h-hop aggregate reads the router h hops away from the slot h
+  // cycles old (one-hop-per-cycle wire propagation), so DBAR's sums are
+  // formed on query. maxHops_ + 1 slots: the newest maxHops_ cycles feed a
+  // query, one more feeds the previous-cycle table a snapshot carries.
+  // Zero-initialised slots are the cycles before cycle 0.
   int maxHops_;
-  std::vector<int> agg_;      // [node][4 dirs][maxHops_]
-  std::vector<int> aggPrev_;  // previous cycle's values
-  int aggAt(const std::vector<int>& v, NodeId n, int dirIdx, int h) const {
-    return v[(static_cast<size_t>(n) * 4 + static_cast<size_t>(dirIdx)) *
-                 static_cast<size_t>(maxHops_) +
-             static_cast<size_t>(h)];
-  }
-  int& aggAt(std::vector<int>& v, NodeId n, int dirIdx, int h) {
-    return v[(static_cast<size_t>(n) * 4 + static_cast<size_t>(dirIdx)) *
-                 static_cast<size_t>(maxHops_) +
-             static_cast<size_t>(h)];
-  }
+  std::size_t histSlots_;
+  std::size_t newest_ = 0;  ///< slot of the newest completed cycle
+  std::vector<int> freeHist_;
 };
 
 }  // namespace rair

@@ -18,11 +18,11 @@ namespace rair {
 namespace {
 
 /// How long a waiter spins before parking on a futex. The coordinator's
-/// serial gap between phases (retire swap, or staged replay plus source
-/// ticks between cycles) is ~5 us on the 16x16 knee, and phase imbalance
-/// adds a few us more; 50 us covers both with margin, so a fitting run
-/// never pays a futex wake-up (tens of us), while an idle engine stops
-/// burning its cores within 50 us.
+/// serial gap between cycles (staged replay plus source ticks) is ~5 us
+/// on the 16x16 knee, and phase imbalance adds a few us more; 50 us
+/// covers both with margin, so a fitting run never pays a futex wake-up
+/// (tens of us), while an idle engine stops burning its cores within
+/// 50 us.
 constexpr std::chrono::nanoseconds kSpinBudget = std::chrono::microseconds(50);
 /// After this much of the budget the spinner also yields its core at
 /// every clock check. Short waits stay pure spins; a long one on a core
@@ -32,9 +32,15 @@ constexpr std::chrono::nanoseconds kPureSpin = std::chrono::microseconds(10);
 
 /// Rebalance cost model: a node costs kNodeCost per cycle for its fixed
 /// NIC/router pipeline work plus kFlitCost per flit its switch moved.
-/// Measured on the 16x16 knee at 4 shards: a flit traversal costs about
-/// four idle node-cycles, which hands the busy middle rows ~55-node
-/// shards against ~75 at the edges and evens out per-shard phase times.
+/// Measured at one thread on a 4-vCPU VM (Release): an idle 16x16
+/// network steps in ~13-15 us per cycle (~55 ns per node-cycle), and the
+/// 16x16 knee (70% of its half-mesh saturation, ~200 flit-hops per cycle)
+/// in ~99 us, so a flit traversal costs ~0.42 us, about seven idle
+/// node-cycles. Weighting flits at 7 instead of 4 made no measurable
+/// difference on the 4-shard knee (10 alternating perfbench knee16_t4
+/// pairs: median wall-time ratio 0.97, within the run-to-run spread), so
+/// the weight stays 4: the busy middle rows still get smaller shards
+/// than the edges, which evens out per-shard phase times.
 constexpr std::uint64_t kNodeCost = 1;
 constexpr std::uint64_t kFlitCost = 4;
 
@@ -322,16 +328,15 @@ int ShardEngine::step(Cycle now) {
   if (workers_.empty()) {
     // Single shard: same fused-phase schedule, no hand-off machinery.
     net_->phaseInjectRoute(now, shards_[0].begin, shards_[0].end);
-    net_->phaseRetireCongestion();
     moved = net_->phaseTraversePropagate(now, shards_[0].begin,
                                          shards_[0].end);
   } else {
     rebalance(now);
     dispatch(Phase::InjectRoute, now);
-    net_->phaseRetireCongestion();
     dispatch(Phase::TraversePropagate, now);
     for (const Shard& s : shards_) moved += s.moved;
   }
+  net_->advanceCongestionHistory();
   // Canonical replay: shard order = ascending node order, the same event
   // order for every partition.
   for (Shard& s : shards_) {

@@ -37,18 +37,19 @@ class ScriptedSource final : public TrafficSource {
 
 /// The unfused reference schedule of one clock edge: phase A as
 /// whole-network passes (every NIC tick, then each router stage over all
-/// routers), then the congestion retire and phase B over every node. The
-/// sharded engine fuses phase A per node and must stay byte-identical to
-/// this order. NIC events go straight to each NIC's receiver. Returns the
-/// flits moved.
+/// routers), then phase B over every node and the congestion-history
+/// advance. The sharded engine fuses phase A per node and must stay
+/// byte-identical to this order. NIC events go straight to each NIC's
+/// receiver. Returns the flits moved.
 inline int referenceStep(Network& net, Cycle now) {
   const NodeId numNodes = net.mesh().numNodes();
   for (NodeId n = 0; n < numNodes; ++n) net.nic(n).tick(now);
   for (NodeId n = 0; n < numNodes; ++n) net.router(n).beginCycle(now);
   for (NodeId n = 0; n < numNodes; ++n) net.router(n).routeCompute(now);
   for (NodeId n = 0; n < numNodes; ++n) net.router(n).vcAllocate(now);
-  net.phaseRetireCongestion();
-  return net.phaseTraversePropagate(now, 0, numNodes);
+  const int moved = net.phaseTraversePropagate(now, 0, numNodes);
+  net.advanceCongestionHistory();
+  return moved;
 }
 
 /// A SimConfig with short windows suitable for unit tests.

@@ -2,9 +2,16 @@
 // their one-hop-per-cycle aggregation (what DBAR's selection consumes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <vector>
+
 #include "policy/policy.h"
 #include "sim/network.h"
+#include "sim/scenario.h"
 #include "sim_test_util.h"
+#include "snapshot/buffer.h"
 
 namespace rair {
 namespace {
@@ -104,6 +111,121 @@ TEST(CongestionInfo, OccupiedVcsReduceTheCount) {
   EXPECT_EQ(net.freeVcsThrough(0, Dir::East), 4);
   EXPECT_TRUE(net.quiescent());
 }
+
+constexpr std::array<Dir, 4> kDirs = {Dir::North, Dir::East, Dir::South,
+                                      Dir::West};
+
+TEST(CongestionInfo, OnDemandSumsMatchBruteForce) {
+  // A non-square mesh (5-hop chains along x, 2-hop chains along y) under
+  // RA_DBAR traffic: every aggregatedFree answer must equal the sum
+  // recomputed from a log of every port's free-VC count after each cycle,
+  // the router h hops on taken h cycles back (0 before cycle 0).
+  Mesh mesh(6, 3);
+  const RegionMap regions = RegionMap::halves(mesh);
+  std::vector<AppTrafficSpec> apps(2);
+  apps[0].app = 0;
+  apps[0].injectionRate = 0.25;
+  apps[1].app = 1;
+  apps[1].injectionRate = 0.35;
+  AssembledScenario as = assembleScenario(ScenarioSpec(mesh, regions)
+                                              .withConfig(testutil::fastConfig())
+                                              .withScheme(schemeRaDbar())
+                                              .withApps(std::move(apps))
+                                              .withSeed(7));
+  Simulator& sim = *as.sim;
+  const Network& net = sim.network();
+  const NodeId numNodes = mesh.numNodes();
+  const int maxHops = std::max(mesh.width(), mesh.height()) - 1;
+
+  std::vector<std::vector<int>> log;  // [cycle][node * 4 + dir index]
+  bool partlyFree = false;  // some port between all-busy and all-free
+  sim.begin();
+  for (Cycle c = 0; c < 400; ++c) {
+    sim.stepCycle();
+    std::vector<int>& row = log.emplace_back(
+        static_cast<std::size_t>(numNodes) * 4);
+    for (NodeId n = 0; n < numNodes; ++n)
+      for (std::size_t di = 0; di < 4; ++di) {
+        const int f = net.freeVcsThrough(n, kDirs[di]);
+        row[static_cast<std::size_t>(n) * 4 + di] = f;
+        partlyFree = partlyFree || (f > 0 && f < 4);
+      }
+    for (NodeId n = 0; n < numNodes; ++n) {
+      for (std::size_t di = 0; di < 4; ++di) {
+        for (int hops = 0; hops <= maxHops + 1; ++hops) {
+          const int terms = std::clamp(hops, 1, maxHops);
+          int expected = 0;
+          std::optional<NodeId> m = n;
+          for (int k = 0; k < terms && m; ++k) {
+            if (static_cast<Cycle>(k) <= c)
+              expected += log[c - static_cast<Cycle>(k)]
+                             [static_cast<std::size_t>(*m) * 4 + di];
+            m = mesh.neighbor(*m, kDirs[di]);
+          }
+          ASSERT_EQ(net.aggregatedFree(n, kDirs[di], hops), expected)
+              << "cycle " << c << " node " << n << " dir " << di
+              << " hops " << hops;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(partlyFree) << "the traffic never loaded a port";
+}
+
+#if defined(GTEST_HAS_DEATH_TEST)
+TEST(CongestionInfoDeathTest, InconsistentAggregateTablesFailToRestore) {
+  // The net/agg section holds the aggregates after the newest cycle, then
+  // those of the cycle before; restore derives the free-VC history from
+  // both. Each patch below damages one entry of a valid section.
+  Mesh m(4, 4);
+  const auto rm = RegionMap::halves(m);
+  RoundRobinPolicy policy;
+  Network net(m, rm, cfg(), RoutingKind::Dbar, policy);
+  for (Cycle t = 0; t < 8; ++t) testutil::referenceStep(net, t);
+  snapshot::Writer w;
+  net.save(w);
+  const std::vector<std::uint8_t> good = w.payload();
+  const auto sections = snapshot::listSections(good);
+  ASSERT_EQ(sections.front().name, "net/agg");
+  const std::size_t maxHops = 3;
+  const std::size_t tableSize = 16 * 4 * maxHops;
+
+  const auto patched = [&](std::size_t table, NodeId n, Dir d, std::size_t h,
+                           int delta) {
+    std::vector<std::uint8_t> bytes = good;
+    const std::size_t entry = table * tableSize +
+                              (static_cast<std::size_t>(n) * 4 +
+                               static_cast<std::size_t>(d) - 1) *
+                                  maxHops +
+                              h;
+    const std::size_t at = sections.front().offset + 4 + entry * 4;
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    v += static_cast<std::uint32_t>(delta);
+    for (std::size_t i = 0; i < 4; ++i)
+      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    return bytes;
+  };
+  const auto restoreInto = [&](const std::vector<std::uint8_t>& bytes) {
+    Network other(m, rm, cfg(), RoutingKind::Dbar, policy);
+    snapshot::Reader r(bytes);
+    other.restore(r);
+  };
+
+  restoreInto(good);  // the unpatched payload restores
+  // (1,1) East, 1 hop, in the older table: router (2,1) two cycles back,
+  // which the newer table's 2-hop term of (0,1) East also gives.
+  EXPECT_DEATH(restoreInto(patched(1, m.nodeAt({1, 1}), Dir::East, 1, 1)),
+               "congestion tables disagree");
+  // (3,1) East sits at the mesh edge: its deeper terms add nothing.
+  EXPECT_DEATH(restoreInto(patched(0, m.nodeAt({3, 1}), Dir::East, 2, 1)),
+               "past the mesh edge");
+  // A term is a free-VC count: never negative.
+  EXPECT_DEATH(restoreInto(patched(0, m.nodeAt({1, 1}), Dir::East, 0, -10)),
+               "not a VC count");
+}
+#endif
 
 }  // namespace
 }  // namespace rair

@@ -578,6 +578,50 @@ TEST(FaultSnapshot, MidResetCheckpointResumeMatchesStraightRun) {
   snapshot::removeFile(path);
 }
 
+TEST(FaultSnapshot, DbarRetxCheckpointResumesOnFourThreads) {
+  // RA_DBAR reads the congestion history, which a snapshot carries as the
+  // two aggregate tables. A checkpoint written mid-run on one shard thread,
+  // with corruption on retx links, resumes on four to the straight run's
+  // result, and save -> restore -> save is byte-stable.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  FaultPlan plan;
+  plan.corruptFlits(1'500, mesh.nodeAt({2, 3}), Dir::East, 6);
+  plan.corruptFlits(2'600, mesh.nodeAt({5, 4}), Dir::West, 4);
+  const ScenarioSpec spec =
+      fig09Spec(mesh, regions, 0.5, schemeRaDbar(), 17911839290282890590ull)
+          .withFaults(plan)
+          .withLinkLayer(LinkLayerKind::Retx);
+
+  const ScenarioResult straight = runScenario(spec);
+  ASSERT_TRUE(straight.faultStats.has_value());
+  EXPECT_GT(straight.faultStats->corruptedFlits, 0u);
+
+  const std::string path = ::testing::TempDir() + "rair_fault_dbar.snap";
+  snapshot::removeFile(path);
+  ASSERT_TRUE(writeScenarioCheckpoint(spec, 3'000, path));
+  const ScenarioResult resumed =
+      runScenario(ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+  EXPECT_EQ(resumed.resumedFromCycle, 3'000u);
+  EXPECT_EQ(resumed.run.cyclesRun, straight.run.cyclesRun);
+  EXPECT_EQ(resumed.run.packetsCreated, straight.run.packetsCreated);
+  EXPECT_EQ(resumed.run.packetsDelivered, straight.run.packetsDelivered);
+  EXPECT_EQ(resumed.meanApl, straight.meanApl);
+  EXPECT_EQ(resumed.appApl, straight.appApl);
+  ASSERT_TRUE(resumed.faultStats.has_value());
+  EXPECT_EQ(*resumed.faultStats, *straight.faultStats);
+  snapshot::removeFile(path);
+
+  const auto saved = serializedAfter(spec, 3'000, false);
+  AssembledScenario other = assembleScenario(spec);
+  snapshot::Reader r(saved);
+  other.sim->restore(r);
+  EXPECT_TRUE(r.atEnd());
+  snapshot::Writer w;
+  other.sim->save(w);
+  EXPECT_TRUE(w.payload() == saved);
+}
+
 TEST(FaultSnapshot, PlanEntersTheScenarioKey) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);

@@ -22,6 +22,7 @@
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "metrics/metrics.h"
+#include "snapshot/buffer.h"
 
 namespace {
 
@@ -47,7 +48,8 @@ void usage(std::FILE* to) {
       "  --metrics-out PREFIX\n"
       "                write per-cell metrics sinks (summary.json,\n"
       "                counters.csv, series.jsonl) under\n"
-      "                PREFIX<campaign>_<key>.\n"
+      "                PREFIX<campaign>_<key>. (creates the prefix's\n"
+      "                directory when it is missing)\n"
       "  --warm-cache DIR\n"
       "                cache end-of-warm-up simulator states in DIR;\n"
       "                calibration probes and cells whose warm-up was\n"
@@ -223,6 +225,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown campaign '%s'; --list shows the "
                          "built-ins\n", args.name.c_str());
     return 2;
+  }
+  // The sinks are written after every cell has run: make the prefix's
+  // directory now, as cells do for --checkpoint-dir, and refuse before any
+  // calibration when it cannot be made.
+  if (args.metrics.level >= rair::metrics::MetricsLevel::Summary) {
+    const std::string& prefix = args.metrics.outPrefix;
+    const std::size_t slash = prefix.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "" : prefix.substr(0, slash);
+    if (!dir.empty() && !rair::snapshot::ensureDir(dir)) {
+      std::fprintf(stderr, "cannot create the --metrics-out directory '%s'\n",
+                   dir.c_str());
+      return 2;
+    }
   }
   if (args.out.empty()) args.out = "BENCH_" + args.name + ".json";
   if (args.fresh) std::remove(args.out.c_str());

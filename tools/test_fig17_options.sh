@@ -9,6 +9,12 @@
 #                               the per-cell series sinks are written
 #   metrics-out                 under --metrics summary, the per-cell
 #                               summary and counters sinks are written
+#   metrics-out-missing         the --metrics-out prefix's directory does
+#                               not exist: it is created and every cell's
+#                               summary sink lands in it
+#   metrics-out-uncreatable     the directory cannot be made (its parent
+#                               is missing too): exit 2 before any
+#                               calibration, so no results file is started
 #
 #   test_fig17_options.sh <rair_campaign binary> <scratch dir> <option>
 set -eu
@@ -58,6 +64,17 @@ case $option in
     test "$(grep -c '"metrics":{' "$dir/out.json")" -eq 8
     test -s "$dir/metrics/fig17_RA_RAIR_attack.summary.json"
     test -s "$dir/metrics/fig17_RA_RAIR_attack.counters.csv"
+    ;;
+  metrics-out-missing)
+    run out.json --metrics summary --metrics-out "$dir/new/x"
+    test "$(ls "$dir"/new/x*summary.json | wc -l)" -eq 8
+    ;;
+  metrics-out-uncreatable)
+    status=0
+    run out.json --metrics summary --metrics-out "$dir/missing/deeper/x" ||
+      status=$?
+    test "$status" -eq 2
+    test ! -e "$dir/out.json"
     ;;
   *)
     echo "unknown option '$option'" >&2
