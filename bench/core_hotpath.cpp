@@ -16,11 +16,9 @@
 // knee (85%) and past saturation (110%).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "metrics/recorder.h"
 #include "routing/tables.h"
@@ -59,40 +57,30 @@ struct HotLoopOptions {
 struct HotLoop {
   Mesh mesh;
   RegionMap regions;
-  std::unique_ptr<ArbiterPolicy> policy;
-  std::unique_ptr<Simulator> sim;
+  AssembledScenario as;
   std::optional<metrics::MetricsRecorder> recorder;
 
   HotLoop(const SchemeSpec& scheme, double app1Fraction,
           HotLoopOptions opts = {})
       : mesh(opts.meshDim, opts.meshDim), regions(RegionMap::halves(mesh)) {
-    const auto apps = scenarios::twoAppInterRegion(
-        /*p=*/1.0, scenarios::kLowLoadFraction * opts.halfSat,
-        app1Fraction * opts.halfSat);
-
     SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
     cfg.measureCycles = 1'000'000'000;  // never stop admitting packets
-    cfg.routing = scheme.routing;
-    cfg.net.rairPartition = scheme.needsRairPartition();
-    cfg.shardThreads = opts.shardThreads;
-    cfg.net.linkLayer = opts.linkLayer;
-
-    std::vector<double> intensities;
-    for (const auto& a : apps) intensities.push_back(a.injectionRate);
-    policy = makePolicy(scheme, intensities);
-    sim = std::make_unique<Simulator>(mesh, regions, cfg, *policy, 2);
-    std::uint64_t seed = 1;
-    for (const auto& a : apps) {
-      sim->addSource(
-          std::make_unique<RegionalizedSource>(mesh, regions, a, seed));
-      seed += 0x9E3779B9ull;
-    }
+    as = assembleScenario(ScenarioSpec(mesh, regions)
+                              .withConfig(cfg)
+                              .withScheme(scheme)
+                              .withApps(scenarios::twoAppInterRegion(
+                                  /*p=*/1.0,
+                                  scenarios::kLowLoadFraction * opts.halfSat,
+                                  app1Fraction * opts.halfSat))
+                              .withLinkLayer(opts.linkLayer)
+                              .withThreads(opts.shardThreads));
+    Simulator* sim = as.sim.get();
     if (opts.withMetrics) {
       // The default-level recorder, exactly as runScenario() attaches it;
       // the *_metrics benchmark variants measure its per-cycle overhead
       // (tools/perf_check.py --paired-suffix guards it in CI).
       metrics::MetricsOptions mo;  // Counters level, no sinks
-      recorder.emplace(sim->network(), regions, mo, /*numApps=*/2,
+      recorder.emplace(sim->network(), regions, mo, as.numApps,
                        kWarmupCycles);
       sim->observers().attach(&*recorder);
     }
@@ -112,20 +100,20 @@ struct HotLoop {
 void BM_hotpath(benchmark::State& st, const SchemeSpec& scheme,
                 double app1Fraction, HotLoopOptions opts = {}) {
   HotLoop loop(scheme, app1Fraction, opts);
-  const std::uint64_t hops0 = loop.sim->network().totalFlitsTraversed();
+  const std::uint64_t hops0 = loop.as.sim->network().totalFlitsTraversed();
   std::uint64_t cycles = 0;
   for (auto _ : st) {
-    for (Cycle c = 0; c < kCyclesPerIteration; ++c) loop.sim->stepCycle();
+    for (Cycle c = 0; c < kCyclesPerIteration; ++c) loop.as.sim->stepCycle();
     cycles += kCyclesPerIteration;
   }
   const std::uint64_t hops =
-      loop.sim->network().totalFlitsTraversed() - hops0;
+      loop.as.sim->network().totalFlitsTraversed() - hops0;
   st.counters["cycles_per_sec"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
   st.counters["flit_hops_per_sec"] = benchmark::Counter(
       static_cast<double>(hops), benchmark::Counter::kIsRate);
   st.counters["in_flight"] =
-      static_cast<double>(loop.sim->inFlight());
+      static_cast<double>(loop.as.sim->inFlight());
 }
 
 // Every hot-loop bench times wall clock (UseRealTime): the kIsRate

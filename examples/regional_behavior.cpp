@@ -17,7 +17,6 @@
 #include "region/lbdr.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
-#include "stats/report.h"
 
 int main() {
   using namespace rair;
@@ -33,14 +32,12 @@ int main() {
   const std::vector<double> rates = {0.03, 0.20, 0.04, 0.05, 0.08, 0.20};
   const auto apps = scenarios::sixAppMixed(PatternKind::UniformRandom, rates);
 
-  SimConfig cfg;
-  cfg.warmupCycles = 1'000;
-  cfg.measureCycles = 10'000;
+  AssembledScenario as = assembleScenario(ScenarioSpec(mesh, regions)
+                                              .withScheme(schemeRoRr())
+                                              .withApps(apps)
+                                              .withFastWindows());
 
   // Instrument the run to split intra- vs inter-region traffic.
-  const auto scheme = schemeRoRr();
-  const auto policy = makePolicy(scheme, rates);
-  Simulator sim(mesh, regions, cfg, *policy, 6);
   struct RegionSplit final : SimObserver {
     const Mesh* mesh = nullptr;
     const RegionMap* regions = nullptr;
@@ -56,13 +53,8 @@ int main() {
   } split;
   split.mesh = &mesh;
   split.regions = &regions;
-  sim.observers().attach(&split);
-  std::uint64_t seed = 1;
-  for (const auto& a : apps) {
-    sim.addSource(std::make_unique<RegionalizedSource>(mesh, regions, a, seed));
-    seed += 101;
-  }
-  const auto result = sim.run();
+  as.sim->observers().attach(&split);
+  const auto result = as.sim->run();
 
   const double total = static_cast<double>(split.intraPkts + split.interPkts);
   std::printf("\nRB-3: intra-region traffic %.1f%%, inter-region %.1f%%\n",

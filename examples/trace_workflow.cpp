@@ -5,8 +5,9 @@
 // simulator). This example demonstrates the equivalent workflow with the
 // synthetic PARSEC-like models:
 //
-//   1. run the fluidanimate model once and capture its packets to a
-//      trace file (./fluidanimate.trace by default),
+//   1. run the fluidanimate model once over the warm-up and measurement
+//      windows and capture its packets to a trace file
+//      (./fluidanimate.trace by default),
 //   2. reload the file and replay the identical packet stream under both
 //      RO_RR and RA_RAIR, printing the APL each achieves.
 //
@@ -16,8 +17,8 @@
 // Usage: trace_workflow [traceFile]
 #include <cstdio>
 
-#include "core/rair_policy.h"
-#include "scenarios/parsec_scenario.h"
+#include "sim/scenario.h"
+#include "trace/parsec.h"
 #include "trace/trace.h"
 
 int main(int argc, char** argv) {
@@ -33,36 +34,43 @@ int main(int argc, char** argv) {
   cfg.measureCycles = 15'000;
   cfg.net.numClasses = 2;  // request/reply classes (Table 1)
 
-  // --- 1. Capture ---------------------------------------------------------
+  // --- 1. Capture the warm-up and measurement windows -------------------
+  // The request model is open loop (this example synthesizes no replies),
+  // so what it injects does not depend on the network: the capture ticks
+  // it against a sink that only numbers the packets.
+  struct CountingSink final : InjectionSink {
+    Cycle cycle = 0;
+    PacketId created = 0;
+    PacketId createPacket(NodeId, NodeId, AppId, MsgClass,
+                          std::uint16_t) override {
+      return created++;
+    }
+    Cycle now() const override { return cycle; }
+  };
   {
-    RoundRobinPolicy policy;
-    Simulator sim(mesh, regions, cfg, policy, 4);
-    auto capture = std::make_unique<TraceCapture>(
-        std::make_unique<ParsecSource>(
-            mesh, regions, /*app=*/0,
-            parsecProfile(ParsecBenchmark::Fluidanimate), /*seed=*/2024));
-    TraceCapture* handle = capture.get();
-    sim.addSource(std::move(capture));
-    sim.run();
-    writeTraceFile(path, handle->records());
-    std::printf("captured %zu packets to %s\n", handle->records().size(),
+    TraceCapture capture(std::make_unique<ParsecSource>(
+        mesh, regions, /*app=*/0,
+        parsecProfile(ParsecBenchmark::Fluidanimate), /*seed=*/2024));
+    CountingSink sink;
+    for (; sink.cycle < cfg.warmupCycles + cfg.measureCycles; ++sink.cycle)
+      capture.tick(sink);
+    writeTraceFile(path, capture.records());
+    std::printf("captured %zu packets to %s\n", capture.records().size(),
                 path.c_str());
   }
 
   // --- 2. Replay under each scheme ----------------------------------------
-  const auto records = readTraceFile(path);
+  std::vector<TraceRecord> records;
+  if (!readTraceFile(path, records)) return 1;
   for (const SchemeSpec& scheme : {schemeRoRr(), schemeRaRair()}) {
-    SimConfig runCfg = cfg;
-    runCfg.routing = scheme.routing;
-    runCfg.net.rairPartition = scheme.needsRairPartition();
-    const auto policy = makePolicy(scheme, {0.1});
-    Simulator sim(mesh, regions, runCfg, *policy, 4);
-    sim.addSource(std::make_unique<TraceReplaySource>(records));
-    const auto result = sim.run();
+    const ScenarioResult r = runScenario(ScenarioSpec(mesh, regions)
+                                             .withConfig(cfg)
+                                             .withScheme(scheme)
+                                             .withTrace(records));
     std::printf("%-8s replayed %llu packets, APL = %.2f cycles\n",
                 scheme.label.c_str(),
-                static_cast<unsigned long long>(result.packetsDelivered),
-                result.stats.appApl(0));
+                static_cast<unsigned long long>(r.run.packetsDelivered),
+                r.appApl[0]);
   }
   return 0;
 }

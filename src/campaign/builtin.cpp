@@ -18,10 +18,6 @@
 
 namespace rair::campaign {
 
-SimConfig paperSimConfig(bool fast) {
-  return ScenarioSpec::windowPreset(fast);
-}
-
 SaturationOptions paperSatOptions(bool fast) {
   SaturationOptions o;
   if (fast) {
@@ -40,7 +36,7 @@ SaturationOptions paperSatOptions(bool fast) {
 
 BuildContext defaultBuildContext(bool fast) {
   BuildContext ctx;
-  ctx.sim = paperSimConfig(fast);
+  ctx.sim = ScenarioSpec::windowPreset(fast);
   ctx.sat = paperSatOptions(fast);
   auto memo = std::make_shared<std::map<std::string, double>>();
   ctx.value = [memo](const std::string& key,

@@ -19,10 +19,6 @@
 
 namespace rair::campaign {
 
-/// The paper's measurement windows (Sec. V.A: 10K warmup / 100K
-/// measured), shrunk 5x in fast mode for smoke runs.
-SimConfig paperSimConfig(bool fast);
-
 /// Shorter windows for saturation calibration (knee finding).
 SaturationOptions paperSatOptions(bool fast);
 

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <utility>
 
-#include "common/assert.h"
 #include "common/rng.h"
-#include "fault/injector.h"
 #include "fault/random_plan.h"
 #include "metrics/recorder.h"
-#include "sim/simulator.h"
-#include "traffic/source.h"
+#include "sim/scenario.h"
 
 namespace rair::check {
 
@@ -25,22 +21,6 @@ std::uint64_t splitMix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
-
-/// Stops ticking the wrapped source once the simulation clock reaches
-/// `cutoff`, so the open-loop network can drain to empty afterwards.
-class GatedSource final : public TrafficSource {
- public:
-  GatedSource(std::unique_ptr<TrafficSource> inner, Cycle cutoff)
-      : inner_(std::move(inner)), cutoff_(cutoff) {}
-
-  void tick(InjectionSink& sink) override {
-    if (sink.now() < cutoff_) inner_->tick(sink);
-  }
-
- private:
-  std::unique_ptr<TrafficSource> inner_;
-  Cycle cutoff_;
-};
 
 /// Drops one credit somewhere in the network, scanning (node, port, vc)
 /// triples from a seeded random start so the corruption site varies per
@@ -66,14 +46,6 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
                        const FuzzOptions& opts, std::uint64_t caseSeed) {
   Mesh mesh(c.meshW, c.meshH);
   RegionMap regions = RegionMap::blockGrid(mesh, c.regionsX, c.regionsY);
-  const bool adversarial = c.adversarialRate > 0.0;
-  const int numApps =
-      static_cast<int>(c.apps.size()) + (adversarial ? 1 : 0);
-
-  std::vector<double> intensities;
-  intensities.reserve(static_cast<std::size_t>(numApps));
-  for (const auto& a : c.apps) intensities.push_back(a.injectionRate);
-  if (adversarial) intensities.push_back(c.adversarialRate);
 
   SimConfig cfg;
   cfg.net.numClasses = c.numClasses;
@@ -83,35 +55,22 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
   cfg.net.atomicVcs = c.atomicVcs;
   cfg.net.linkLatency = c.linkLatency;
   cfg.net.linkLayer = c.linkLayer;
-  cfg.net.rairPartition = scheme.needsRairPartition();
-  cfg.routing = scheme.routing;
   cfg.warmupCycles = 0;
   cfg.measureCycles = c.sourceCycles;
   cfg.drainLimit = opts.drainBudget;
   cfg.shardThreads = opts.shardThreads;
 
-  const auto policy = makePolicy(scheme, intensities);
-  Simulator sim(mesh, regions, cfg, *policy, numApps);
-  // Declared after `sim` so the detaching destructor runs first.
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::uint64_t seed = c.simSeed;
-  for (const auto& a : c.apps) {
-    sim.addSource(std::make_unique<GatedSource>(
-        std::make_unique<RegionalizedSource>(mesh, regions, a, seed),
-        c.sourceCycles));
-    seed += 0x9E3779B9ull;
-  }
-  if (adversarial) {
-    sim.addSource(std::make_unique<GatedSource>(
-        std::make_unique<AdversarialSource>(
-            mesh, static_cast<AppId>(c.apps.size()), c.adversarialRate, seed),
-        c.sourceCycles));
-  }
-
-  if (!c.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(sim, c.faults);
-    injector->attach();
-  }
+  const ScenarioSpec spec = ScenarioSpec(mesh, regions)
+                                .withConfig(cfg)
+                                .withScheme(scheme)
+                                .withApps(c.apps)
+                                .withParsecApps(c.parsecApps)
+                                .withAdversarialRate(c.adversarialRate)
+                                .withSeed(c.simSeed)
+                                .withSourceCutoff(c.sourceCycles)
+                                .withFaults(c.faults);
+  AssembledScenario as = assembleScenario(spec);
+  Simulator& sim = *as.sim;
 
   OracleOptions oo;
   oo.period = opts.period;
@@ -119,7 +78,7 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
   oo.maxInNetworkAge = opts.maxInNetworkAge;
   oo.failFast = false;
   NetworkOracle oracle(sim.network(), sim.ledger(), oo);
-  if (injector) oracle.attachFaults(injector.get());
+  if (as.injector) oracle.attachFaults(as.injector.get());
   sim.observers().attach(&oracle);
 
   // Every case also runs the metrics recorder (counters level, no file
@@ -127,12 +86,13 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
   // registry path the scenario runner uses.
   metrics::MetricsOptions mo;
   mo.level = metrics::MetricsLevel::Counters;
-  metrics::MetricsRecorder recorder(sim.network(), regions, mo, numApps,
+  metrics::MetricsRecorder recorder(sim.network(), regions, mo, as.numApps,
                                     c.sourceCycles);
   sim.observers().attach(&recorder);
 
   FuzzCaseResult res;
   res.caseSeed = caseSeed;
+  res.fuzzCase = c;
   res.scheme = scheme.label;
   res.shrunk = c;
 
@@ -166,9 +126,10 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
       }
     }
     // Full quiescence, not just an empty ledger: credits from the last
-    // ejections are still in the return pipes for linkLatency cycles.
+    // ejections are still in the return pipes for linkLatency cycles, and
+    // a PARSEC case may still owe replies to requests delivered in time.
     if (now >= c.sourceCycles && sim.inFlight() == 0 &&
-        sim.network().quiescent()) {
+        sim.pendingInjections() == 0 && sim.network().quiescent()) {
       res.drained = true;
       break;
     }
@@ -243,7 +204,9 @@ FuzzCase shrinkCase(const FuzzCase& original, const SchemeSpec& scheme,
     cand.adversarialRate = 0.0;
     tryKeep(std::move(cand));
   }
-  if (best.numClasses > 1 && !plansCreditLoss(best)) {
+  // A PARSEC case keeps its two classes: replies travel on the second.
+  if (best.numClasses > 1 && best.parsecApps.empty() &&
+      !plansCreditLoss(best)) {
     FuzzCase cand = best;
     cand.numClasses = 1;
     for (auto& a : cand.apps) a.msgClass = MsgClass::Request;
@@ -265,9 +228,13 @@ FuzzCase shrinkCase(const FuzzCase& original, const SchemeSpec& scheme,
     FuzzCase cand = best;
     cand.regionsX = 1;
     cand.regionsY = 1;
-    cand.apps.resize(1);
-    cand.apps[0].app = 0;
-    cand.apps[0].interTargetApp = kNoApp;
+    if (cand.parsecApps.empty()) {
+      cand.apps.resize(1);
+      cand.apps[0].app = 0;
+      cand.apps[0].interTargetApp = kNoApp;
+    } else {
+      cand.parsecApps.resize(1);
+    }
     tryKeep(std::move(cand));
   }
   return best;
@@ -298,6 +265,14 @@ std::string FuzzCase::describe() const {
                   static_cast<int>(a.interTargetApp),
                   static_cast<int>(a.msgClass));
     s += buf;
+  }
+  if (!parsecApps.empty()) {
+    s += " parsec [";
+    for (std::size_t i = 0; i < parsecApps.size(); ++i) {
+      if (i > 0) s += ' ';
+      s += parsecName(parsecApps[i]);
+    }
+    s += ']';
   }
   if (linkLayer != LinkLayerKind::Ideal) {
     std::snprintf(buf, sizeof buf, " link %s", linkLayerKindName(linkLayer));
@@ -367,6 +342,21 @@ FuzzCase generateCase(std::uint64_t caseSeed) {
   return c;
 }
 
+std::optional<FuzzCase> parsecTwin(std::uint64_t caseSeed, const FuzzCase& c) {
+  const std::uint64_t derived = splitMix64(caseSeed ^ 0x9A25ECull);
+  if (derived % 4 != 0) return std::nullopt;
+  Xoshiro256StarStar rng(derived);
+  constexpr std::uint64_t kBenchmarks =
+      static_cast<std::uint64_t>(ParsecBenchmark::X264) + 1;
+  FuzzCase twin = c;
+  twin.apps.clear();
+  twin.numClasses = 2;
+  for (int r = 0; r < c.regionsX * c.regionsY; ++r)
+    twin.parsecApps.push_back(
+        static_cast<ParsecBenchmark>(rng.below(kBenchmarks)));
+  return twin;
+}
+
 fault::FaultPlan generateFaultPlan(std::uint64_t caseSeed,
                                    const FuzzCase& c) {
   // Thin wrapper over the shared generator: budget mode, the family
@@ -394,21 +384,37 @@ std::vector<SchemeSpec> allFuzzSchemes() {
           schemeRaDbar(), schemeRaRair()};
 }
 
-FuzzSummary runFuzz(const FuzzOptions& opts, const FuzzProgress& progress) {
+std::vector<FuzzCaseResult> runFuzzSeed(std::uint64_t caseSeed,
+                                        const FuzzOptions& opts) {
   const std::vector<SchemeSpec> schemes =
       opts.schemes.empty() ? defaultFuzzSchemes() : opts.schemes;
+  // The synthetic case, then its PARSEC twin when it has one, each with
+  // the seed's fault plan for its own geometry.
+  std::vector<FuzzCase> cases{generateCase(caseSeed)};
+  cases[0].linkLayer = opts.linkLayer;
+  if (auto twin = parsecTwin(caseSeed, cases[0]))
+    cases.push_back(std::move(*twin));
+  if (opts.faultPlan)
+    for (FuzzCase& c : cases) c.faults = generateFaultPlan(caseSeed, c);
+  std::vector<FuzzCaseResult> out;
+  for (const FuzzCase& c : cases) {
+    for (const auto& scheme : schemes) {
+      FuzzCaseResult res = runCase(c, scheme, opts, caseSeed);
+      if (!opts.injectFault && res.failed() && opts.shrink)
+        res.shrunk = shrinkCase(c, scheme, opts, caseSeed, &res.wasShrunk);
+      out.push_back(std::move(res));
+    }
+  }
+  return out;
+}
+
+FuzzSummary runFuzz(const FuzzOptions& opts, const FuzzProgress& progress) {
   FuzzSummary sum;
   sum.baseSeed = opts.seed;
-  int index = 0;
   for (int i = 0; i < opts.scenarios; ++i) {
     const std::uint64_t caseSeed =
         splitMix64(opts.seed + static_cast<std::uint64_t>(i));
-    FuzzCase c = generateCase(caseSeed);
-    c.linkLayer = opts.linkLayer;
-    if (opts.faultPlan) c.faults = generateFaultPlan(caseSeed, c);
-    for (const auto& scheme : schemes) {
-      FuzzCaseResult res = runCase(c, scheme, opts, caseSeed);
-      ++sum.casesRun;
+    for (const FuzzCaseResult& res : runFuzzSeed(caseSeed, opts)) {
       sum.corruptedTotal += res.corruptedFlits;
       sum.retransmittedTotal += res.retransmittedFlits;
       if (opts.injectFault) {
@@ -418,32 +424,13 @@ FuzzSummary runFuzz(const FuzzOptions& opts, const FuzzProgress& progress) {
           ++sum.faultsMissed;
       } else if (res.failed()) {
         ++sum.failures;
-        if (opts.shrink)
-          res.shrunk = shrinkCase(c, scheme, opts, caseSeed, &res.wasShrunk);
         if (sum.failed.size() < 32) sum.failed.push_back(res);
       }
-      if (progress) progress(index, res);
-      ++index;
+      if (progress) progress(sum.casesRun, res);
+      ++sum.casesRun;
     }
   }
   return sum;
-}
-
-std::vector<FuzzCaseResult> runFuzzSeed(std::uint64_t caseSeed,
-                                        const FuzzOptions& opts) {
-  const std::vector<SchemeSpec> schemes =
-      opts.schemes.empty() ? defaultFuzzSchemes() : opts.schemes;
-  FuzzCase c = generateCase(caseSeed);
-  c.linkLayer = opts.linkLayer;
-  if (opts.faultPlan) c.faults = generateFaultPlan(caseSeed, c);
-  std::vector<FuzzCaseResult> out;
-  for (const auto& scheme : schemes) {
-    FuzzCaseResult res = runCase(c, scheme, opts, caseSeed);
-    if (!opts.injectFault && res.failed() && opts.shrink)
-      res.shrunk = shrinkCase(c, scheme, opts, caseSeed, &res.wasShrunk);
-    out.push_back(std::move(res));
-  }
-  return out;
 }
 
 }  // namespace rair::check

@@ -8,6 +8,10 @@
 // must reach its destination, which turns flit conservation into an
 // end-to-end property instead of a sampled one.
 //
+// One case seed in four also runs a PARSEC request/reply twin on the same
+// geometry. Every case is assembled by assembleScenario, as every campaign
+// cell is; the harness steps it to quiescence itself.
+//
 // A failing case reports its seed (sufficient to regenerate it bit-exactly)
 // and is shrunk by re-running mutated variants that keep failing: fewer
 // cycles, no flooder, one message class, minimal VCs, unit link latency,
@@ -20,6 +24,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +32,7 @@
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "sim/scheme.h"
+#include "trace/parsec.h"
 #include "traffic/generator.h"
 
 namespace rair::check {
@@ -50,6 +56,9 @@ struct FuzzCase {
   Cycle sourceCycles = 600;  ///< injection window; sources gate off after
   double adversarialRate = 0.0;
   std::vector<AppTrafficSpec> apps;
+  /// PARSEC twin only: one request/reply benchmark per region, replacing
+  /// `apps` (ScenarioSpec::parsecApps; numClasses is then 2).
+  std::vector<ParsecBenchmark> parsecApps;
   std::uint64_t simSeed = 1;  ///< seed of the traffic RNGs
   /// Fault plan applied during the run (empty = fault-free). Filled by the
   /// harness in fault-plan mode; part of the case so the shrinker can
@@ -63,6 +72,12 @@ struct FuzzCase {
 /// Deterministically expands `caseSeed` into a case; the whole scenario is
 /// reproducible from this one value.
 FuzzCase generateCase(std::uint64_t caseSeed);
+
+/// The PARSEC request/reply twin of `c` when `caseSeed` has one (one seed
+/// in four): `c` with one ParsecBenchmark per region drawn from a stream
+/// derived from the seed, on two message classes. Nothing is drawn from
+/// the case's own stream, so the synthetic case is unchanged.
+std::optional<FuzzCase> parsecTwin(std::uint64_t caseSeed, const FuzzCase& c);
 
 /// Deterministically derives a random fault plan for `c` from the same
 /// case seed. Ideal-link cases get link outages (some permanent, possibly
@@ -108,6 +123,9 @@ struct FuzzOptions {
 
 struct FuzzCaseResult {
   std::uint64_t caseSeed = 0;
+  /// The case that ran: the seed's synthetic case or its PARSEC twin,
+  /// with its fault plan.
+  FuzzCase fuzzCase;
   std::string scheme;
   bool drained = false;
   bool faultInjected = false;  ///< a fault was actually injected
@@ -149,11 +167,12 @@ struct FuzzSummary {
 /// Per-execution progress callback (index over case x scheme runs).
 using FuzzProgress = std::function<void(int index, const FuzzCaseResult&)>;
 
-/// Runs the full campaign: `scenarios` generated cases, each under every
-/// scheme of the matrix.
+/// Runs the full campaign: `scenarios` generated cases and their PARSEC
+/// twins, each under every scheme of the matrix.
 FuzzSummary runFuzz(const FuzzOptions& opts, const FuzzProgress& progress = {});
 
-/// Reruns one case seed under the full scheme matrix (the repro path).
+/// Reruns one case seed under the full scheme matrix (the repro path):
+/// the synthetic case first, then its PARSEC twin if the seed has one.
 std::vector<FuzzCaseResult> runFuzzSeed(std::uint64_t caseSeed,
                                         const FuzzOptions& opts);
 

@@ -1,5 +1,7 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "metrics/recorder.h"
 #include "snapshot/buffer.h"
@@ -26,17 +28,36 @@ SimConfig ScenarioSpec::windowPreset(bool fast) {
   return cfg;
 }
 
+namespace {
+
+/// Stops ticking the wrapped source once the simulation clock reaches
+/// `cutoff`, so an open-loop network can drain to empty afterwards.
+struct GatedSource final : TrafficSource {
+  GatedSource(std::unique_ptr<TrafficSource> s, Cycle c)
+      : inner(std::move(s)), cutoff(c) {}
+  void tick(InjectionSink& sink) override {
+    if (sink.now() < cutoff) inner->tick(sink);
+  }
+  std::unique_ptr<TrafficSource> inner;
+  Cycle cutoff;
+};
+
+}  // namespace
+
 AssembledScenario assembleScenario(const ScenarioSpec& spec) {
   RAIR_CHECK_MSG(spec.mesh != nullptr && spec.regions != nullptr,
                  "ScenarioSpec without mesh/regions");
   const bool parsec = !spec.parsecApps.empty();
-  RAIR_CHECK_MSG(!parsec || spec.apps.empty(),
-                 "ScenarioSpec with both synthetic and PARSEC applications");
+  RAIR_CHECK_MSG(static_cast<int>(!spec.apps.empty()) + parsec +
+                         !spec.trace.empty() <= 1,
+                 "ScenarioSpec with more than one workload");
   RAIR_CHECK(static_cast<int>(spec.parsecApps.size()) <=
              spec.regions->numApps());
   const bool adversarial = spec.adversarialRate > 0.0;
-  const int workloadApps = static_cast<int>(
+  int workloadApps = static_cast<int>(
       parsec ? spec.parsecApps.size() : spec.apps.size());
+  for (const TraceRecord& r : spec.trace)
+    workloadApps = std::max({workloadApps, spec.regions->numApps(), r.app + 1});
   const SimConfig cfg = spec.effectiveConfig();
 
   AssembledScenario as;
@@ -49,26 +70,34 @@ AssembledScenario assembleScenario(const ScenarioSpec& spec) {
   for (const auto& a : spec.apps) intensities.push_back(a.injectionRate);
   for (const auto b : spec.parsecApps)
     intensities.push_back(parsecProfile(b).requestRate * 6.0);
+  // A trace fixes each app's load; RO_Rank only needs a total order.
+  intensities.resize(static_cast<size_t>(workloadApps), 1.0);
   if (adversarial) intensities.push_back(spec.adversarialRate);
 
   as.policy = makePolicy(spec.scheme, intensities);
   as.sim = std::make_unique<Simulator>(*spec.mesh, *spec.regions, cfg,
                                        *as.policy, as.numApps);
+  const auto add = [&](std::unique_ptr<TrafficSource> src) {
+    if (spec.sourceCutoff != kNeverCycle)
+      src = std::make_unique<GatedSource>(std::move(src), spec.sourceCutoff);
+    as.sim->addSource(std::move(src));
+  };
   std::uint64_t seed = spec.seed;
   for (const auto& a : spec.apps) {
-    as.sim->addSource(std::make_unique<RegionalizedSource>(*spec.mesh,
-                                                           *spec.regions, a,
-                                                           seed));
+    add(std::make_unique<RegionalizedSource>(*spec.mesh, *spec.regions, a,
+                                             seed));
     seed += 0x9E3779B9ull;
   }
   for (std::size_t i = 0; i < spec.parsecApps.size(); ++i) {
-    as.sim->addSource(std::make_unique<ParsecSource>(
+    add(std::make_unique<ParsecSource>(
         *spec.mesh, *spec.regions, static_cast<AppId>(i),
         parsecProfile(spec.parsecApps[i]), seed));
     seed += 0x9E3779B9ull;
   }
+  if (!spec.trace.empty())
+    add(std::make_unique<TraceReplaySource>(spec.trace));
   if (adversarial) {
-    as.sim->addSource(std::make_unique<AdversarialSource>(
+    add(std::make_unique<AdversarialSource>(
         *spec.mesh, static_cast<AppId>(workloadApps), spec.adversarialRate,
         seed));
   }

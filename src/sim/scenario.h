@@ -1,9 +1,9 @@
 // Scenario runner: assembles a simulator from a scheme spec and a set of
 // per-application traffic specs, runs it, and returns per-application APL
-// — the shape every figure in the paper reports. The workload is either
-// synthetic (AppTrafficSpec per application) or the Fig. 16/17 PARSEC
-// request/reply model (one ParsecBenchmark per region); both run through
-// the same assembler, observers, faults and metrics.
+// — the shape every figure in the paper reports. The workload is synthetic
+// (AppTrafficSpec per application), the Fig. 16/17 PARSEC request/reply
+// model (one ParsecBenchmark per region) or a recorded trace; all run
+// through the same assembler, observers, faults and metrics.
 //
 // The entry point is a single ScenarioSpec value type with named-chaining
 // setters:
@@ -28,6 +28,7 @@
 #include "sim/simulator.h"
 #include "snapshot/options.h"
 #include "trace/parsec.h"
+#include "trace/trace.h"
 #include "traffic/generator.h"
 
 namespace rair {
@@ -84,6 +85,16 @@ struct ScenarioSpec {
   /// `apps`. Hooked runs cannot snapshot, so warm caches and checkpoints
   /// skip them.
   std::vector<ParsecBenchmark> parsecApps;
+  /// Trace replay workload: every record is injected at its recorded
+  /// cycle. Exclusive with `apps` and `parsecApps`. The run has
+  /// max(regions->numApps(), 1 + largest record app) applications, all at
+  /// policy intensity 1.0 (the trace fixes each app's load; RO_Rank only
+  /// needs a total order). Trace runs cannot snapshot.
+  std::vector<TraceRecord> trace;
+  /// Cycle from which no source ticks any more (kNeverCycle = never), so
+  /// an open-loop run can drain to empty afterwards. Gated runs cannot
+  /// snapshot.
+  Cycle sourceCutoff = kNeverCycle;
   /// Chip-wide adversarial flood rate in flits/cycle/node (Fig. 17 uses
   /// 0.4); the flooder gets AppId = number of applications. 0 disables it.
   double adversarialRate = 0.0;
@@ -132,6 +143,14 @@ struct ScenarioSpec {
   }
   ScenarioSpec& withParsecApps(std::span<const ParsecBenchmark> b) {
     parsecApps.assign(b.begin(), b.end());
+    return *this;
+  }
+  ScenarioSpec& withTrace(std::vector<TraceRecord> records) {
+    trace = std::move(records);
+    return *this;
+  }
+  ScenarioSpec& withSourceCutoff(Cycle cycle) {
+    sourceCutoff = cycle;
     return *this;
   }
   ScenarioSpec& withAdversarialRate(double rate) {
@@ -197,13 +216,6 @@ struct ScenarioSpec {
     snap.checkpointEvery = every;
     return *this;
   }
-  /// Like withCheckpoint, but the runner derives a per-run file inside
-  /// `dir` from the full scenario key (what the campaign runner uses).
-  ScenarioSpec& withCheckpointDir(std::string dir, Cycle every = 25'000) {
-    snap.checkpointDir = std::move(dir);
-    snap.checkpointEvery = every;
-    return *this;
-  }
   /// Overwrites only the window fields of `config` (warmup, measure,
   /// drain limit) with the preset, keeping network knobs intact.
   ScenarioSpec& withWindows(bool fast) {
@@ -221,8 +233,10 @@ struct ScenarioSpec {
 ScenarioResult runScenario(const ScenarioSpec& spec);
 
 /// A simulator assembled from a spec but not yet run — the building block
-/// runScenario, the continuation tests and the divergence bisector share.
-/// The policy must outlive the simulator.
+/// runScenario, the fuzz, the tools and the divergence bisector share (the
+/// only place a Simulator is built outside the tests). Callers that step
+/// it themselves attach their own observers first. The policy must
+/// outlive the simulator.
 struct AssembledScenario {
   int numApps = 0;
   std::unique_ptr<ArbiterPolicy> policy;

@@ -25,7 +25,9 @@ std::unique_ptr<ArbiterPolicy> makePolicy(
 
 SchemeSpec schemeRoRr(RoutingKind routing) {
   SchemeSpec s;
-  s.label = routing == RoutingKind::Dbar ? "RO_RR_DBAR" : "RO_RR";
+  s.label = routing == RoutingKind::Dbar ? "RO_RR_DBAR"
+            : routing == RoutingKind::Xy ? "RO_RR_XY"
+                                         : "RO_RR";
   s.routing = routing;
   s.policy = PolicyKind::RoundRobin;
   return s;

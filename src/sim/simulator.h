@@ -235,6 +235,8 @@ class Simulator final : public InjectionSink, private NicEvents {
   void stepCycle();
   /// Packets currently in flight (created, not yet delivered).
   std::size_t inFlight() const { return ledger_.inFlight(); }
+  /// Packets scheduled by injectAt() and not yet created.
+  std::size_t pendingInjections() const { return deferred_.size(); }
 
   // InjectionSink:
   PacketId createPacket(NodeId src, NodeId dst, AppId app, MsgClass cls,

@@ -12,9 +12,11 @@ namespace {
 /// reordering or widening silently invalidates every cached snapshot, so
 /// only append.
 void encodeWarmPrefix(Writer& w, const ScenarioSpec& spec) {
-  // PARSEC workloads are not encoded: their request/reply hook makes them
+  // PARSEC, trace and source-gated workloads are not encoded: the
+  // request/reply hook and the replay and gate sources make them
   // snapshot-ineligible, so they must never reach a key.
-  RAIR_CHECK(spec.parsecApps.empty());
+  RAIR_CHECK(spec.parsecApps.empty() && spec.trace.empty() &&
+             spec.sourceCutoff == kNeverCycle);
   w.u32(kStateVersion);
 
   // Topology and application placement.

@@ -1,5 +1,6 @@
 #include "trace/trace.h"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -17,36 +18,44 @@ void TraceWriter::write(const TraceRecord& r) {
   ++count_;
 }
 
-std::vector<TraceRecord> readTrace(std::istream& is) {
-  std::vector<TraceRecord> out;
+bool readTrace(std::istream& is, std::vector<TraceRecord>& out,
+               std::string* err) {
+  out.clear();
   std::string line;
   std::size_t lineNo = 0;
-  Cycle prevCycle = 0;
+  const auto fail = [&](const std::string& what) {
+    if (err != nullptr) *err = "line " + std::to_string(lineNo) + ": " + what;
+    return false;
+  };
   while (std::getline(is, line)) {
     ++lineNo;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ls(line);
-    TraceRecord r;
-    long long src, dst, app;
-    int cls;
-    unsigned flits;
-    if (!(ls >> r.cycle >> src >> dst >> app >> cls >> flits)) {
-      RAIR_CHECK_MSG(false, "malformed trace line");
-    }
-    r.src = static_cast<NodeId>(src);
-    r.dst = static_cast<NodeId>(dst);
-    r.app = static_cast<AppId>(app);
-    RAIR_CHECK_MSG(cls >= 0 && cls < kMaxMsgClasses,
-                   "trace message class out of range");
-    r.msgClass = static_cast<MsgClass>(cls);
-    RAIR_CHECK_MSG(flits >= 1 && flits <= 0xFFFF,
-                   "trace flit count out of range");
-    r.numFlits = static_cast<std::uint16_t>(flits);
-    RAIR_CHECK_MSG(r.cycle >= prevCycle, "trace records not sorted by cycle");
-    prevCycle = r.cycle;
-    out.push_back(r);
+    long long cycle, src, dst, app, cls, flits;
+    std::string extra;
+    if (!(ls >> cycle >> src >> dst >> app >> cls >> flits) || ls >> extra)
+      return fail("malformed record (want: cycle src dst app msgClass "
+                  "numFlits)");
+    if (cycle < 0) return fail("negative cycle");
+    if (src < 0 || dst < 0 || src > INT32_MAX || dst > INT32_MAX)
+      return fail("node id out of range");
+    if (src == dst) return fail("self-addressed record");
+    if (app < 0 || app > INT16_MAX)
+      return fail("app id " + std::to_string(app) + " out of range 0.." +
+                  std::to_string(INT16_MAX));
+    if (cls < 0 || cls >= kMaxMsgClasses)
+      return fail("message class out of range");
+    if (flits < 1 || flits > 0xFFFF) return fail("flit count out of range");
+    if (!out.empty() && static_cast<Cycle>(cycle) < out.back().cycle)
+      return fail("cycle " + std::to_string(cycle) + " precedes cycle " +
+                  std::to_string(out.back().cycle) +
+                  " (records must be sorted by cycle)");
+    out.push_back({static_cast<Cycle>(cycle), static_cast<NodeId>(src),
+                   static_cast<NodeId>(dst), static_cast<AppId>(app),
+                   static_cast<MsgClass>(cls),
+                   static_cast<std::uint16_t>(flits)});
   }
-  return out;
+  return true;
 }
 
 void writeTraceFile(const std::string& path,
@@ -57,10 +66,14 @@ void writeTraceFile(const std::string& path,
   for (const auto& r : records) w.write(r);
 }
 
-std::vector<TraceRecord> readTraceFile(const std::string& path) {
+bool readTraceFile(const std::string& path, std::vector<TraceRecord>& out,
+                   std::string* err) {
   std::ifstream is(path);
-  RAIR_CHECK_MSG(is.good(), "cannot open trace file for reading");
-  return readTrace(is);
+  if (!is.good()) {
+    if (err != nullptr) *err = "cannot open trace file for reading";
+    return false;
+  }
+  return readTrace(is, out, err);
 }
 
 TraceReplaySource::TraceReplaySource(std::vector<TraceRecord> records)

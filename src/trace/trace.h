@@ -45,14 +45,20 @@ class TraceWriter {
   std::size_t count_ = 0;
 };
 
-/// Parses a whole trace. Throws no exceptions; malformed input trips a
-/// RAIR_CHECK with the offending line number.
-std::vector<TraceRecord> readTrace(std::istream& is);
+/// Parses a whole trace into `out`. Returns false on damaged input — a
+/// malformed line, a negative cycle or node, a self-addressed record, an
+/// app id outside 0..32767, a class or flit count out of range, or records
+/// out of cycle order — and then sets `*err` (when non-null) to a message
+/// naming the offending line.
+bool readTrace(std::istream& is, std::vector<TraceRecord>& out,
+               std::string* err = nullptr);
 
-/// Convenience file-based helpers.
+/// Convenience file-based helpers; readTraceFile also fails on a file it
+/// cannot open.
 void writeTraceFile(const std::string& path,
                     const std::vector<TraceRecord>& records);
-std::vector<TraceRecord> readTraceFile(const std::string& path);
+bool readTraceFile(const std::string& path, std::vector<TraceRecord>& out,
+                   std::string* err = nullptr);
 
 /// Injects a fixed record list at the recorded cycles.
 class TraceReplaySource final : public TrafficSource {

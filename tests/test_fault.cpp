@@ -5,6 +5,7 @@
 // thread counts (including checkpoint resume).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -641,9 +642,17 @@ TEST(FaultFuzz, GeneratedPlansAreValidAndDrainClean) {
   opts.scenarios = 8;
   opts.faultPlan = true;
   opts.seed = 42;
-  const check::FuzzSummary sum = check::runFuzz(opts);
+  std::set<std::uint64_t> seeds;
+  const check::FuzzSummary sum = check::runFuzz(
+      opts, [&](int, const check::FuzzCaseResult& res) {
+        seeds.insert(res.caseSeed);
+      });
   EXPECT_EQ(sum.failures, 0);
-  EXPECT_EQ(sum.casesRun, 16);  // 8 cases x 2 schemes
+  ASSERT_EQ(seeds.size(), 8u);
+  int twins = 0;
+  for (const std::uint64_t s : seeds)
+    twins += check::parsecTwin(s, check::generateCase(s)).has_value();
+  EXPECT_EQ(sum.casesRun, 2 * (8 + twins));  // (cases + twins) x 2 schemes
 }
 
 TEST(FaultFuzz, PlanGenerationIsDeterministic) {

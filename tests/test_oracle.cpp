@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.h"
 #include "sim/scenario.h"
@@ -239,12 +240,26 @@ TEST(FuzzHarness, CaseGenerationIsDeterministic) {
   }
 }
 
+/// Number of distinct case seeds among `seeds` that have a PARSEC twin.
+int twinsAmong(const std::set<std::uint64_t>& seeds) {
+  int twins = 0;
+  for (const std::uint64_t s : seeds)
+    twins += check::parsecTwin(s, check::generateCase(s)).has_value();
+  return twins;
+}
+
 TEST(FuzzHarness, SmokeRunIsClean) {
   check::FuzzOptions opts;
   opts.scenarios = 3;
   opts.seed = 11;
-  const check::FuzzSummary sum = check::runFuzz(opts);
-  EXPECT_EQ(sum.casesRun, 6);  // 3 cases x 2 default schemes
+  std::set<std::uint64_t> seeds;
+  const check::FuzzSummary sum = check::runFuzz(
+      opts, [&](int, const check::FuzzCaseResult& res) {
+        seeds.insert(res.caseSeed);
+      });
+  ASSERT_EQ(seeds.size(), 3u);
+  // (3 cases + their PARSEC twins) x 2 default schemes.
+  EXPECT_EQ(sum.casesRun, 2 * (3 + twinsAmong(seeds)));
   EXPECT_EQ(sum.failures, 0) << (sum.failed.empty()
                                      ? std::string("?")
                                      : sum.failed[0].report.summary());
@@ -260,13 +275,16 @@ TEST(FuzzHarness, InjectedFaultsAreCaught) {
   opts.injectFault = true;
   int creditFaults = 0;
   int counterFaults = 0;
+  std::set<std::uint64_t> seeds;
   const check::FuzzSummary sum =
       check::runFuzz(opts, [&](int, const check::FuzzCaseResult& res) {
+        seeds.insert(res.caseSeed);
         if (!res.faultInjected) return;
         if (res.faultKind == "credit") ++creditFaults;
         if (res.faultKind == "counter") ++counterFaults;
       });
-  EXPECT_EQ(sum.casesRun, 12);
+  ASSERT_EQ(seeds.size(), 6u);
+  EXPECT_EQ(sum.casesRun, 2 * (6 + twinsAmong(seeds)));
   EXPECT_EQ(sum.faultsMissed, 0);
   // At these loads an idle network is essentially impossible; if every
   // case skipped, the self-test would be vacuous.
@@ -298,8 +316,9 @@ TEST(FuzzHarness, SchemeMatricesCoverTheLineup) {
   ASSERT_EQ(wide.size(), 5u);
   std::set<std::string> labels;
   for (const auto& s : wide) labels.insert(s.label);
-  // XY-routed RO_RR shares the RO_RR label; the other four are distinct.
-  EXPECT_GE(labels.size(), 4u);
+  // Every scheme has its own label, so a failure report names it.
+  EXPECT_EQ(labels.size(), 5u);
+  EXPECT_EQ(labels.count("RO_RR_XY"), 1u);
 }
 
 TEST(FuzzHarness, FaultPlanAppearsInCaseDescription) {
@@ -349,9 +368,48 @@ TEST(FuzzHarness, ReproPathShrinksFailingCaseToo) {
   opts.drainBudget = 0;
   opts.schemes = {schemeRoRr()};
   const auto results = check::runFuzzSeed(0xF00Dull, opts);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].failed());
-  EXPECT_TRUE(results[0].wasShrunk) << results[0].shrunk.describe();
+  ASSERT_EQ(results.size(), 1u + twinsAmong({0xF00Dull}));
+  for (const auto& res : results) {
+    EXPECT_TRUE(res.failed());
+    EXPECT_TRUE(res.wasShrunk) << res.shrunk.describe();
+  }
+}
+
+TEST(FuzzHarness, ParsecTwinsRunCleanAndReproduce) {
+  // The first case seeds of base seed 1 that have a PARSEC twin: the twin
+  // keeps the synthetic case's geometry, runs one benchmark per region on
+  // two classes, and its repro reruns it after the synthetic case.
+  std::vector<std::uint64_t> twinSeeds;
+  for (std::uint64_t s = 1; twinSeeds.size() < 3; ++s)
+    if (check::parsecTwin(s, check::generateCase(s))) twinSeeds.push_back(s);
+  check::FuzzOptions opts;
+  opts.schemes = check::allFuzzSchemes();
+  opts.faultPlan = true;
+  for (const std::uint64_t seed : twinSeeds) {
+    const check::FuzzCase c = check::generateCase(seed);
+    const check::FuzzCase twin = *check::parsecTwin(seed, c);
+    EXPECT_TRUE(twin.apps.empty());
+    EXPECT_EQ(twin.numClasses, 2);
+    EXPECT_EQ(static_cast<int>(twin.parsecApps.size()),
+              c.regionsX * c.regionsY);
+    EXPECT_EQ(twin.meshW, c.meshW);
+    EXPECT_EQ(twin.vcDepth, c.vcDepth);
+    EXPECT_NE(twin.describe().find(" parsec ["), std::string::npos);
+
+    const auto results = check::runFuzzSeed(seed, opts);
+    ASSERT_EQ(results.size(), 2 * opts.schemes.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const check::FuzzCaseResult& res = results[i];
+      const bool isTwin = i >= opts.schemes.size();
+      EXPECT_EQ(res.fuzzCase.parsecApps.empty(), !isTwin);
+      EXPECT_FALSE(res.fuzzCase.faults.empty());
+      EXPECT_TRUE(res.drained) << res.fuzzCase.describe();
+      EXPECT_TRUE(res.report.ok()) << res.report.summary();
+    }
+    // The twin's plan is drawn for its own (two-class) geometry.
+    EXPECT_EQ(results.back().fuzzCase.faults.format(),
+              check::generateFaultPlan(seed, twin).format());
+  }
 }
 
 TEST(FuzzHarness, ReproPathReproducesCleanRun) {

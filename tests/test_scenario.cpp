@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "scenarios/paper_scenarios.h"
 
 namespace rair {
@@ -69,6 +72,54 @@ TEST(Scenario, AdversarialOptionAddsApp) {
                                    .withAdversarialRate(0.2));
   ASSERT_EQ(res.appApl.size(), 5u);  // 4 apps + attacker
   EXPECT_GT(res.run.stats.app(4).packetsCreated, 100u);
+}
+
+TEST(Scenario, TraceWorkloadCoversEveryRecordedApp) {
+  Mesh m(4, 4);
+  const auto rm = RegionMap::halves(m);
+  const std::vector<TraceRecord> records = {
+      {5, 0, 15, 0, MsgClass::Request, 1},
+      {9, 3, 12, 3, MsgClass::Request, 5},
+      {12, 15, 0, 1, MsgClass::Request, 1},
+  };
+  SimConfig cfg;
+  cfg.warmupCycles = 0;
+  cfg.measureCycles = 100;
+  const auto res = runScenario(ScenarioSpec(m, rm)
+                                   .withConfig(cfg)
+                                   .withScheme(schemeRoRank())
+                                   .withTrace(records));
+  ASSERT_EQ(res.appApl.size(), 4u);  // max(2 regions, 1 + app 3)
+  EXPECT_EQ(res.run.packetsDelivered, 3u);
+  EXPECT_GT(res.appApl[3], 0.0);
+  EXPECT_EQ(res.appApl[2], 0.0);
+}
+
+TEST(Scenario, SourceCutoffStopsEverySource) {
+  Mesh m(4, 4);
+  const auto rm = RegionMap::halves(m);
+  SimConfig cfg;
+  cfg.warmupCycles = 0;
+  cfg.measureCycles = 1'000;
+  AssembledScenario as =
+      assembleScenario(ScenarioSpec(m, rm)
+                           .withConfig(cfg)
+                           .withApps(scenarios::twoAppInterRegion(0.5, 0.1,
+                                                                  0.1))
+                           .withAdversarialRate(0.05)
+                           .withSourceCutoff(200));
+  EXPECT_FALSE(as.sim->snapshotSupported());
+  struct LastCreate final : SimObserver {
+    Cycle last = 0;
+    void onDelivery(const Packet& p) override {
+      last = std::max(last, p.createCycle);
+    }
+  } probe;
+  as.sim->observers().attach(&probe);
+  const RunResult r = as.sim->run();
+  EXPECT_GT(r.packetsCreated, 50u);
+  EXPECT_EQ(r.packetsDelivered, r.packetsCreated);
+  EXPECT_LT(probe.last, 200u);
 }
 
 TEST(Scenario, TwoAppWorkloadShape) {

@@ -27,14 +27,16 @@ TEST(Trace, WriteReadRoundTrip) {
     for (const auto& r : sampleRecords()) w.write(r);
     EXPECT_EQ(w.recordsWritten(), 4u);
   }
-  const auto back = readTrace(ss);
+  std::vector<TraceRecord> back;
+  ASSERT_TRUE(readTrace(ss, back));
   EXPECT_EQ(back, sampleRecords());
 }
 
 TEST(Trace, ReaderSkipsCommentsAndBlankLines) {
   std::stringstream ss;
   ss << "# header\n\n5 1 2 0 0 1\n# trailing comment\n7 3 4 1 1 5\n";
-  const auto recs = readTrace(ss);
+  std::vector<TraceRecord> recs;
+  ASSERT_TRUE(readTrace(ss, recs));
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].cycle, 5u);
   EXPECT_EQ(recs[1].msgClass, MsgClass::Reply);
@@ -44,7 +46,39 @@ TEST(Trace, ReaderSkipsCommentsAndBlankLines) {
 TEST(Trace, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/rair_trace_test.txt";
   writeTraceFile(path, sampleRecords());
-  EXPECT_EQ(readTraceFile(path), sampleRecords());
+  std::vector<TraceRecord> back;
+  ASSERT_TRUE(readTraceFile(path, back));
+  EXPECT_EQ(back, sampleRecords());
+}
+
+TEST(Trace, ReaderReportsTheLineOfDamagedInput) {
+  const struct {
+    const char* text;
+    const char* error;
+  } cases[] = {
+      {"# h\n5 1 x 0 0 1\n", "line 2: malformed record"},
+      {"5 1 2 0 0 1 9\n", "line 1: malformed record"},
+      {"5 1 2 0 0 1\n\n3 1 2 0 0 1\n", "line 3: cycle 3 precedes cycle 5"},
+      {"0 -1 2 0 0 1\n", "line 1: node id out of range"},
+      {"0 1 1 0 0 1\n", "line 1: self-addressed record"},
+      {"0 1 2 40000 0 1\n", "line 1: app id 40000 out of range 0..32767"},
+      {"0 1 2 -1 0 1\n", "line 1: app id -1 out of range"},
+      {"0 1 2 0 4 1\n", "line 1: message class out of range"},
+      {"0 1 2 0 0 0\n", "line 1: flit count out of range"},
+      {"-3 1 2 0 0 1\n", "line 1: negative cycle"},
+  };
+  for (const auto& c : cases) {
+    std::stringstream ss(c.text);
+    std::vector<TraceRecord> recs;
+    std::string err;
+    EXPECT_FALSE(readTrace(ss, recs, &err)) << c.text;
+    EXPECT_EQ(err.rfind(c.error, 0), 0u) << err;
+  }
+  std::vector<TraceRecord> recs;
+  std::string err;
+  EXPECT_FALSE(readTraceFile(::testing::TempDir() + "/no/such.trace", recs,
+                             &err));
+  EXPECT_EQ(err, "cannot open trace file for reading");
 }
 
 TEST(Trace, ReplayInjectsAtRecordedCycles) {

@@ -18,14 +18,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/builtin.h"
 #include "check/oracle.h"
-#include "fault/injector.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "region/region_map.h"
@@ -82,7 +80,8 @@ void usage(std::FILE* to) {
       "  --trace FILE  replay the plan on a recorded trace workload\n"
       "                (format: <cycle> <src> <dst> <app> <class> <flits>\n"
       "                per line, see src/trace/trace.h) on the 8x8 mesh\n"
-      "                instead of the synthetic two-app scenario\n"
+      "                instead of the synthetic two-app scenario; a\n"
+      "                missing or damaged trace exits 2\n"
       "  --check       additionally replay under the fault-aware network\n"
       "                oracle and report any invariant violations (not\n"
       "                supported with --cell)\n");
@@ -356,19 +355,63 @@ int runCellMode(const Args& args, const fault::FaultPlan& plan) {
   return finish(faulted, faulted.run.termination == Termination::Drained);
 }
 
+/// Runs the fault-free twin and the faulted replay of `spec`, prints
+/// `header` and the per-region comparison and, under --check, replays the
+/// plan once more under a period-1 collecting oracle.
+int replayPlan(ScenarioSpec spec, const fault::FaultPlan& plan,
+               const Args& args, const std::string& header) {
+  std::fprintf(stderr, "rair_fault: running fault-free twin...\n");
+  const ScenarioResult twin = runScenario(spec);
+  std::fprintf(stderr, "rair_fault: replaying plan...\n");
+  spec.withFaults(plan);
+  const ScenarioResult faulted = runScenario(spec);
+  std::printf("%s, %s windows\n\n", header.c_str(),
+              args.fast ? "fast" : "paper");
+  reportPair(twin, faulted);
+
+  bool ok = faulted.run.termination == Termination::Drained;
+  if (args.check) {
+    std::fprintf(stderr, "rair_fault: replaying under the oracle...\n");
+    AssembledScenario as = assembleScenario(spec);
+    check::OracleOptions oo;
+    oo.period = 1;
+    oo.deadlockPeriod = 64;
+    oo.maxInNetworkAge = 20'000;
+    oo.failFast = false;
+    check::NetworkOracle oracle(as.sim->network(), as.sim->ledger(), oo);
+    if (as.injector) oracle.attachFaults(as.injector.get());
+    as.sim->observers().attach(&oracle);
+    const RunResult run = as.sim->run();
+    oracle.finish(run.cyclesRun);
+    const check::OracleReport report = oracle.report();
+    std::printf("\noracle: %s (%llu scans, %llu deadlock scans)\n",
+                report.summary().c_str(),
+                static_cast<unsigned long long>(report.scans),
+                static_cast<unsigned long long>(report.deadlockScans));
+    ok = ok && report.ok();
+  }
+  return finish(faulted, ok);
+}
+
 /// --trace: replay the plan on a recorded trace workload (8x8 halves
 /// fixture, same as the canonical mode).
 int runTraceMode(const Args& args, const SchemeSpec& scheme,
                  const fault::FaultPlan& plan) {
   const Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
-  const std::vector<TraceRecord> records = readTraceFile(args.traceFile);
+  std::vector<TraceRecord> records;
+  std::string err;
+  if (!readTraceFile(args.traceFile, records, &err)) {
+    std::fprintf(stderr, "bad trace '%s': %s\n", args.traceFile.c_str(),
+                 err.c_str());
+    return 2;
+  }
   if (records.empty()) {
     std::fprintf(stderr, "trace '%s' has no records\n",
                  args.traceFile.c_str());
     return 2;
   }
-  SimConfig cfg = campaign::paperSimConfig(args.fast);
+  const SimConfig cfg = ScenarioSpec::windowPreset(args.fast);
   int numApps = regions.numApps();
   for (const TraceRecord& r : records) {
     if (r.src >= mesh.numNodes() || r.dst >= mesh.numNodes()) {
@@ -387,74 +430,17 @@ int runTraceMode(const Args& args, const SchemeSpec& scheme,
     }
     numApps = std::max(numApps, static_cast<int>(r.app) + 1);
   }
-
-  cfg.net.linkLayer = args.linkLayer;
-  cfg.shardThreads = args.threads;
-  cfg.routing = scheme.routing;
-  cfg.net.rairPartition = scheme.needsRairPartition();
-
-  // The trace fixes each app's offered load, so the rank policies get
-  // uniform intensities (they only need a total order).
-  const std::vector<double> intensities(
-      static_cast<std::size_t>(numApps), 1.0);
-
-  auto runOnce = [&](bool withFaults,
-                     check::OracleReport* oracleOut) -> ScenarioResult {
-    auto policy = makePolicy(scheme, intensities);
-    Simulator sim(mesh, regions, cfg, *policy, numApps);
-    sim.addSource(std::make_unique<TraceReplaySource>(records));
-    std::unique_ptr<fault::FaultInjector> inj;
-    if (withFaults) {
-      inj = std::make_unique<fault::FaultInjector>(sim, plan);
-      inj->attach();
-    }
-    std::unique_ptr<check::NetworkOracle> oracle;
-    if (oracleOut != nullptr) {
-      check::OracleOptions oo;
-      oo.period = 1;
-      oo.deadlockPeriod = 64;
-      oo.maxInNetworkAge = 20'000;
-      oo.failFast = false;
-      oracle = std::make_unique<check::NetworkOracle>(sim.network(),
-                                                      sim.ledger(), oo);
-      if (inj) oracle->attachFaults(inj.get());
-      sim.observers().attach(oracle.get());
-    }
-    ScenarioResult res;
-    res.run = sim.run();
-    if (oracle) {
-      oracle->finish(res.run.cyclesRun);
-      *oracleOut = oracle->report();
-      sim.observers().detach(oracle.get());
-    }
-    res.meanApl = res.run.stats.overallApl();
-    for (AppId a = 0; a < numApps; ++a)
-      res.appApl.push_back(res.run.stats.appApl(a));
-    if (inj) res.faultStats = inj->stats();
-    return res;
-  };
-
-  std::printf("trace %s (%zu records, %d apps), scheme %s, %s windows\n\n",
-              args.traceFile.c_str(), records.size(), numApps,
-              scheme.label.c_str(), args.fast ? "fast" : "paper");
-  std::fprintf(stderr, "rair_fault: running fault-free twin...\n");
-  const ScenarioResult twin = runOnce(false, nullptr);
-  std::fprintf(stderr, "rair_fault: replaying plan...\n");
-  const ScenarioResult faulted = runOnce(true, nullptr);
-  reportPair(twin, faulted);
-
-  bool ok = faulted.run.termination == Termination::Drained;
-  if (args.check) {
-    std::fprintf(stderr, "rair_fault: replaying under the oracle...\n");
-    check::OracleReport report;
-    (void)runOnce(true, &report);
-    std::printf("\noracle: %s (%llu scans, %llu deadlock scans)\n",
-                report.summary().c_str(),
-                static_cast<unsigned long long>(report.scans),
-                static_cast<unsigned long long>(report.deadlockScans));
-    ok = ok && report.ok();
-  }
-  return finish(faulted, ok);
+  const std::string header =
+      "trace " + args.traceFile + " (" + std::to_string(records.size()) +
+      " records, " + std::to_string(numApps) + " apps), scheme " +
+      scheme.label;
+  return replayPlan(ScenarioSpec(mesh, regions)
+                        .withConfig(cfg)
+                        .withScheme(scheme)
+                        .withTrace(std::move(records))
+                        .withLinkLayer(args.linkLayer)
+                        .withThreads(args.threads),
+                    plan, args, header);
 }
 
 }  // namespace
@@ -514,48 +500,15 @@ int main(int argc, char** argv) {
       args.p / 100.0, scenarios::kLowLoadFraction * sat,
       scenarios::kHighLoadFraction * sat);
 
-  auto baseSpec = [&] {
-    return ScenarioSpec(mesh, regions)
-        .withConfig(campaign::paperSimConfig(args.fast))
-        .withScheme(scheme)
-        .withApps(apps)
-        .withSeed(args.seed)
-        .withLinkLayer(args.linkLayer)
-        .withThreads(args.threads);
-  };
-
-  std::fprintf(stderr, "rair_fault: running fault-free twin...\n");
-  const ScenarioResult twin = runScenario(baseSpec());
-  std::fprintf(stderr, "rair_fault: replaying plan...\n");
-  const ScenarioResult faulted = runScenario(baseSpec().withFaults(plan));
-
-  std::printf("scheme %s, p=%d, seed %llu, %s windows\n\n",
-              scheme.label.c_str(), args.p,
-              static_cast<unsigned long long>(args.seed),
-              args.fast ? "fast" : "paper");
-  reportPair(twin, faulted);
-
-  bool ok = faulted.run.termination == Termination::Drained;
-  if (args.check) {
-    std::fprintf(stderr, "rair_fault: replaying under the oracle...\n");
-    AssembledScenario as = assembleScenario(baseSpec().withFaults(plan));
-    check::OracleOptions oo;
-    oo.period = 1;
-    oo.deadlockPeriod = 64;
-    oo.maxInNetworkAge = 20'000;
-    oo.failFast = false;
-    check::NetworkOracle oracle(as.sim->network(), as.sim->ledger(), oo);
-    if (as.injector) oracle.attachFaults(as.injector.get());
-    as.sim->observers().attach(&oracle);
-    const RunResult run = as.sim->run();
-    oracle.finish(run.cyclesRun);
-    const check::OracleReport report = oracle.report();
-    std::printf("\noracle: %s (%llu scans, %llu deadlock scans)\n",
-                report.summary().c_str(),
-                static_cast<unsigned long long>(report.scans),
-                static_cast<unsigned long long>(report.deadlockScans));
-    ok = ok && report.ok();
-  }
-
-  return finish(faulted, ok);
+  return replayPlan(ScenarioSpec(mesh, regions)
+                        .withConfig(ScenarioSpec::windowPreset(args.fast))
+                        .withScheme(scheme)
+                        .withApps(apps)
+                        .withSeed(args.seed)
+                        .withLinkLayer(args.linkLayer)
+                        .withThreads(args.threads),
+                    plan, args,
+                    "scheme " + scheme.label + ", p=" +
+                        std::to_string(args.p) + ", seed " +
+                        std::to_string(args.seed));
 }

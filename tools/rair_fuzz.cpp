@@ -6,8 +6,10 @@
 //
 // Each case seed expands deterministically into a small random scenario
 // (mesh, region grid, VC layout, loads past saturation) that runs to
-// complete drain with every invariant scan armed. Failing cases print a
-// reproducing seed and a shrunk parameter set; rerun with --repro SEED.
+// complete drain with every invariant scan armed; one seed in four also
+// runs a PARSEC request/reply twin on the same geometry. Failing cases
+// print a reproducing seed and a shrunk parameter set; rerun with
+// --repro SEED.
 // Exit codes: 0 clean, 1 violations (or a missed fault in self-test
 // mode), 2 usage error.
 #include <cinttypes>
@@ -157,18 +159,13 @@ bool parseArgs(int argc, char** argv, Args& args) {
   return true;
 }
 
-void printFailure(const rair::check::FuzzCaseResult& res,
-                  const rair::check::FuzzOptions& opts) {
-  rair::check::FuzzCase c = rair::check::generateCase(res.caseSeed);
-  c.linkLayer = opts.linkLayer;
-  if (opts.faultPlan)
-    c.faults = rair::check::generateFaultPlan(res.caseSeed, c);
-  const bool faultPlan = opts.faultPlan;
+void printFailure(const rair::check::FuzzCaseResult& res) {
+  const rair::check::FuzzCase& c = res.fuzzCase;
   std::fprintf(stderr,
                "\nFAIL seed 0x%016" PRIX64 " scheme %s%s\n  case: %s\n",
                res.caseSeed, res.scheme.c_str(),
                res.drained ? "" : " (did not drain)", c.describe().c_str());
-  if (faultPlan && !c.faults.empty())
+  if (!c.faults.empty())
     std::fprintf(stderr, "  plan:\n%s", c.faults.format().c_str());
   if (res.wasShrunk) {
     std::fprintf(stderr, "  shrunk: %s\n", res.shrunk.describe().c_str());
@@ -196,21 +193,24 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  const std::size_t numSchemes = args.opts.schemes.empty()
+                                     ? defaultFuzzSchemes().size()
+                                     : args.opts.schemes.size();
   if (args.repro) {
-    FuzzCase c = generateCase(args.reproSeed);
-    c.linkLayer = args.opts.linkLayer;
-    if (args.opts.faultPlan)
-      c.faults = generateFaultPlan(args.reproSeed, c);
-    std::printf("case 0x%016" PRIX64 ": %s\n", args.reproSeed,
-                c.describe().c_str());
-    if (!c.faults.empty())
-      std::printf("plan:\n%s", c.faults.format().c_str());
+    // The seed's synthetic case, then its PARSEC twin when it has one.
     const auto results = runFuzzSeed(args.reproSeed, args.opts);
     bool anyFail = false;
-    for (const auto& res : results) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const FuzzCaseResult& res = results[i];
+      if (i % numSchemes == 0) {
+        std::printf("case 0x%016" PRIX64 ": %s\n", args.reproSeed,
+                    res.fuzzCase.describe().c_str());
+        if (!res.fuzzCase.faults.empty())
+          std::printf("plan:\n%s", res.fuzzCase.faults.format().c_str());
+      }
       if (res.failed()) {
         anyFail = true;
-        printFailure(res, args.opts);
+        printFailure(res);
       } else {
         std::printf("  %s: ok (%llu scans, %llu deadlock scans%s)\n",
                     res.scheme.c_str(),
@@ -274,12 +274,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("fuzz%s: %d runs (%d scenarios x %zu schemes), %d failures",
+  std::printf("fuzz%s: %d runs (%d scenarios + %zu PARSEC twins, x %zu "
+              "schemes), %d failures",
               args.opts.faultPlan ? " (fault plans)" : "", sum.casesRun,
               args.opts.scenarios,
-              args.opts.schemes.empty() ? defaultFuzzSchemes().size()
-                                        : args.opts.schemes.size(),
-              sum.failures);
+              static_cast<std::size_t>(sum.casesRun) / numSchemes -
+                  static_cast<std::size_t>(args.opts.scenarios),
+              numSchemes, sum.failures);
   if (args.opts.faultPlan)
     std::printf(", %llu packets dropped by faults", droppedTotal);
   if (args.opts.linkLayer == rair::LinkLayerKind::Retx)
@@ -287,6 +288,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(sum.corruptedTotal),
                 static_cast<unsigned long long>(sum.retransmittedTotal));
   std::printf("\n");
-  for (const auto& res : sum.failed) printFailure(res, args.opts);
+  for (const auto& res : sum.failed) printFailure(res);
   return sum.failures > 0 ? 1 : 0;
 }
