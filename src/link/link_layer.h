@@ -193,14 +193,6 @@ class IdealLink final : public LinkLayer {
   std::optional<FlitMsg> recvFlit(Cycle now) { return data_.pop(now); }
   std::optional<CreditMsg> recvCredit(Cycle now) { return credits_.pop(now); }
 
-  /// Read-only pipe views — DelayPipe-level introspection for tests.
-  const DelayPipe<FlitMsg>& flitPipe() const { return data_; }
-  const DelayPipe<CreditMsg>& creditPipe() const { return credits_; }
-
-  /// Mutable pipe access for snapshot restore and tests.
-  DelayPipe<FlitMsg>& flitPipeMut() { return data_; }
-  DelayPipe<CreditMsg>& creditPipeMut() { return credits_; }
-
   int inFlightFlits(int vc) const override;
   int inFlightCredits(int vc) const override;
   void forEachFlit(

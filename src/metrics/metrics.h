@@ -2,8 +2,8 @@
 // options, and the plain aggregate summary every instrumented run yields.
 //
 // The types here are deliberately free of simulator dependencies so that
-// lower layers (stats reporting, campaign records, CLI flag parsing) can
-// consume metrics results without linking the recorder.
+// other layers (campaign records, CLI flag parsing) can consume metrics
+// results without linking the recorder.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +52,7 @@ struct MetricsOptions {
 };
 
 /// Aggregated counter totals of one instrumented run — the cross-layer
-/// currency: surfaced by stats::renderMetricsSummary, embedded in campaign
+/// currency: written to the summary.json sink, embedded in campaign
 /// records at Summary level and above, and cross-validated by the
 /// simulation oracle against its own delivery census.
 struct MetricsSummary {

@@ -186,30 +186,23 @@ bool MetricsRecorder::writeSinks() const {
   const std::size_t rows = std::max(intervals.size(), samples_.size());
   std::string out;
   for (std::size_t i = 0; i < rows; ++i) {
-    JsonObject row;
-    row.addString("type", "interval");
     const Sample* s =
         samples_.empty()
             ? nullptr
             : &samples_[std::min(i, samples_.size() - 1)];
-    row.add("cycle", s != nullptr
-                         ? static_cast<std::uint64_t>(s->cycle)
-                         : static_cast<std::uint64_t>((i + 1) * interval_));
-    if (i < intervals.size()) {
-      const IntervalStats& iv = intervals[i];
-      row.add("packets", iv.packets);
-      row.add("flits", iv.flits);
-      row.add("mean_latency", iv.meanLatency());
-    } else {
-      row.add("packets", std::uint64_t{0});
-      row.add("flits", std::uint64_t{0});
-      row.add("mean_latency", 0.0);
-    }
+    const IntervalStats iv =
+        i < intervals.size() ? intervals[i] : IntervalStats{};
+    campaign::JsonValue row(campaign::JsonValue::Object{
+        {"type", "interval"},
+        {"cycle", s != nullptr ? s->cycle : (i + 1) * interval_},
+        {"packets", iv.packets},
+        {"flits", iv.flits},
+        {"mean_latency", iv.meanLatency()}});
     if (s != nullptr) {
-      row.addRaw("dpa_native_high", jsonArray(s->dpaNativeHigh));
-      row.addRaw("link_flits", jsonArray(s->linkFlits));
+      row.set("dpa_native_high", numberArray(s->dpaNativeHigh));
+      row.set("link_flits", numberArray(s->linkFlits));
     }
-    out += row.str();
+    out += row.dump();
     out += '\n';
   }
   return writeTextFile(opts_.outPrefix + "series.jsonl", out) && ok;

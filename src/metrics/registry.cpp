@@ -9,12 +9,8 @@ const char* dimensionName(Dimension d) {
   switch (d) {
     case Dimension::Router: return "router";
     case Dimension::Port: return "port";
-    case Dimension::VcClass: return "vc_class";
     case Dimension::App: return "app";
-    case Dimension::Region: return "region";
     case Dimension::Locality: return "locality";
-    case Dimension::ArbStage: return "arb_stage";
-    case Dimension::Interval: return "interval";
   }
   return "unknown";
 }
@@ -41,44 +37,30 @@ MetricsRegistry::Metric& MetricsRegistry::registerMetric(MetricSpec spec,
 CounterHandle MetricsRegistry::addCounter(MetricSpec spec) {
   Metric& m = registerMetric(std::move(spec), MetricKind::Counter);
   m.offset = counters_.size();
-  m.kindIndex = static_cast<std::uint32_t>(counterIds_.size());
   counters_.resize(counters_.size() + m.cells, 0);
   counterIds_.push_back(static_cast<std::uint32_t>(metrics_.size() - 1));
-  return CounterHandle{m.kindIndex};
-}
-
-GaugeHandle MetricsRegistry::addGauge(MetricSpec spec) {
-  Metric& m = registerMetric(std::move(spec), MetricKind::Gauge);
-  m.offset = gauges_.size();
-  m.kindIndex = static_cast<std::uint32_t>(gaugeIds_.size());
-  gauges_.resize(gauges_.size() + m.cells, 0.0);
-  gaugeIds_.push_back(static_cast<std::uint32_t>(metrics_.size() - 1));
-  return GaugeHandle{m.kindIndex};
+  return CounterHandle{static_cast<std::uint32_t>(counterIds_.size() - 1)};
 }
 
 HistogramHandle MetricsRegistry::addHistogram(MetricSpec spec) {
   Metric& m = registerMetric(std::move(spec), MetricKind::Histogram);
   m.offset = histograms_.size();
-  m.kindIndex = static_cast<std::uint32_t>(histogramIds_.size());
   histograms_.resize(histograms_.size() + m.cells);
   histogramIds_.push_back(static_cast<std::uint32_t>(metrics_.size() - 1));
-  return HistogramHandle{m.kindIndex};
+  return HistogramHandle{static_cast<std::uint32_t>(histogramIds_.size() - 1)};
 }
 
 const MetricsRegistry::Metric& MetricsRegistry::metricOf(
     MetricKind kind, std::uint32_t id) const {
-  const std::vector<std::uint32_t>* ids = nullptr;
-  switch (kind) {
-    case MetricKind::Counter: ids = &counterIds_; break;
-    case MetricKind::Gauge: ids = &gaugeIds_; break;
-    case MetricKind::Histogram: ids = &histogramIds_; break;
-  }
-  RAIR_CHECK_MSG(id < ids->size(), "invalid metric handle");
-  return metrics_[(*ids)[id]];
+  const std::vector<std::uint32_t>& ids =
+      kind == MetricKind::Counter ? counterIds_ : histogramIds_;
+  RAIR_CHECK_MSG(id < ids.size(), "invalid metric handle");
+  return metrics_[ids[id]];
 }
 
-std::size_t MetricsRegistry::flatIndexImpl(
-    const Metric& m, std::initializer_list<int> coords) const {
+std::size_t MetricsRegistry::flatIndex(
+    CounterHandle h, std::initializer_list<int> coords) const {
+  const Metric& m = metricOf(MetricKind::Counter, h.id);
   RAIR_CHECK_MSG(coords.size() == m.spec.dims.size(),
                  "coordinate count does not match metric dimensions");
   std::size_t flat = 0;
@@ -100,34 +82,8 @@ std::uint64_t& MetricsRegistry::counterCell(CounterHandle h,
   return counters_[m.offset + flat];
 }
 
-std::uint64_t MetricsRegistry::counterCell(CounterHandle h,
-                                           std::size_t flat) const {
-  const Metric& m = metricOf(MetricKind::Counter, h.id);
-  RAIR_DCHECK(flat < m.cells);
-  return counters_[m.offset + flat];
-}
-
-double& MetricsRegistry::gaugeCell(GaugeHandle h, std::size_t flat) {
-  const Metric& m = metricOf(MetricKind::Gauge, h.id);
-  RAIR_DCHECK(flat < m.cells);
-  return gauges_[m.offset + flat];
-}
-
-double MetricsRegistry::gaugeCell(GaugeHandle h, std::size_t flat) const {
-  const Metric& m = metricOf(MetricKind::Gauge, h.id);
-  RAIR_DCHECK(flat < m.cells);
-  return gauges_[m.offset + flat];
-}
-
 Histogram& MetricsRegistry::histogramCell(HistogramHandle h,
                                           std::size_t flat) {
-  const Metric& m = metricOf(MetricKind::Histogram, h.id);
-  RAIR_DCHECK(flat < m.cells);
-  return histograms_[m.offset + flat];
-}
-
-const Histogram& MetricsRegistry::histogramCell(HistogramHandle h,
-                                                std::size_t flat) const {
   const Metric& m = metricOf(MetricKind::Histogram, h.id);
   RAIR_DCHECK(flat < m.cells);
   return histograms_[m.offset + flat];
@@ -144,34 +100,16 @@ std::span<const std::uint64_t> MetricsRegistry::counterCells(
   return {counters_.data() + m.offset, m.cells};
 }
 
-std::span<const double> MetricsRegistry::gaugeCells(GaugeHandle h) const {
-  const Metric& m = metricOf(MetricKind::Gauge, h.id);
-  return {gauges_.data() + m.offset, m.cells};
-}
-
-std::span<const Histogram> MetricsRegistry::histogramCells(
-    HistogramHandle h) const {
-  const Metric& m = metricOf(MetricKind::Histogram, h.id);
-  return {histograms_.data() + m.offset, m.cells};
-}
-
 void MetricsRegistry::forEach(
     const std::function<void(const MetricView&)>& fn) const {
   for (const Metric& m : metrics_) {
     MetricView v;
     v.spec = &m.spec;
     v.kind = m.kind;
-    switch (m.kind) {
-      case MetricKind::Counter:
-        v.counters = {counters_.data() + m.offset, m.cells};
-        break;
-      case MetricKind::Gauge:
-        v.gauges = {gauges_.data() + m.offset, m.cells};
-        break;
-      case MetricKind::Histogram:
-        v.histograms = {histograms_.data() + m.offset, m.cells};
-        break;
-    }
+    if (m.kind == MetricKind::Counter)
+      v.counters = {counters_.data() + m.offset, m.cells};
+    else
+      v.histograms = {histograms_.data() + m.offset, m.cells};
     fn(v);
   }
 }

@@ -1,6 +1,5 @@
-// Dimensional metrics registry: typed counters, gauges and histograms
-// keyed by declared dimensions (router, port, VC class, app, region,
-// native/foreign, arbitration stage).
+// Dimensional metrics registry: typed counters and histograms keyed by
+// declared dimensions (router, port, app, native/foreign locality).
 //
 // Registration happens once, before the simulation runs: each metric
 // declares its dimensions and their extents and receives a dense block of
@@ -32,12 +31,8 @@ namespace rair::metrics {
 enum class Dimension : std::uint8_t {
   Router,    ///< node id in the mesh
   Port,      ///< router port (Local/N/E/S/W)
-  VcClass,   ///< Escape / Adaptive / Regional / Global
   App,       ///< application id (== region id for mapped apps)
-  Region,    ///< region id (alias of App for region-keyed metrics)
   Locality,  ///< 0 = native, 1 = foreign
-  ArbStage,  ///< VA_out / SA_in / SA_out
-  Interval,  ///< time-series interval index
 };
 
 /// Stable lowercase dimension name ("router", "port", ...).
@@ -47,7 +42,7 @@ const char* dimensionName(Dimension d);
 inline constexpr int kLocalityNative = 0;
 inline constexpr int kLocalityForeign = 1;
 
-enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
+enum class MetricKind : std::uint8_t { Counter, Histogram };
 
 /// Declaration of one metric: a name plus parallel dimension/extent lists.
 /// An empty dimension list declares a scalar (one cell).
@@ -63,10 +58,6 @@ struct CounterHandle {
   std::uint32_t id = UINT32_MAX;
   bool valid() const { return id != UINT32_MAX; }
 };
-struct GaugeHandle {
-  std::uint32_t id = UINT32_MAX;
-  bool valid() const { return id != UINT32_MAX; }
-};
 struct HistogramHandle {
   std::uint32_t id = UINT32_MAX;
   bool valid() const { return id != UINT32_MAX; }
@@ -76,16 +67,11 @@ class MetricsRegistry {
  public:
   // --- Registration (setup phase; allocates) -----------------------------
   CounterHandle addCounter(MetricSpec spec);
-  GaugeHandle addGauge(MetricSpec spec);
   HistogramHandle addHistogram(MetricSpec spec);
 
   // --- Cell access (hot path; allocation-free) ---------------------------
   std::uint64_t& counterCell(CounterHandle h, std::size_t flat);
-  std::uint64_t counterCell(CounterHandle h, std::size_t flat) const;
-  double& gaugeCell(GaugeHandle h, std::size_t flat);
-  double gaugeCell(GaugeHandle h, std::size_t flat) const;
   Histogram& histogramCell(HistogramHandle h, std::size_t flat);
-  const Histogram& histogramCell(HistogramHandle h, std::size_t flat) const;
 
   void incCounter(CounterHandle h, std::size_t flat, std::uint64_t by = 1) {
     counterCell(h, flat) += by;
@@ -94,28 +80,12 @@ class MetricsRegistry {
   /// Row-major flat index from per-dimension coordinates; must supply
   /// exactly one coordinate per declared dimension.
   std::size_t flatIndex(CounterHandle h,
-                        std::initializer_list<int> coords) const {
-    return flatIndexImpl(metricOf(MetricKind::Counter, h.id), coords);
-  }
-  std::size_t flatIndex(GaugeHandle h,
-                        std::initializer_list<int> coords) const {
-    return flatIndexImpl(metricOf(MetricKind::Gauge, h.id), coords);
-  }
-  std::size_t flatIndex(HistogramHandle h,
-                        std::initializer_list<int> coords) const {
-    return flatIndexImpl(metricOf(MetricKind::Histogram, h.id), coords);
-  }
+                        std::initializer_list<int> coords) const;
 
   // --- Aggregation and iteration (sink side) -----------------------------
-  /// Number of cells of the metric behind a handle.
+  /// Number of cells of the counter behind a handle.
   std::size_t cells(CounterHandle h) const {
     return metricOf(MetricKind::Counter, h.id).cells;
-  }
-  std::size_t cells(GaugeHandle h) const {
-    return metricOf(MetricKind::Gauge, h.id).cells;
-  }
-  std::size_t cells(HistogramHandle h) const {
-    return metricOf(MetricKind::Histogram, h.id).cells;
   }
 
   /// Sum over all cells of a counter.
@@ -123,8 +93,6 @@ class MetricsRegistry {
 
   /// Read-only span over a counter's cells (row-major).
   std::span<const std::uint64_t> counterCells(CounterHandle h) const;
-  std::span<const double> gaugeCells(GaugeHandle h) const;
-  std::span<const Histogram> histogramCells(HistogramHandle h) const;
 
   /// One registered metric as seen by a sink: the spec plus a read-only
   /// view of its cells (exactly one of the spans is non-empty).
@@ -132,14 +100,11 @@ class MetricsRegistry {
     const MetricSpec* spec = nullptr;
     MetricKind kind = MetricKind::Counter;
     std::span<const std::uint64_t> counters;
-    std::span<const double> gauges;
     std::span<const Histogram> histograms;
   };
 
   /// Visits every registered metric in registration order.
   void forEach(const std::function<void(const MetricView&)>& fn) const;
-
-  std::size_t numMetrics() const { return metrics_.size(); }
 
  private:
   struct Metric {
@@ -147,19 +112,15 @@ class MetricsRegistry {
     MetricKind kind;
     std::size_t offset = 0;  ///< into the kind's flat storage
     std::size_t cells = 1;
-    std::uint32_t kindIndex = 0;  ///< ordinal among metrics of this kind
   };
 
   const Metric& metricOf(MetricKind kind, std::uint32_t id) const;
-  std::size_t flatIndexImpl(const Metric& m,
-                            std::initializer_list<int> coords) const;
   Metric& registerMetric(MetricSpec spec, MetricKind kind);
 
   std::vector<Metric> metrics_;
   // Kind-indexed lookup: handle id -> metrics_ index.
-  std::vector<std::uint32_t> counterIds_, gaugeIds_, histogramIds_;
+  std::vector<std::uint32_t> counterIds_, histogramIds_;
   std::vector<std::uint64_t> counters_;
-  std::vector<double> gauges_;
   std::vector<Histogram> histograms_;
 };
 

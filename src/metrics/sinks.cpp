@@ -1,7 +1,7 @@
 #include "metrics/sinks.h"
 
-#include <cmath>
 #include <cstdio>
+#include <vector>
 
 namespace rair::metrics {
 
@@ -23,88 +23,10 @@ std::optional<MetricsLevel> metricsLevelFromName(std::string_view name) {
   return std::nullopt;
 }
 
-std::string formatDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string jsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-JsonObject& JsonObject::add(std::string_view key, std::uint64_t v) {
-  return addRaw(key, std::to_string(v));
-}
-
-JsonObject& JsonObject::add(std::string_view key, double v) {
-  return addRaw(key, formatDouble(v));
-}
-
-JsonObject& JsonObject::addString(std::string_view key, std::string_view v) {
-  return addRaw(key, std::string("\"").append(jsonEscape(v)).append("\""));
-}
-
-JsonObject& JsonObject::addRaw(std::string_view key, std::string_view json) {
-  if (!body_.empty()) body_ += ',';
-  body_ += '"';
-  body_ += jsonEscape(key);
-  body_ += "\":";
-  body_ += json;
-  return *this;
-}
-
-std::string JsonObject::str() const { return "{" + body_ + "}"; }
-
 namespace {
 
-template <typename T, typename Fmt>
-std::string jsonArrayImpl(const std::vector<T>& values, Fmt fmt) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) out += ',';
-    out += fmt(values[i]);
-  }
-  out += ']';
-  return out;
-}
-
-}  // namespace
-
-std::string jsonArray(const std::vector<std::uint64_t>& values) {
-  return jsonArrayImpl(values,
-                       [](std::uint64_t v) { return std::to_string(v); });
-}
-
-std::string jsonArray(const std::vector<int>& values) {
-  return jsonArrayImpl(values, [](int v) { return std::to_string(v); });
-}
-
-std::string jsonArray(const std::vector<double>& values) {
-  return jsonArrayImpl(values, [](double v) { return formatDouble(v); });
-}
-
+/// One CSV line from cells (no quoting; metric names and coordinates never
+/// contain commas).
 std::string csvLine(const std::vector<std::string>& cells) {
   std::string out;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -114,6 +36,8 @@ std::string csvLine(const std::vector<std::string>& cells) {
   out += '\n';
   return out;
 }
+
+}  // namespace
 
 bool writeTextFile(const std::string& path, std::string_view contents) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -127,90 +51,48 @@ bool writeTextFile(const std::string& path, std::string_view contents) {
 
 std::string summaryJson(const MetricsSummary& summary,
                         const MetricsRegistry& registry) {
-  JsonObject root;
-  root.addString("type", "metrics_summary");
-  root.addString("level", metricsLevelName(summary.level));
-  root.add("cycles", static_cast<std::uint64_t>(summary.cyclesRun));
-  root.add("delivered_packets", summary.deliveredPackets);
-  root.add("delivered_flits", summary.deliveredFlits);
-  root.addRaw("app_delivered_packets",
-              jsonArray(summary.appDeliveredPackets));
-  root.addRaw("app_delivered_flits", jsonArray(summary.appDeliveredFlits));
-  root.add("va_grants_native", summary.vaGrantsNative);
-  root.add("va_grants_foreign", summary.vaGrantsForeign);
-  root.add("va_native_share", summary.vaNativeShare());
-  root.add("sa_grants_native", summary.saGrantsNative);
-  root.add("sa_grants_foreign", summary.saGrantsForeign);
-  root.add("sa_native_share", summary.saNativeShare());
-  root.add("escape_allocations", summary.escapeAllocations);
-  root.add("flits_traversed", summary.flitsTraversed);
-  root.add("dpa_flips", summary.dpaFlips);
-
-  std::string metricsArr = "[";
-  bool first = true;
+  using campaign::JsonValue;
+  JsonValue::Array metrics;
   registry.forEach([&](const MetricsRegistry::MetricView& v) {
-    if (!first) metricsArr += ',';
-    first = false;
-    JsonObject m;
-    m.addString("name", v.spec->name);
-    std::string dims = "[";
-    for (std::size_t d = 0; d < v.spec->dims.size(); ++d) {
-      if (d) dims += ',';
-      dims += "\"";
-      dims += dimensionName(v.spec->dims[d]);
-      dims += "\"";
-    }
-    dims += ']';
-    m.addRaw("dims", dims);
-    m.addRaw("extents", jsonArray(v.spec->extents));
-    switch (v.kind) {
-      case MetricKind::Counter: {
-        m.addString("kind", "counter");
-        std::string cells = "[";
-        for (std::size_t i = 0; i < v.counters.size(); ++i) {
-          if (i) cells += ',';
-          cells += std::to_string(v.counters[i]);
-        }
-        cells += ']';
-        m.addRaw("cells", cells);
-        break;
-      }
-      case MetricKind::Gauge: {
-        m.addString("kind", "gauge");
-        std::string cells = "[";
-        for (std::size_t i = 0; i < v.gauges.size(); ++i) {
-          if (i) cells += ',';
-          cells += formatDouble(v.gauges[i]);
-        }
-        cells += ']';
-        m.addRaw("cells", cells);
-        break;
-      }
-      case MetricKind::Histogram: {
-        m.addString("kind", "histogram");
-        std::string cells = "[";
-        for (std::size_t i = 0; i < v.histograms.size(); ++i) {
-          if (i) cells += ',';
-          const Histogram& h = v.histograms[i];
-          JsonObject digest;
-          digest.add("count", h.count());
-          digest.add("mean", h.mean());
-          digest.add("min", h.min());
-          digest.add("max", h.max());
-          digest.add("p50", h.approxQuantile(0.50));
-          digest.add("p99", h.approxQuantile(0.99));
-          cells += digest.str();
-        }
-        cells += ']';
-        m.addRaw("cells", cells);
-        break;
-      }
-    }
-    metricsArr += m.str();
+    JsonValue::Array dims;
+    for (const Dimension d : v.spec->dims) dims.emplace_back(dimensionName(d));
+    JsonValue::Array cells;
+    for (const std::uint64_t c : v.counters) cells.emplace_back(c);
+    for (const Histogram& h : v.histograms)
+      cells.emplace_back(JsonValue::Object{
+          {"count", h.count()},
+          {"mean", h.mean()},
+          {"min", h.min()},
+          {"max", h.max()},
+          {"p50", h.approxQuantile(0.50)},
+          {"p99", h.approxQuantile(0.99)}});
+    metrics.emplace_back(JsonValue::Object{
+        {"name", v.spec->name},
+        {"dims", std::move(dims)},
+        {"extents", numberArray(v.spec->extents)},
+        {"kind", v.kind == MetricKind::Counter ? "counter" : "histogram"},
+        {"cells", std::move(cells)}});
   });
-  metricsArr += ']';
-  root.addRaw("metrics", metricsArr);
-  return root.str() + "\n";
+
+  const JsonValue root(JsonValue::Object{
+      {"type", "metrics_summary"},
+      {"level", metricsLevelName(summary.level)},
+      {"cycles", summary.cyclesRun},
+      {"delivered_packets", summary.deliveredPackets},
+      {"delivered_flits", summary.deliveredFlits},
+      {"app_delivered_packets", numberArray(summary.appDeliveredPackets)},
+      {"app_delivered_flits", numberArray(summary.appDeliveredFlits)},
+      {"va_grants_native", summary.vaGrantsNative},
+      {"va_grants_foreign", summary.vaGrantsForeign},
+      {"va_native_share", summary.vaNativeShare()},
+      {"sa_grants_native", summary.saGrantsNative},
+      {"sa_grants_foreign", summary.saGrantsForeign},
+      {"sa_native_share", summary.saNativeShare()},
+      {"escape_allocations", summary.escapeAllocations},
+      {"flits_traversed", summary.flitsTraversed},
+      {"dpa_flips", summary.dpaFlips},
+      {"metrics", std::move(metrics)}});
+  return root.dump() + "\n";
 }
 
 std::string routerCsv(const MetricsRegistry& registry, int numRouters) {

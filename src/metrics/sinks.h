@@ -1,9 +1,10 @@
 // Pluggable output sinks of the metrics subsystem.
 //
-// All sinks are deterministic: object keys are emitted in a fixed order
-// and doubles are formatted with %.17g, so the same run always produces
-// byte-identical files (the same property the campaign store guarantees
-// for its records). Three formats cover the consumers we have:
+// All sinks are deterministic: they serialize through campaign::JsonValue,
+// which keeps object keys in insertion order and formats numbers with
+// %.17g, so the same run always produces byte-identical files (the same
+// property the campaign store guarantees for its records). Every value a
+// sink writes is finite. Three formats cover the consumers we have:
 //
 //   * JSON summary   — one object per run; totals, shares, histogram tails
 //   * JSONL series   — one object per sampling interval (Fig. 11/13-style
@@ -12,47 +13,22 @@
 //                      per-router arbitration matrix figure scripts consume
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
+#include "campaign/json.h"
 #include "metrics/metrics.h"
 #include "metrics/registry.h"
 
 namespace rair::metrics {
 
-/// Deterministic round-trippable double formatting (%.17g). Non-finite
-/// values serialize as 0 (sinks never emit bare inf/nan tokens).
-std::string formatDouble(double v);
-
-/// Escapes a string for embedding in a JSON document (no surrounding
-/// quotes).
-std::string jsonEscape(std::string_view s);
-
-/// Minimal ordered JSON object assembler for the sink writers: keys keep
-/// call order, values are pre-serialized fragments or typed scalars.
-class JsonObject {
- public:
-  JsonObject& add(std::string_view key, std::uint64_t v);
-  JsonObject& add(std::string_view key, double v);
-  JsonObject& addString(std::string_view key, std::string_view v);
-  /// Adds an already-serialized JSON fragment (array or object) verbatim.
-  JsonObject& addRaw(std::string_view key, std::string_view json);
-  std::string str() const;
-
- private:
-  std::string body_;
-};
-
-/// Serializes a span-like list of integers as a JSON array.
-std::string jsonArray(const std::vector<std::uint64_t>& values);
-std::string jsonArray(const std::vector<int>& values);
-std::string jsonArray(const std::vector<double>& values);
-
-/// One CSV line from cells (no quoting; metric names and coordinates never
-/// contain commas).
-std::string csvLine(const std::vector<std::string>& cells);
+/// A JSON array of the numbers in `values` (the sinks' cell lists).
+template <typename Range>
+campaign::JsonValue numberArray(const Range& values) {
+  campaign::JsonValue::Array out;
+  for (const auto v : values) out.emplace_back(v);
+  return out;
+}
 
 /// Writes `contents` to `path`, replacing any existing file. Returns false
 /// (and leaves no partial file behind as far as the OS allows) on failure.
@@ -60,7 +36,7 @@ bool writeTextFile(const std::string& path, std::string_view contents);
 
 /// The per-run JSON summary sink: the aggregate totals plus one entry per
 /// registered metric (counters as cell arrays, histograms as
-/// count/mean/p50/p99 digests).
+/// count/mean/min/max/p50/p99 digests).
 std::string summaryJson(const MetricsSummary& summary,
                         const MetricsRegistry& registry);
 

@@ -183,11 +183,6 @@ struct ScenarioSpec {
     metrics.level = level;
     return *this;
   }
-  /// Path prefix for the metrics file sinks (e.g. "out/fig11.").
-  ScenarioSpec& withMetricsOut(std::string prefix) {
-    metrics.outPrefix = std::move(prefix);
-    return *this;
-  }
   ScenarioSpec& withSnapshot(const snapshot::SnapshotOptions& s) {
     snap = s;
     return *this;
@@ -226,7 +221,6 @@ struct ScenarioSpec {
     return *this;
   }
   ScenarioSpec& withFastWindows() { return withWindows(true); }
-  ScenarioSpec& withPaperWindows() { return withWindows(false); }
 };
 
 /// Runs one scheme on one workload.

@@ -78,4 +78,23 @@ SchemeSpec schemeRairForeignHigh() {
   return s;
 }
 
+std::vector<SchemeSpec> labelledSchemes() {
+  return {schemeRoRr(),
+          schemeRoRr(RoutingKind::Xy),
+          schemeRoRr(RoutingKind::Dbar),
+          schemeRoRank(),
+          schemeRaDbar(),
+          schemeRaRair(),
+          schemeRaRair(RoutingKind::Dbar),
+          schemeRairVaOnly(),
+          schemeRairNativeHigh(),
+          schemeRairForeignHigh()};
+}
+
+std::optional<SchemeSpec> schemeByLabel(std::string_view label) {
+  for (SchemeSpec& s : labelledSchemes())
+    if (s.label == label) return std::move(s);
+  return std::nullopt;
+}
+
 }  // namespace rair

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/rair_config.h"
@@ -54,5 +56,13 @@ SchemeSpec schemeRairVaOnly(RoutingKind routing = RoutingKind::LocalAdaptive);
 SchemeSpec schemeRairNativeHigh();
 /// RAIR without DPA, foreign always high (Fig. 12's RAIR_ForeignH).
 SchemeSpec schemeRairForeignHigh();
+
+/// Every scheme the constructors above build under a label of its own, in
+/// line-up order: the schemes a tool can name on its command line.
+std::vector<SchemeSpec> labelledSchemes();
+
+/// The labelled scheme called `label` (e.g. "RA_RAIR"); nullopt for an
+/// unknown label.
+std::optional<SchemeSpec> schemeByLabel(std::string_view label);
 
 }  // namespace rair

@@ -79,58 +79,4 @@ std::string TextTable::toString() const {
   return oss.str();
 }
 
-std::string renderMetricsSummary(const metrics::MetricsSummary& summary) {
-  std::ostringstream oss;
-  oss << "metrics summary (level " << metrics::metricsLevelName(summary.level)
-      << ", " << summary.cyclesRun << " cycles)\n";
-
-  TextTable arb({"stage", "native", "foreign", "native share"});
-  {
-    const std::size_t r = arb.addRow();
-    arb.set(r, 0, "VA_out grants");
-    arb.set(r, 1, std::to_string(summary.vaGrantsNative));
-    arb.set(r, 2, std::to_string(summary.vaGrantsForeign));
-    arb.setNum(r, 3, summary.vaNativeShare() * 100.0, 1);
-  }
-  {
-    const std::size_t r = arb.addRow();
-    arb.set(r, 0, "SA grants");
-    arb.set(r, 1, std::to_string(summary.saGrantsNative));
-    arb.set(r, 2, std::to_string(summary.saGrantsForeign));
-    arb.setNum(r, 3, summary.saNativeShare() * 100.0, 1);
-  }
-  oss << arb.toString();
-
-  TextTable totals({"counter", "value"});
-  auto addTotal = [&](const char* name, std::uint64_t v) {
-    const std::size_t r = totals.addRow();
-    totals.set(r, 0, name);
-    totals.set(r, 1, std::to_string(v));
-  };
-  addTotal("escape allocations", summary.escapeAllocations);
-  addTotal("flits traversed", summary.flitsTraversed);
-  addTotal("DPA priority flips", summary.dpaFlips);
-  addTotal("delivered packets", summary.deliveredPackets);
-  addTotal("delivered flits", summary.deliveredFlits);
-  oss << '\n' << totals.toString();
-
-  if (!summary.appDeliveredPackets.empty()) {
-    TextTable apps({"app", "packets", "flits"});
-    for (std::size_t a = 0; a < summary.appDeliveredPackets.size(); ++a) {
-      // The final slot aggregates unmapped/overflow AppIds; hide it when
-      // nothing landed there.
-      const bool overflow = a + 1 == summary.appDeliveredPackets.size();
-      if (overflow && summary.appDeliveredPackets[a] == 0) continue;
-      const std::size_t r = apps.addRow();
-      apps.set(r, 0, overflow ? "other" : std::to_string(a));
-      apps.set(r, 1, std::to_string(summary.appDeliveredPackets[a]));
-      apps.set(r, 2, a < summary.appDeliveredFlits.size()
-                         ? std::to_string(summary.appDeliveredFlits[a])
-                         : "0");
-    }
-    oss << '\n' << apps.toString();
-  }
-  return oss.str();
-}
-
 }  // namespace rair

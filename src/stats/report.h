@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "metrics/metrics.h"
-
 namespace rair {
 
 /// A simple fixed-column text table. Cells are strings; numeric helpers
@@ -46,11 +44,5 @@ std::string formatNum(double value, int precision = 2);
 
 /// Formats a fraction as signed percent: 0.124 -> "+12.4%".
 std::string formatPct(double fraction, int precision = 1);
-
-/// Renders the aggregate router/arbitration counters of an instrumented
-/// run (VA/SA grants split native vs. foreign with shares, escape-VC
-/// allocations, switch traversals, DPA priority flips, delivery census) as
-/// a paper-style text table.
-std::string renderMetricsSummary(const metrics::MetricsSummary& summary);
 
 }  // namespace rair

@@ -1,6 +1,6 @@
 // The dimensional metrics subsystem (src/metrics/): registry indexing,
-// level parsing, recorder census vs. the simulator's own counts, summary
-// rendering, and the oracle cross-validation that guards the census.
+// level parsing, recorder census vs. the simulator's own counts, and the
+// oracle cross-validation that guards the census.
 #include "metrics/registry.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "metrics/recorder.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
-#include "stats/report.h"
 
 namespace rair {
 namespace {
@@ -64,13 +63,10 @@ TEST(MetricsRegistry, ScalarMetricHasOneCell) {
 TEST(MetricsRegistry, MixedKindsKeepIndependentStorage) {
   MetricsRegistry reg;
   const auto c = reg.addCounter({"c", {Dimension::Port}, {5}});
-  const auto g = reg.addGauge({"g", {Dimension::Port}, {5}});
   const auto hh = reg.addHistogram({"h", {Dimension::App}, {2}});
   reg.incCounter(c, 3);
-  reg.gaugeCell(g, 3) = 2.5;
   reg.histogramCell(hh, 1).record(16.0);
   EXPECT_EQ(reg.counterCell(c, 3), 1u);
-  EXPECT_DOUBLE_EQ(reg.gaugeCell(g, 3), 2.5);
   EXPECT_EQ(reg.histogramCell(hh, 1).count(), 1u);
   EXPECT_EQ(reg.histogramCell(hh, 0).count(), 0u);
 
@@ -79,15 +75,14 @@ TEST(MetricsRegistry, MixedKindsKeepIndependentStorage) {
     ++seen;
     if (v.spec->name == "c") {
       EXPECT_EQ(v.counters.size(), 5u);
-    }
-    if (v.spec->name == "g") {
-      EXPECT_EQ(v.gauges.size(), 5u);
+      EXPECT_TRUE(v.histograms.empty());
     }
     if (v.spec->name == "h") {
       EXPECT_EQ(v.histograms.size(), 2u);
+      EXPECT_TRUE(v.counters.empty());
     }
   });
-  EXPECT_EQ(seen, 3);
+  EXPECT_EQ(seen, 2);
 }
 
 TEST(MetricsLevelNames, RoundTrip) {
@@ -162,21 +157,6 @@ TEST(MetricsRecorder, LevelsDoNotPerturbResults) {
       EXPECT_DOUBLE_EQ(on.appApl[a], off.appApl[a]);
     EXPECT_DOUBLE_EQ(on.meanApl, off.meanApl);
   }
-}
-
-TEST(MetricsReport, SummaryRendersKeyCounters) {
-  const auto res = runTwoAppCell(MetricsLevel::Counters);
-  ASSERT_TRUE(res.metrics.has_value());
-  const std::string text = renderMetricsSummary(*res.metrics);
-  EXPECT_NE(text.find("metrics summary"), std::string::npos);
-  EXPECT_NE(text.find("VA_out grants"), std::string::npos);
-  EXPECT_NE(text.find("SA grants"), std::string::npos);
-  EXPECT_NE(text.find("escape allocations"), std::string::npos);
-  EXPECT_NE(text.find("DPA priority flips"), std::string::npos);
-  EXPECT_NE(text.find("delivered packets"), std::string::npos);
-  // Two real apps, empty overflow slot hidden.
-  EXPECT_NE(text.find("native share"), std::string::npos);
-  EXPECT_EQ(text.find("other"), std::string::npos);
 }
 
 TEST(MetricsOracle, CrossValidationCatchesCorruptedCounter) {

@@ -20,6 +20,24 @@ TEST(Scheme, PaperLineupLabels) {
   EXPECT_EQ(schemeRairForeignHigh().label, "RAIR_ForeignH");
 }
 
+TEST(Scheme, ByLabelFindsEveryLabelledScheme) {
+  const std::vector<SchemeSpec> all = labelledSchemes();
+  ASSERT_EQ(all.size(), 10u);
+  for (const SchemeSpec& s : all) {
+    const auto found = schemeByLabel(s.label);
+    ASSERT_TRUE(found.has_value()) << s.label;
+    EXPECT_EQ(found->label, s.label);
+    EXPECT_EQ(found->routing, s.routing) << s.label;
+    EXPECT_EQ(found->policy, s.policy) << s.label;
+    EXPECT_EQ(found->rair.dpaMode, s.rair.dpaMode) << s.label;
+    EXPECT_EQ(found->rair.applyAtSa, s.rair.applyAtSa) << s.label;
+  }
+  EXPECT_EQ(schemeByLabel("RO_RR_XY")->routing, RoutingKind::Xy);
+  EXPECT_FALSE(schemeByLabel("RA_RAIR ").has_value());
+  EXPECT_FALSE(schemeByLabel("ra_rair").has_value());
+  EXPECT_FALSE(schemeByLabel("").has_value());
+}
+
 TEST(Scheme, OnlyRairNeedsPartition) {
   EXPECT_FALSE(schemeRoRr().needsRairPartition());
   EXPECT_FALSE(schemeRoRank().needsRairPartition());

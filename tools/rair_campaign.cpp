@@ -19,6 +19,7 @@
 #include "campaign/builtin.h"
 #include "campaign/runner.h"
 #include "campaign/store.h"
+#include "cli_args.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "metrics/metrics.h"
@@ -139,17 +140,16 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--jobs") {
       const char* v = next();
       if (!v) return false;
-      args.jobs = std::atoi(v);
-      if (args.jobs <= 0) return false;
+      if (!rair::cli::parseNumber("--jobs", v, args.jobs, 1)) return false;
     } else if (arg == "--shard-threads") {
       const char* v = next();
       if (!v) return false;
-      args.shardThreads = std::atoi(v);
-      if (args.shardThreads <= 0) return false;
+      if (!rair::cli::parseNumber("--shard-threads", v, args.shardThreads, 1))
+        return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!rair::cli::parseNumber("--seed", v, args.seed, 0)) return false;
     } else if (arg == "--metrics") {
       const char* v = next();
       if (!v) return false;
@@ -184,8 +184,13 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--fault-density") {
       const char* v = next();
       if (!v) return false;
-      args.faultDensity = std::atof(v);
-      if (!(args.faultDensity > 0.0)) return false;
+      if (!rair::cli::parseNumber("--fault-density", v, args.faultDensity,
+                                  0.0))
+        return false;
+      if (args.faultDensity == 0.0) {
+        std::fprintf(stderr, "--fault-density: expected a number > 0\n");
+        return false;
+      }
     } else if (arg == "--faults") {
       const char* v = next();
       if (!v) return false;
@@ -193,8 +198,9 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--checkpoint-every") {
       const char* v = next();
       if (!v) return false;
-      args.checkpointEvery = std::strtoull(v, nullptr, 10);
-      if (args.checkpointEvery == 0) return false;
+      if (!rair::cli::parseNumber("--checkpoint-every", v,
+                                  args.checkpointEvery, 1))
+        return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;

@@ -24,6 +24,7 @@
 
 #include "campaign/builtin.h"
 #include "check/oracle.h"
+#include "cli_args.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
 #include "region/region_map.h"
@@ -57,7 +58,9 @@ void usage(std::FILE* to) {
       "                blank lines and #-comments are ignored; <node> is a\n"
       "                row-major id (y*width + x)\n"
       "  --example     print a commented example plan and exit\n"
-      "  --scheme S    RO_RR (default), RO_Rank, RA_DBAR, RA_RAIR, RAIR_VA\n"
+      "  --scheme S    scheme label: RO_RR (default), RO_RR_XY,\n"
+      "                RO_RR_DBAR, RO_Rank, RA_DBAR, RA_RAIR, RAIR_DBAR,\n"
+      "                RAIR_VA, RAIR_NativeH, RAIR_ForeignH\n"
       "  --p N         inter-region percent of app 0's traffic (default 50)\n"
       "  --seed N      simulation seed (default 1); under --cell this is\n"
       "                the campaign master seed\n"
@@ -175,17 +178,15 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--p") {
       const char* v = next();
       if (!v) return false;
-      args.p = std::atoi(v);
-      if (args.p < 0 || args.p > 100) return false;
+      if (!cli::parseNumber("--p", v, args.p, 0, 100)) return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!cli::parseNumber("--seed", v, args.seed, 0)) return false;
     } else if (arg == "--threads") {
       const char* v = next();
       if (!v) return false;
-      args.threads = std::atoi(v);
-      if (args.threads <= 0) return false;
+      if (!cli::parseNumber("--threads", v, args.threads, 1)) return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
@@ -200,18 +201,6 @@ bool parseArgs(int argc, char** argv, Args& args) {
     return false;
   }
   return !args.planFile.empty();
-}
-
-bool findScheme(const std::string& name, SchemeSpec& out) {
-  const std::vector<SchemeSpec> lineup = {
-      schemeRoRr(), schemeRoRank(), schemeRaDbar(), schemeRaRair(),
-      schemeRairVaOnly()};
-  for (const SchemeSpec& s : lineup)
-    if (s.label == name) {
-      out = s;
-      return true;
-    }
-  return false;
 }
 
 /// Friendly plan/layer compatibility check, instead of the injector's
@@ -453,10 +442,7 @@ int main(int argc, char** argv) {
   }
 
   SchemeSpec scheme;
-  if (!findScheme(args.schemeName, scheme)) {
-    std::fprintf(stderr, "unknown scheme '%s'\n", args.schemeName.c_str());
-    return 2;
-  }
+  if (!cli::parseScheme(args.schemeName, scheme)) return 2;
 
   std::ifstream in(args.planFile);
   if (!in) {

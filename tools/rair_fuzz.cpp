@@ -18,8 +18,11 @@
 #include <string>
 
 #include "check/fuzz.h"
+#include "cli_args.h"
 
 namespace {
+
+namespace cli = rair::cli;
 
 void usage(std::FILE* to) {
   std::fprintf(
@@ -91,41 +94,47 @@ bool parseArgs(int argc, char** argv, Args& args) {
     } else if (arg == "--scenarios") {
       const char* v = next();
       if (!v) return false;
-      args.opts.scenarios = std::atoi(v);
-      if (args.opts.scenarios <= 0) return false;
+      if (!cli::parseNumber("--scenarios", v, args.opts.scenarios, 1))
+        return false;
     } else if (arg == "--seed") {
       const char* v = next();
       if (!v) return false;
-      args.opts.seed = std::strtoull(v, nullptr, 0);
+      if (!cli::parseNumber("--seed", v, args.opts.seed, 0, UINT64_MAX,
+                            true))
+        return false;
     } else if (arg == "--repro") {
       const char* v = next();
       if (!v) return false;
       args.repro = true;
-      args.reproSeed = std::strtoull(v, nullptr, 0);
+      if (!cli::parseNumber("--repro", v, args.reproSeed, 0, UINT64_MAX,
+                            true))
+        return false;
     } else if (arg == "--period") {
       const char* v = next();
       if (!v) return false;
-      args.opts.period = std::strtoull(v, nullptr, 10);
-      if (args.opts.period == 0) return false;
+      if (!cli::parseNumber("--period", v, args.opts.period, 1))
+        return false;
     } else if (arg == "--deadlock-period") {
       const char* v = next();
       if (!v) return false;
-      args.opts.deadlockPeriod = std::strtoull(v, nullptr, 10);
-      if (args.opts.deadlockPeriod == 0) return false;
+      if (!cli::parseNumber("--deadlock-period", v, args.opts.deadlockPeriod,
+                            1))
+        return false;
     } else if (arg == "--age-bound") {
       const char* v = next();
       if (!v) return false;
-      args.opts.maxInNetworkAge = std::strtoull(v, nullptr, 10);
+      if (!cli::parseNumber("--age-bound", v, args.opts.maxInNetworkAge, 0))
+        return false;
     } else if (arg == "--drain-budget") {
       const char* v = next();
       if (!v) return false;
-      args.opts.drainBudget = std::strtoull(v, nullptr, 10);
-      if (args.opts.drainBudget == 0) return false;
+      if (!cli::parseNumber("--drain-budget", v, args.opts.drainBudget, 1))
+        return false;
     } else if (arg == "--shard-threads") {
       const char* v = next();
       if (!v) return false;
-      args.opts.shardThreads = std::atoi(v);
-      if (args.opts.shardThreads <= 0) return false;
+      if (!cli::parseNumber("--shard-threads", v, args.opts.shardThreads, 1))
+        return false;
     } else if (arg == "--link-layer") {
       const char* v = next();
       if (!v) return false;

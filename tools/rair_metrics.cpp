@@ -1,97 +1,28 @@
-// rair_metrics: demo + inspection CLI for the dimensional metrics
+// rair_metrics: pretty-printer for the files of the dimensional metrics
 // subsystem (src/metrics/).
-//
-//   rair_metrics --demo [--out PREFIX] [--level LEVEL] [--paper]
-//     Runs the Fig. 8-style two-region interference scenario under
-//     RA_RAIR with the recorder attached, prints the aggregate summary
-//     table, and (at summary level and above) writes the file sinks —
-//     the quickest way to produce a Fig. 11-style DPA priority trace.
 //
 //   rair_metrics --inspect FILE
 //     Pretty-prints a sink file produced by any instrumented run:
 //     <prefix>summary.json, <prefix>series.jsonl (one record per line)
-//     or a campaign results .jsonl.
+//     or a campaign results .jsonl. The sinks of a campaign cell come from
+//     rair_campaign --metrics series --metrics-out PREFIX.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "campaign/json.h"
-#include "scenarios/paper_scenarios.h"
-#include "sim/scenario.h"
-#include "stats/report.h"
 
 namespace {
 
-void usage() {
+void usage(std::FILE* to) {
   std::fprintf(
-      stderr,
-      "usage: rair_metrics --demo [options]\n"
-      "       rair_metrics --inspect FILE\n"
+      to,
+      "usage: rair_metrics --inspect FILE\n"
       "\n"
-      "modes:\n"
-      "  --demo        run the two-region interference scenario (Fig. 8\n"
-      "                workload, RA_RAIR) with the metrics recorder\n"
-      "                attached and print the aggregate summary\n"
-      "  --inspect FILE\n"
-      "                pretty-print a metrics sink file (summary.json,\n"
-      "                series.jsonl) or any JSON/JSON-Lines file\n"
-      "\n"
-      "demo options:\n"
-      "  --out PREFIX  sink path prefix (default: metrics_demo.)\n"
-      "  --level LEVEL off, counters, summary or series (default: series)\n"
-      "  --paper       full paper windows (default: fast smoke windows)\n");
-}
-
-int runDemo(const std::string& outPrefix, rair::metrics::MetricsLevel level,
-            bool paper) {
-  using namespace rair;
-
-  Mesh mesh(8, 8);
-  const auto regions = RegionMap::halves(mesh);
-  // Fig. 8 shape: app 0 low-load with half its traffic inter-region, app 1
-  // high-load and purely intra-regional. Fixed representative rates keep
-  // the demo instant (no saturation calibration).
-  const auto apps = scenarios::twoAppInterRegion(0.5, 0.05, 0.30);
-
-  metrics::MetricsOptions mo;
-  mo.level = level;
-  if (level >= metrics::MetricsLevel::Summary) mo.outPrefix = outPrefix;
-
-  std::printf("running two-region demo (8x8 mesh, RA_RAIR, %s windows, "
-              "metrics level %s)...\n",
-              paper ? "paper" : "fast", metrics::metricsLevelName(level));
-  const auto res = runScenario(ScenarioSpec(mesh, regions)
-                                   .withScheme(schemeRaRair())
-                                   .withApps(apps)
-                                   .withWindows(!paper)
-                                   .withSeed(7)
-                                   .withMetrics(mo));
-
-  std::printf("\napp 0 (low, 50%% inter-region) APL: %.2f cycles\n",
-              res.appApl[0]);
-  std::printf("app 1 (high, intra-region)     APL: %.2f cycles\n",
-              res.appApl[1]);
-  if (res.metrics) {
-    std::printf("\n%s", renderMetricsSummary(*res.metrics).c_str());
-  } else {
-    std::printf("\n(metrics collection off; no summary)\n");
-  }
-  if (!mo.outPrefix.empty()) {
-    std::printf("\nsinks written under prefix %s\n", mo.outPrefix.c_str());
-    std::printf("  %ssummary.json   aggregate + per-metric cells\n",
-                mo.outPrefix.c_str());
-    std::printf("  %scounters.csv   per-router counter matrix\n",
-                mo.outPrefix.c_str());
-    if (level >= metrics::MetricsLevel::Series) {
-      std::printf("  %sseries.jsonl   interval series: APL, DPA priority "
-                  "(Fig. 11-style), link flits\n",
-                  mo.outPrefix.c_str());
-    }
-    std::printf("inspect any of them with: rair_metrics --inspect FILE\n");
-  }
-  return 0;
+      "Pretty-prints a metrics sink file (summary.json, series.jsonl) or\n"
+      "any JSON/JSON-Lines file. Campaign cells write their sinks with\n"
+      "rair_campaign --metrics series --metrics-out PREFIX.\n");
 }
 
 void prettyPrint(const rair::campaign::JsonValue& v, int indent,
@@ -187,56 +118,14 @@ int inspectFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool demo = false;
-  bool paper = false;
-  std::string inspect;
-  std::string outPrefix = "metrics_demo.";
-  rair::metrics::MetricsLevel level = rair::metrics::MetricsLevel::Series;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--demo") {
-      demo = true;
-    } else if (arg == "--paper") {
-      paper = true;
-    } else if (arg == "--inspect") {
-      const char* v = next();
-      if (!v) return 2;
-      inspect = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return 2;
-      outPrefix = v;
-    } else if (arg == "--level") {
-      const char* v = next();
-      if (!v) return 2;
-      const auto l = rair::metrics::metricsLevelFromName(v);
-      if (!l) {
-        std::fprintf(stderr, "unknown metrics level '%s' (expected off, "
-                             "counters, summary or series)\n", v);
-        return 2;
-      }
-      level = *l;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n\n", arg.c_str());
-      usage();
-      return 2;
-    }
+  if (argc == 2 &&
+      (std::string(argv[1]) == "--help" || std::string(argv[1]) == "-h")) {
+    usage(stdout);
+    return 0;
   }
-
-  if (demo == !inspect.empty()) {  // exactly one mode required
-    usage();
+  if (argc != 3 || std::string(argv[1]) != "--inspect") {
+    usage(stderr);
     return 2;
   }
-  return demo ? runDemo(outPrefix, level, paper) : inspectFile(inspect);
+  return inspectFile(argv[2]);
 }

@@ -15,10 +15,9 @@
 // DESIGN.md ("Snapshots") for the file format.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli_args.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
@@ -35,7 +34,8 @@ void usage(std::FILE* to) {
       "       rair_snapshot --bisect-divergence [options]\n"
       "\n"
       "bisect options:\n"
-      "  --scheme NAME  RO_RR (default), RO_Rank, RA_DBAR, RA_RAIR,\n"
+      "  --scheme NAME  scheme label: RO_RR (default), RO_RR_XY,\n"
+      "                 RO_RR_DBAR, RO_Rank, RA_DBAR, RA_RAIR, RAIR_DBAR,\n"
       "                 RAIR_VA, RAIR_NativeH, RAIR_ForeignH\n"
       "  --p N          inter-region traffic fraction in %% (default 50)\n"
       "  --seed N       scenario seed (default 1)\n"
@@ -47,19 +47,6 @@ void usage(std::FILE* to) {
       "                 threads while the restored run continues on\n"
       "                 one thread -- verifies checkpoints are\n"
       "                 thread-count-agnostic (default 1)\n");
-}
-
-bool schemeByName(const std::string& name, rair::SchemeSpec& out) {
-  using namespace rair;
-  if (name == "RO_RR") out = schemeRoRr();
-  else if (name == "RO_Rank") out = schemeRoRank();
-  else if (name == "RA_DBAR") out = schemeRaDbar();
-  else if (name == "RA_RAIR") out = schemeRaRair();
-  else if (name == "RAIR_VA") out = schemeRairVaOnly();
-  else if (name == "RAIR_NativeH") out = schemeRairNativeHigh();
-  else if (name == "RAIR_ForeignH") out = schemeRairForeignHigh();
-  else return false;
-  return true;
 }
 
 int dump(const std::string& path) {
@@ -169,25 +156,34 @@ int main(int argc, char** argv) {
       schemeName = v;
     } else if (arg == "--p") {
       const char* v = next();
-      if (!v) { usage(stderr); return 2; }
-      p = std::atoi(v);
+      if (!v || !rair::cli::parseNumber(arg.c_str(), v, p, 0, 100)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--seed") {
       const char* v = next();
-      if (!v) { usage(stderr); return 2; }
-      seed = std::strtoull(v, nullptr, 10);
+      if (!v || !rair::cli::parseNumber(arg.c_str(), v, seed, 0)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--shard-threads") {
       const char* v = next();
-      if (!v) { usage(stderr); return 2; }
-      shardThreads = std::atoi(v);
-      if (shardThreads <= 0) { usage(stderr); return 2; }
+      if (!v || !rair::cli::parseNumber(arg.c_str(), v, shardThreads, 1)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--snap-at") {
       const char* v = next();
-      if (!v) { usage(stderr); return 2; }
-      snapAt = std::strtoull(v, nullptr, 10);
+      if (!v || !rair::cli::parseNumber(arg.c_str(), v, snapAt, 0)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg == "--horizon") {
       const char* v = next();
-      if (!v) { usage(stderr); return 2; }
-      horizon = std::strtoull(v, nullptr, 10);
+      if (!v || !rair::cli::parseNumber(arg.c_str(), v, horizon, 0)) {
+        usage(stderr);
+        return 2;
+      }
     } else if (arg[0] != '-' && numFiles < 2) {
       files[numFiles++] = arg;
     } else {
@@ -201,11 +197,8 @@ int main(int argc, char** argv) {
   if (mode == "--diff" && numFiles == 2) return diff(files[0], files[1]);
   if (mode == "--bisect-divergence" && numFiles == 0) {
     rair::SchemeSpec scheme;
-    if (!schemeByName(schemeName, scheme)) {
-      std::fprintf(stderr, "unknown scheme '%s'\n", schemeName.c_str());
-      return 2;
-    }
-    if (p < 0 || p > 100 || snapAt >= horizon) {
+    if (!rair::cli::parseScheme(schemeName, scheme)) return 2;
+    if (snapAt >= horizon) {
       usage(stderr);
       return 2;
     }
