@@ -64,31 +64,39 @@ void logTo(const BuildContext& ctx, const std::string& msg) {
   if (ctx.log) ctx.log(msg);
 }
 
-/// An 8x8 mesh plus region map kept alive by the cell closures.
+/// An 8x8 mesh and its region map. Each one lives for the whole process,
+/// built in place (the region map points at the mesh): every cell spec
+/// references it.
 struct Fixture {
-  std::shared_ptr<Mesh> mesh;
-  std::shared_ptr<RegionMap> regions;
+  template <class MakeRegions>
+  explicit Fixture(MakeRegions make) : regions(make(mesh)) {}
+  Fixture(const Fixture&) = delete;
+
+  Mesh mesh{8, 8};
+  RegionMap regions;
 };
 
-Fixture makeFixture(int regionCount) {
-  Fixture f;
-  f.mesh = std::make_shared<Mesh>(8, 8);
+const Fixture& fixture(int regionCount) {
   switch (regionCount) {
-    case 1:  // one chip-wide region: a conventional NoC (Sec. II.A)
-      f.regions =
-          std::make_shared<RegionMap>(RegionMap::blockGrid(*f.mesh, 1, 1));
-      break;
-    case 2:
-      f.regions = std::make_shared<RegionMap>(RegionMap::halves(*f.mesh));
-      break;
-    case 4:
-      f.regions = std::make_shared<RegionMap>(RegionMap::quadrants(*f.mesh));
-      break;
-    default:
+    case 1: {  // one chip-wide region: a conventional NoC (Sec. II.A)
+      static const Fixture f(
+          [](const Mesh& m) { return RegionMap::blockGrid(m, 1, 1); });
+      return f;
+    }
+    case 2: {
+      static const Fixture f(&RegionMap::halves);
+      return f;
+    }
+    case 4: {
+      static const Fixture f(&RegionMap::quadrants);
+      return f;
+    }
+    default: {
       RAIR_CHECK(regionCount == 6);
-      f.regions = std::make_shared<RegionMap>(RegionMap::sixRegions(*f.mesh));
+      static const Fixture f(&RegionMap::sixRegions);
+      return f;
+    }
   }
-  return f;
 }
 
 /// Memoizes a calibrated rate vector element-wise through ctx.value so a
@@ -113,12 +121,7 @@ std::vector<double> cachedRates(
 /// scheme; the cell adds its workload.
 ScenarioSpec cellSpec(const Fixture& fx, const SimConfig& cfg,
                       const SchemeSpec& scheme) {
-  return ScenarioSpec(*fx.mesh, *fx.regions).withConfig(cfg).withScheme(scheme);
-}
-
-/// Runs a cell's spec under the runner's context.
-ScenarioResult runCell(ScenarioSpec spec, const CellContext& ctx) {
-  return runScenario(ctx.applyTo(spec));
+  return ScenarioSpec(fx.mesh, fx.regions).withConfig(cfg).withScheme(scheme);
 }
 
 // ---- Figs. 9 and 10: two half-chip apps, inter-region fraction sweep ----
@@ -130,52 +133,44 @@ const std::vector<int>& pSweep() {
 
 /// The shared calibration of Figs. 9/10: saturation of a half-chip app
 /// running intra-region uniform traffic (both halves are congruent).
-double halfSaturation(BuildContext& ctx, const Fixture& fx) {
+double halfSaturation(BuildContext& ctx) {
   return ctx.value("halves/halfSat", [&] {
     logTo(ctx, "calibrating half-mesh saturation...");
     AppTrafficSpec shape;
     shape.app = 0;
-    return appSaturationRate(*fx.mesh, *fx.regions, shape, ctx.sat);
+    return appSaturationRate(fixture(2).mesh, fixture(2).regions, shape,
+                             ctx.sat);
   });
+}
+
+/// The paper's two-app halves workload at inter-region fraction `p`, with
+/// loads relative to the half-mesh saturation `sat`.
+std::vector<AppTrafficSpec> twoApps(double p, double sat) {
+  return scenarios::twoAppInterRegion(p, scenarios::kLowLoadFraction * sat,
+                                      scenarios::kHighLoadFraction * sat);
 }
 
 /// Grid shared by Figs. 9 and 10: schemes x p, cells keyed
 /// "<scheme>/p<p>".
-CampaignSpec twoAppSweepCampaign(const std::string& name, BuildContext& ctx,
+CampaignSpec twoAppSweepCampaign(const BuildContext& ctx, double sat,
                                  const std::vector<SchemeSpec>& schemes) {
-  const Fixture fx = makeFixture(2);
-  const double sat = halfSaturation(ctx, fx);
-
   CampaignSpec spec;
-  spec.name = name;
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
-  for (const SchemeSpec& s : schemes) {
-    for (const int p : pSweep()) {
-      CampaignCell cell;
-      cell.key = s.label + "/p" + std::to_string(p);
-      cell.labels = {{"scheme", s.label}, {"p", std::to_string(p)}};
-      cell.run = [fx, cfg, s, p, sat](const CellContext& ctx) {
-        return runCell(cellSpec(fx, cfg, s)
-                           .withApps(scenarios::twoAppInterRegion(
-                               p / 100.0, scenarios::kLowLoadFraction * sat,
-                               scenarios::kHighLoadFraction * sat)),
-                       ctx);
-      };
-      spec.add(std::move(cell));
-    }
-  }
+  for (const SchemeSpec& s : schemes)
+    for (const int p : pSweep())
+      spec.add(s.label + "/p" + std::to_string(p),
+               {{"scheme", s.label}, {"p", std::to_string(p)}},
+               cellSpec(fixture(2), ctx.sim, s)
+                   .withApps(twoApps(p / 100.0, sat)));
   return spec;
 }
 
 CampaignSpec buildFig09(BuildContext& ctx) {
   const std::vector<SchemeSpec> schemes = {schemeRoRr(), schemeRairVaOnly(),
                                            schemeRaRair()};
-  CampaignSpec spec = twoAppSweepCampaign("fig09", ctx, schemes);
+  const double sat = halfSaturation(ctx);
+  CampaignSpec spec = twoAppSweepCampaign(ctx, sat, schemes);
   std::vector<std::string> labels;
   for (const auto& s : schemes) labels.push_back(s.label);
-  const Fixture fx = makeFixture(2);
-  const double sat = halfSaturation(ctx, fx);
   spec.renderTables = [labels, sat](const CellLookup& cells) {
     std::string out;
     appendf(out, "\n=== Fig. 9: average packet latency vs inter-region "
@@ -222,7 +217,7 @@ CampaignSpec buildFig10(BuildContext& ctx) {
   const std::vector<SchemeSpec> schemes = {
       rrLocal, rairLocal, schemeRoRr(RoutingKind::Dbar),
       schemeRaRair(RoutingKind::Dbar)};
-  CampaignSpec spec = twoAppSweepCampaign("fig10", ctx, schemes);
+  CampaignSpec spec = twoAppSweepCampaign(ctx, halfSaturation(ctx), schemes);
   std::vector<std::string> labels;
   for (const auto& s : schemes) labels.push_back(s.label);
   spec.renderTables = [labels](const CellLookup& cells) {
@@ -276,46 +271,34 @@ std::vector<AppTrafficSpec> fig12Apps(char scen,
 
 /// Fig. 12's calibrated loads of scenario 'a' or 'b' on the quadrant
 /// fixture, memoized as "fig12/cal_<scen>/app<i>".
-std::vector<double> fig12Rates(BuildContext& ctx, const Fixture& fx,
-                               char scen) {
+std::vector<double> fig12Rates(BuildContext& ctx, char scen) {
   return cachedRates(ctx, std::string("fig12/cal_") + scen, 4, [&] {
     logTo(ctx, std::string("calibrating fig12 scenario ") + scen +
                    " loads...");
     const std::array<double, 4> fractions = {
         scenarios::kLowLoadFraction, scenarios::kLowLoadFraction,
         scenarios::kLowLoadFraction, scenarios::kHighLoadFraction};
-    return scenarios::calibrateLoads(*fx.mesh, *fx.regions,
+    return scenarios::calibrateLoads(fixture(4).mesh, fixture(4).regions,
                                      fig12Apps(scen, {0, 0, 0, 0}),
                                      fractions, ctx.sat);
   });
 }
 
 CampaignSpec buildFig12(BuildContext& ctx) {
-  const Fixture fx = makeFixture(4);
   const std::vector<SchemeSpec> schemes = {
       schemeRoRr(), schemeRairNativeHigh(), schemeRairForeignHigh(),
       schemeRaRair()};
 
-  std::map<char, std::vector<double>> rates;
-  for (const char scen : {'a', 'b'}) rates[scen] = fig12Rates(ctx, fx, scen);
+  std::map<char, std::vector<AppTrafficSpec>> apps;
+  for (const char scen : {'a', 'b'})
+    apps[scen] = fig12Apps(scen, fig12Rates(ctx, scen));
 
   CampaignSpec spec;
-  spec.name = "fig12";
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
-  for (const SchemeSpec& s : schemes) {
-    for (const char scen : {'a', 'b'}) {
-      CampaignCell cell;
-      cell.key = s.label + "/" + scen;
-      cell.labels = {{"scheme", s.label},
-                     {"scenario", std::string(1, scen)}};
-      const auto apps = fig12Apps(scen, rates[scen]);
-      cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
-        return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
-      };
-      spec.add(std::move(cell));
-    }
-  }
+  for (const SchemeSpec& s : schemes)
+    for (const char scen : {'a', 'b'})
+      spec.add(s.label + "/" + scen,
+               {{"scheme", s.label}, {"scenario", std::string(1, scen)}},
+               cellSpec(fixture(4), ctx.sim, s).withApps(apps[scen]));
 
   std::vector<std::string> labels;
   for (const auto& s : schemes)
@@ -352,16 +335,15 @@ CampaignSpec buildFig12(BuildContext& ctx) {
 
 // ---- Figs. 14/15: six-application generic RNoC ---------------------------
 
-std::vector<double> sixAppRates(BuildContext& ctx, const Fixture& fx,
-                                PatternKind pattern) {
+std::vector<double> sixAppRates(BuildContext& ctx, PatternKind pattern) {
   const std::string pname = patternName(pattern);
   return cachedRates(ctx, "sixapp/cal_" + pname, 6, [&] {
     logTo(ctx, "calibrating six-app loads under " + pname + " global "
                "traffic...");
     const std::vector<double> dummy(6, 0.0);
     const auto shapes = scenarios::sixAppMixed(pattern, dummy);
-    return scenarios::calibrateLoads(*fx.mesh, *fx.regions, shapes,
-                                     scenarios::sixAppLoadFractions(),
+    return scenarios::calibrateLoads(fixture(6).mesh, fixture(6).regions,
+                                     shapes, scenarios::sixAppLoadFractions(),
                                      ctx.sat);
   });
 }
@@ -373,32 +355,25 @@ const std::vector<SchemeSpec>& fourSchemes() {
   return schemes;
 }
 
-void addSixAppCells(CampaignSpec& spec, const Fixture& fx,
-                    const SimConfig& cfg, PatternKind pattern,
-                    const std::vector<double>& rates, bool keyByPattern) {
+void addSixAppCells(CampaignSpec& spec, const SimConfig& cfg,
+                    PatternKind pattern, const std::vector<double>& rates,
+                    bool keyByPattern) {
+  const std::string pname = patternName(pattern);
+  const auto apps = scenarios::sixAppMixed(pattern, rates);
   for (const SchemeSpec& s : fourSchemes()) {
-    CampaignCell cell;
-    const std::string pname = patternName(pattern);
-    cell.key = keyByPattern ? s.label + "/" + pname : s.label;
-    cell.labels = {{"scheme", s.label}};
-    if (keyByPattern) cell.labels.emplace_back("pattern", pname);
-    cell.run = [fx, cfg, s, pattern, rates](const CellContext& ctx) {
-      return runCell(
-          cellSpec(fx, cfg, s).withApps(scenarios::sixAppMixed(pattern, rates)),
-          ctx);
-    };
-    spec.add(std::move(cell));
+    std::vector<std::pair<std::string, std::string>> labels = {
+        {"scheme", s.label}};
+    if (keyByPattern) labels.emplace_back("pattern", pname);
+    spec.add(keyByPattern ? s.label + "/" + pname : s.label,
+             std::move(labels), cellSpec(fixture(6), cfg, s).withApps(apps));
   }
 }
 
 CampaignSpec buildFig14(BuildContext& ctx) {
-  const Fixture fx = makeFixture(6);
-  const auto rates = sixAppRates(ctx, fx, PatternKind::UniformRandom);
+  const auto rates = sixAppRates(ctx, PatternKind::UniformRandom);
 
   CampaignSpec spec;
-  spec.name = "fig14";
-  spec.campaignSeed = ctx.campaignSeed;
-  addSixAppCells(spec, fx, ctx.sim, PatternKind::UniformRandom, rates,
+  addSixAppCells(spec, ctx.sim, PatternKind::UniformRandom, rates,
                  /*keyByPattern=*/false);
 
   std::vector<std::string> labels;
@@ -432,14 +407,11 @@ CampaignSpec buildFig14(BuildContext& ctx) {
 }
 
 CampaignSpec buildFig15(BuildContext& ctx) {
-  const Fixture fx = makeFixture(6);
   const std::vector<PatternKind> patterns = {
       PatternKind::UniformRandom, PatternKind::Transpose,
       PatternKind::BitComplement, PatternKind::Hotspot};
 
   CampaignSpec spec;
-  spec.name = "fig15";
-  spec.campaignSeed = ctx.campaignSeed;
   // Loads are calibrated per pattern: saturation depends strongly on the
   // global component's shape (bit-complement crosses the bisection with
   // every global packet; hotspot funnels into four nodes), so the paper's
@@ -447,7 +419,7 @@ CampaignSpec buildFig15(BuildContext& ctx) {
   // each pattern. High-load apps are calibrated in context (see
   // scenarios::calibrateLoads).
   for (const PatternKind pat : patterns)
-    addSixAppCells(spec, fx, ctx.sim, pat, sixAppRates(ctx, fx, pat),
+    addSixAppCells(spec, ctx.sim, pat, sixAppRates(ctx, pat),
                    /*keyByPattern=*/true);
 
   std::vector<std::string> labels;
@@ -494,12 +466,12 @@ double parsecFlitLoad() {
 }
 
 CampaignSpec buildFig17(BuildContext& ctx) {
-  const Fixture fx = makeFixture(4);
+  const Fixture& fx = fixture(4);
   const int numApps = static_cast<int>(scenarios::fig16Benchmarks().size());
   const double floodSat = ctx.value("fig17/floodSat", [&] {
     logTo(ctx, "calibrating chip-wide flood saturation...");
     return findSaturationRate(
-        scenarios::floodKneeProbe(*fx.mesh, *fx.regions, numApps, ctx.sat),
+        scenarios::floodKneeProbe(fx.mesh, fx.regions, numApps, ctx.sat),
         usableCores(), ctx.sat);
   });
   // The paper floods at 0.4 flits/cycle/node while the PARSEC apps add a
@@ -511,23 +483,13 @@ CampaignSpec buildFig17(BuildContext& ctx) {
   const double flood = 0.95 * std::max(0.05, floodSat - parsecFlitLoad());
 
   CampaignSpec spec;
-  spec.name = "fig17";
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
   for (const SchemeSpec& s : fourSchemes()) {
     for (const bool attacked : {false, true}) {
       const std::string run = attacked ? "attack" : "base";
-      CampaignCell cell;
-      cell.key = s.label + "/" + run;
-      cell.labels = {{"scheme", s.label}, {"run", run}};
-      const double rate = attacked ? flood : 0.0;
-      cell.run = [fx, cfg, s, rate](const CellContext& ctx) {
-        return runCell(cellSpec(fx, cfg, s)
-                           .withParsecApps(scenarios::fig16Benchmarks())
-                           .withAdversarialRate(rate),
-                       ctx);
-      };
-      spec.add(std::move(cell));
+      spec.add(s.label + "/" + run, {{"scheme", s.label}, {"run", run}},
+               cellSpec(fx, ctx.sim, s)
+                   .withParsecApps(scenarios::fig16Benchmarks())
+                   .withAdversarialRate(attacked ? flood : 0.0));
     }
   }
 
@@ -572,52 +534,32 @@ CampaignSpec buildAblRegions(BuildContext& ctx) {
   const std::vector<int> counts = {2, 4, 6};
 
   CampaignSpec spec;
-  spec.name = "abl_regions";
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
   for (const int count : counts) {
-    const Fixture fx = makeFixture(count);
+    const Fixture& fx = fixture(count);
     const std::size_t n = static_cast<std::size_t>(count);
+    std::vector<AppTrafficSpec> apps(n);
+    for (std::size_t a = 0; a < n; ++a) {
+      apps[a].app = static_cast<AppId>(a);
+      apps[a].intraFraction = 0.75;
+      apps[a].interFraction = 0.20;
+      apps[a].mcFraction = 0.05;
+    }
     const auto rates = cachedRates(
         ctx, "abl_regions/cal" + std::to_string(count), n, [&] {
           logTo(ctx, "calibrating " + std::to_string(count) +
                          "-region mixed workload loads...");
-          std::vector<AppTrafficSpec> shapes(n);
           std::vector<double> fractions(n, scenarios::kLowLoadFraction);
           fractions[1] = scenarios::kHighLoadFraction;
-          for (AppId a = 0; a < count; ++a) {
-            auto& s = shapes[static_cast<std::size_t>(a)];
-            s.app = a;
-            s.intraFraction = 0.75;
-            s.interFraction = 0.20;
-            s.mcFraction = 0.05;
-          }
-          return scenarios::calibrateLoads(*fx.mesh, *fx.regions, shapes,
+          return scenarios::calibrateLoads(fx.mesh, fx.regions, apps,
                                            fractions, ctx.sat);
         });
-    for (const bool rairScheme : {false, true}) {
-      CampaignCell cell;
-      cell.key = std::to_string(count) + (rairScheme ? "/RAIR" : "/RR");
-      cell.labels = {{"regions", std::to_string(count)},
-                     {"scheme", rairScheme ? "RA_RAIR" : "RO_RR"}};
-      cell.run = [fx, cfg, count, rairScheme, rates](const CellContext& ctx) {
-        std::vector<AppTrafficSpec> shapes(
-            static_cast<std::size_t>(count));
-        for (AppId a = 0; a < count; ++a) {
-          auto& s = shapes[static_cast<std::size_t>(a)];
-          s.app = a;
-          s.intraFraction = 0.75;
-          s.interFraction = 0.20;
-          s.mcFraction = 0.05;
-          s.injectionRate = rates[static_cast<std::size_t>(a)];
-        }
-        return runCell(
-            cellSpec(fx, cfg, rairScheme ? schemeRaRair() : schemeRoRr())
-                .withApps(std::move(shapes)),
-            ctx);
-      };
-      spec.add(std::move(cell));
-    }
+    for (std::size_t a = 0; a < n; ++a) apps[a].injectionRate = rates[a];
+    for (const bool rairScheme : {false, true})
+      spec.add(std::to_string(count) + (rairScheme ? "/RAIR" : "/RR"),
+               {{"regions", std::to_string(count)},
+                {"scheme", rairScheme ? "RA_RAIR" : "RO_RR"}},
+               cellSpec(fx, ctx.sim, rairScheme ? schemeRaRair() : schemeRoRr())
+                   .withApps(apps));
   }
 
   spec.renderTables = [counts](const CellLookup& cells) {
@@ -649,26 +591,18 @@ CampaignSpec buildAblRegions(BuildContext& ctx) {
 CampaignSpec buildAblHysteresis(BuildContext& ctx) {
   // Swept over the Fig. 12 scenarios, where DPA transitions actually fire,
   // at Fig. 12's calibrated loads.
-  const Fixture fx = makeFixture(4);
   const std::vector<double> deltas = {0.0, 0.05, 0.1, 0.2, 0.3, 0.5};
 
   CampaignSpec spec;
-  spec.name = "abl_hysteresis";
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
   for (const char scen : {'a', 'b'}) {
-    const auto apps = fig12Apps(scen, fig12Rates(ctx, fx, scen));
+    const auto apps = fig12Apps(scen, fig12Rates(ctx, scen));
     for (const double delta : deltas) {
       const std::string d = formatNum(delta, 2);
-      CampaignCell cell;
-      cell.key = "d" + d + "/" + scen;
-      cell.labels = {{"delta", d}, {"scenario", std::string(1, scen)}};
       SchemeSpec s = schemeRaRair();
       s.rair.hysteresisDelta = delta;
-      cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
-        return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
-      };
-      spec.add(std::move(cell));
+      spec.add("d" + d + "/" + scen,
+               {{"delta", d}, {"scenario", std::string(1, scen)}},
+               cellSpec(fixture(4), ctx.sim, s).withApps(apps));
     }
   }
 
@@ -701,31 +635,21 @@ CampaignSpec buildAblHysteresis(BuildContext& ctx) {
 CampaignSpec buildAblVcSplit(BuildContext& ctx) {
   // 5 VCs per class = 1 escape + 4 adaptive; the number of global VCs
   // sweeps 1..3 on Fig. 14's six-app scenario at Fig. 14's loads.
-  const Fixture fx = makeFixture(6);
-  const auto rates = sixAppRates(ctx, fx, PatternKind::UniformRandom);
-  const auto apps = scenarios::sixAppMixed(PatternKind::UniformRandom, rates);
+  const auto apps = scenarios::sixAppMixed(
+      PatternKind::UniformRandom,
+      sixAppRates(ctx, PatternKind::UniformRandom));
   const std::vector<int> globals = {1, 2, 3};
 
   CampaignSpec spec;
-  spec.name = "abl_vcsplit";
-  spec.campaignSeed = ctx.campaignSeed;
-  auto add = [&](const std::string& key, const SchemeSpec& s, int global) {
-    CampaignCell cell;
-    cell.key = key;
-    cell.labels = {{"scheme", s.label}};
+  spec.add("RO_RR", {{"scheme", "RO_RR"}},
+           cellSpec(fixture(6), ctx.sim, schemeRoRr()).withApps(apps));
+  for (const int g : globals) {
     SimConfig cfg = ctx.sim;
-    if (global > 0) {
-      cfg.net.globalVcsPerClass = global;
-      cell.labels.emplace_back("global_vcs", std::to_string(global));
-    }
-    cell.run = [fx, cfg, s, apps](const CellContext& ctx) {
-      return runCell(cellSpec(fx, cfg, s).withApps(apps), ctx);
-    };
-    spec.add(std::move(cell));
-  };
-  add("RO_RR", schemeRoRr(), 0);
-  for (const int g : globals)
-    add("g" + std::to_string(g), schemeRaRair(), g);
+    cfg.net.globalVcsPerClass = g;
+    spec.add("g" + std::to_string(g),
+             {{"scheme", "RA_RAIR"}, {"global_vcs", std::to_string(g)}},
+             cellSpec(fixture(6), cfg, schemeRaRair()).withApps(apps));
+  }
 
   spec.renderTables = [globals](const CellLookup& cells) {
     std::string out;
@@ -768,7 +692,7 @@ CampaignSpec buildAblSaturation(BuildContext& ctx) {
   // latency near the zero-load bound, a sharp knee, and the expected
   // pattern ordering (BC saturates early since every packet crosses the
   // bisection; HS collapses onto four hot nodes). One chip-wide region.
-  const Fixture fx = makeFixture(1);
+  const Fixture& fx = fixture(1);
   const std::vector<PatternKind> patterns = {
       PatternKind::UniformRandom, PatternKind::Transpose,
       PatternKind::BitComplement, PatternKind::Hotspot};
@@ -780,30 +704,22 @@ CampaignSpec buildAblSaturation(BuildContext& ctx) {
     const std::string pname = patternName(pat);
     knees.push_back(ctx.value("abl_saturation/knee_" + pname, [&] {
       logTo(ctx, "calibrating " + pname + " saturation...");
-      return appSaturationRate(*fx.mesh, *fx.regions, patternShape(pat, 0),
+      return appSaturationRate(fx.mesh, fx.regions, patternShape(pat, 0),
                                ctx.sat);
     }));
   }
 
   CampaignSpec spec;
-  spec.name = "abl_saturation";
-  spec.campaignSeed = ctx.campaignSeed;
   SimConfig cfg = ctx.sim;
   // Saturated points need not drain: stop them early.
   cfg.drainLimit = std::min<Cycle>(cfg.drainLimit, 60'000);
   for (const PatternKind pat : patterns) {
     const std::string pname = patternName(pat);
-    for (const double rate : rates) {
-      CampaignCell cell;
-      cell.key = pname + "/" + formatNum(rate, 3);
-      cell.labels = {{"pattern", pname}, {"rate", formatNum(rate, 3)}};
-      cell.run = [fx, cfg, pat, rate](const CellContext& ctx) {
-        return runCell(
-            cellSpec(fx, cfg, schemeRoRr()).withApps({patternShape(pat, rate)}),
-            ctx);
-      };
-      spec.add(std::move(cell));
-    }
+    for (const double rate : rates)
+      spec.add(pname + "/" + formatNum(rate, 3),
+               {{"pattern", pname}, {"rate", formatNum(rate, 3)}},
+               cellSpec(fx, cfg, schemeRoRr())
+                   .withApps({patternShape(pat, rate)}));
   }
 
   spec.renderTables = [patterns, rates, knees](const CellLookup& cells) {
@@ -834,19 +750,14 @@ CampaignSpec buildAblSaturation(BuildContext& ctx) {
 
 // ---- Fault-resilience sweep: degradation vs the fault-free twin ----------
 
-const std::vector<std::string>& faultScenarioNames() {
-  static const std::vector<std::string> names = {
-      "none", "outage", "partition", "stall", "freeze", "creditloss",
-      "reset"};
-  return names;
-}
-
 /// The canned scenario set, adjusted for the link layer: outages and
 /// partitions only exist on ideal links (retx replay buffers hold their
 /// flits for redelivery instead), and corruption bursts only exist on retx
 /// links. Router soft resets exist on both.
 std::vector<std::string> faultScenarioNamesFor(LinkLayerKind kind) {
-  if (kind == LinkLayerKind::Ideal) return faultScenarioNames();
+  if (kind == LinkLayerKind::Ideal)
+    return {"none",   "outage",     "partition", "stall",
+            "freeze", "creditloss", "reset"};
   return {"none", "corrupt", "stall", "freeze", "creditloss", "reset"};
 }
 
@@ -892,31 +803,18 @@ fault::FaultPlan faultScenarioPlan(const std::string& which, const Mesh& mesh,
 
 CampaignSpec buildFaults(BuildContext& ctx) {
   const std::vector<SchemeSpec> schemes = {schemeRoRr(), schemeRaRair()};
-  const Fixture fx = makeFixture(2);
-  const double sat = halfSaturation(ctx, fx);
+  const Fixture& fx = fixture(2);
+  const auto apps = twoApps(0.5, halfSaturation(ctx));
 
   CampaignSpec spec;
-  spec.name = "faults";
-  spec.campaignSeed = ctx.campaignSeed;
-  const SimConfig cfg = ctx.sim;
+  const SimConfig& cfg = ctx.sim;
   const std::vector<std::string> scenarioNames =
       faultScenarioNamesFor(cfg.net.linkLayer);
-  for (const SchemeSpec& s : schemes) {
-    for (const std::string& which : scenarioNames) {
-      CampaignCell cell;
-      cell.key = s.label + "/" + which;
-      cell.labels = {{"scheme", s.label}, {"fault", which}};
-      cell.run = [fx, cfg, s, which, sat](const CellContext& ctx) {
-        return runCell(cellSpec(fx, cfg, s)
-                           .withApps(scenarios::twoAppInterRegion(
-                               0.5, scenarios::kLowLoadFraction * sat,
-                               scenarios::kHighLoadFraction * sat))
-                           .withFaults(faultScenarioPlan(which, *fx.mesh, cfg)),
-                       ctx);
-      };
-      spec.add(std::move(cell));
-    }
-  }
+  for (const SchemeSpec& s : schemes)
+    for (const std::string& which : scenarioNames)
+      spec.add(s.label + "/" + which, {{"scheme", s.label}, {"fault", which}},
+               cellSpec(fx, cfg, s).withApps(apps).withFaults(
+                   faultScenarioPlan(which, fx.mesh, cfg)));
 
   // Optional density axis (--fault-density): MTBF-style random plans at
   // 0.5x / 1x / 2x the base rate. Gated behind ctx.faultDensity > 0 so the
@@ -934,8 +832,8 @@ CampaignSpec buildFaults(BuildContext& ctx) {
       const Cycle mtbf =
           std::max<Cycle>(1, static_cast<Cycle>(1000.0 / rate + 0.5));
       fault::RandomPlanOptions po;
-      po.meshW = fx.mesh->width();
-      po.meshH = fx.mesh->height();
+      po.meshW = fx.mesh.width();
+      po.meshH = fx.mesh.height();
       po.numClasses = cfg.net.numClasses;
       po.vcsPerClass = cfg.net.vcsPerClass;
       po.windowBegin = cfg.warmupCycles + 1;
@@ -945,22 +843,13 @@ CampaignSpec buildFaults(BuildContext& ctx) {
       po.allowPermanentOutage = false;
       for (std::size_t si = 0; si < schemes.size(); ++si) {
         const SchemeSpec& s = schemes[si];
-        CampaignCell cell;
-        cell.key = s.label + "/" + name;
-        cell.labels = {{"scheme", s.label}, {"fault", name}};
         // Per-cell plan seed, decoupled from the run seed the runner
         // hands each cell: the plan is scenario identity, not RNG state.
-        const fault::FaultPlan plan = fault::generateRandomPlan(
-            cellSeed(ctx.campaignSeed, 0xD0'000 + mi * 8 + si), po);
-        cell.run = [fx, cfg, s, sat, plan](const CellContext& ctx) {
-          return runCell(cellSpec(fx, cfg, s)
-                             .withApps(scenarios::twoAppInterRegion(
-                                 0.5, scenarios::kLowLoadFraction * sat,
-                                 scenarios::kHighLoadFraction * sat))
-                             .withFaults(plan),
-                         ctx);
-        };
-        spec.add(std::move(cell));
+        spec.add(s.label + "/" + name, {{"scheme", s.label}, {"fault", name}},
+                 cellSpec(fx, cfg, s).withApps(apps).withFaults(
+                     fault::generateRandomPlan(
+                         cellSeed(ctx.campaignSeed, 0xD0'000 + mi * 8 + si),
+                         po)));
       }
     }
   }
@@ -1060,7 +949,10 @@ CampaignSpec buildBuiltinCampaign(const std::string& name,
                                   BuildContext& ctx) {
   const auto it = builders().find(name);
   RAIR_CHECK_MSG(it != builders().end(), "unknown built-in campaign");
-  return it->second(ctx);
+  CampaignSpec spec = it->second(ctx);
+  spec.name = name;
+  spec.campaignSeed = ctx.campaignSeed;
+  return spec;
 }
 
 }  // namespace rair::campaign

@@ -18,6 +18,73 @@ std::uint64_t cellSeed(std::uint64_t campaignSeed, std::size_t index) {
   return z ^ (z >> 31);
 }
 
+namespace {
+
+/// The metrics block, in JSON key order: each key, its record field and
+/// the run summary field it is copied from.
+struct MetricsField {
+  const char* key;
+  std::uint64_t CellMetrics::*field;
+  std::uint64_t metrics::MetricsSummary::*from;
+};
+constexpr MetricsField kMetricsFields[] = {
+    {"va_grants_native", &CellMetrics::vaGrantsNative,
+     &metrics::MetricsSummary::vaGrantsNative},
+    {"va_grants_foreign", &CellMetrics::vaGrantsForeign,
+     &metrics::MetricsSummary::vaGrantsForeign},
+    {"sa_grants_native", &CellMetrics::saGrantsNative,
+     &metrics::MetricsSummary::saGrantsNative},
+    {"sa_grants_foreign", &CellMetrics::saGrantsForeign,
+     &metrics::MetricsSummary::saGrantsForeign},
+    {"escape_allocations", &CellMetrics::escapeAllocations,
+     &metrics::MetricsSummary::escapeAllocations},
+    {"flits_traversed", &CellMetrics::flitsTraversed,
+     &metrics::MetricsSummary::flitsTraversed},
+    {"dpa_flips", &CellMetrics::dpaFlips, &metrics::MetricsSummary::dpaFlips},
+};
+
+/// The fault block, in JSON key order.
+struct FaultField {
+  const char* key;
+  std::uint64_t fault::FaultStats::*field;
+};
+constexpr FaultField kFaultFields[] = {
+    {"events_applied", &fault::FaultStats::eventsApplied},
+    {"dropped_packets", &fault::FaultStats::droppedPackets},
+    {"dropped_flits", &fault::FaultStats::droppedFlits},
+    {"reroutes", &fault::FaultStats::reroutes},
+    {"unreachable_pairs", &fault::FaultStats::unreachablePairs},
+    {"degraded_cycles", &fault::FaultStats::degradedCycles},
+    {"recovery_cycles", &fault::FaultStats::recoveryCycles},
+    {"corrupted_flits", &fault::FaultStats::corruptedFlits},
+    {"retransmitted_flits", &fault::FaultStats::retransmittedFlits},
+    {"soft_resets", &fault::FaultStats::softResets},
+};
+
+/// A record block with every field of `fields`, in order, except
+/// `omitIfZero` while it is zero.
+template <class Block, class Field, std::size_t N>
+JsonValue blockJson(const Block& b, const Field (&fields)[N],
+                    std::uint64_t Block::*omitIfZero = nullptr) {
+  JsonValue out{JsonValue::Object{}};
+  for (const Field& f : fields)
+    if (f.field != omitIfZero || b.*f.field != 0)
+      out.set(f.key, JsonValue(b.*f.field));
+  return out;
+}
+
+/// The block read back; absent or non-numeric fields stay zero.
+template <class Block, class Field, std::size_t N>
+Block blockFromJson(const JsonValue& obj, const Field (&fields)[N]) {
+  Block b;
+  for (const Field& f : fields)
+    if (const JsonValue* n = obj.find(f.key); n && n->isNumber())
+      b.*f.field = static_cast<std::uint64_t>(n->asNumber());
+  return b;
+}
+
+}  // namespace
+
 const std::string* CellRecord::label(std::string_view name) const {
   for (const auto& [k, v] : labels)
     if (k == name) return &v;
@@ -58,34 +125,12 @@ std::string CellRecord::toJsonLine(bool includeVolatile) const {
   rec.set("delivered_flit_rate", JsonValue(deliveredFlitRate));
   rec.set("app_apl", JsonValue(std::move(apl)));
   rec.set("mean_apl", JsonValue(meanApl));
-  if (metrics) {
-    JsonValue m{JsonValue::Object{}};
-    m.set("va_grants_native", JsonValue(metrics->vaGrantsNative));
-    m.set("va_grants_foreign", JsonValue(metrics->vaGrantsForeign));
-    m.set("sa_grants_native", JsonValue(metrics->saGrantsNative));
-    m.set("sa_grants_foreign", JsonValue(metrics->saGrantsForeign));
-    m.set("escape_allocations", JsonValue(metrics->escapeAllocations));
-    m.set("flits_traversed", JsonValue(metrics->flitsTraversed));
-    m.set("dpa_flips", JsonValue(metrics->dpaFlips));
-    rec.set("metrics", std::move(m));
-  }
-  if (fault) {
-    JsonValue f{JsonValue::Object{}};
-    f.set("events_applied", JsonValue(fault->eventsApplied));
-    f.set("dropped_packets", JsonValue(fault->droppedPackets));
-    f.set("dropped_flits", JsonValue(fault->droppedFlits));
-    f.set("reroutes", JsonValue(fault->reroutes));
-    f.set("unreachable_pairs", JsonValue(fault->unreachablePairs));
-    f.set("degraded_cycles", JsonValue(fault->degradedCycles));
-    f.set("recovery_cycles", JsonValue(fault->recoveryCycles));
-    f.set("corrupted_flits", JsonValue(fault->corruptedFlits));
-    f.set("retransmitted_flits", JsonValue(fault->retransmittedFlits));
-    // Only emitted when a plan actually reset a router, keeping every
-    // pre-soft-reset record byte-identical.
-    if (fault->softResets > 0)
-      f.set("soft_resets", JsonValue(fault->softResets));
-    rec.set("fault", std::move(f));
-  }
+  if (metrics) rec.set("metrics", blockJson(*metrics, kMetricsFields));
+  // soft_resets is only emitted when a plan actually reset a router,
+  // keeping every pre-soft-reset record byte-identical.
+  if (fault)
+    rec.set("fault", blockJson(*fault, kFaultFields,
+                               &fault::FaultStats::softResets));
   if (includeVolatile) rec.set("wall_ms", JsonValue(wallMs));
   return rec.dump();
 }
@@ -124,39 +169,10 @@ std::optional<CellRecord> CellRecord::fromJson(const JsonValue& v) {
   if (const JsonValue* a = v.find("app_apl"); a && a->isArray())
     for (const JsonValue& e : a->asArray())
       if (e.isNumber()) r.appApl.push_back(e.asNumber());
-  if (const JsonValue* m = v.find("metrics"); m && m->isObject()) {
-    CellMetrics cm;
-    auto mnum = [&](const char* name, std::uint64_t& out) {
-      if (const JsonValue* n = m->find(name); n && n->isNumber())
-        out = static_cast<std::uint64_t>(n->asNumber());
-    };
-    mnum("va_grants_native", cm.vaGrantsNative);
-    mnum("va_grants_foreign", cm.vaGrantsForeign);
-    mnum("sa_grants_native", cm.saGrantsNative);
-    mnum("sa_grants_foreign", cm.saGrantsForeign);
-    mnum("escape_allocations", cm.escapeAllocations);
-    mnum("flits_traversed", cm.flitsTraversed);
-    mnum("dpa_flips", cm.dpaFlips);
-    r.metrics = cm;
-  }
-  if (const JsonValue* f = v.find("fault"); f && f->isObject()) {
-    fault::FaultStats fs;
-    auto fnum = [&](const char* name, std::uint64_t& out) {
-      if (const JsonValue* n = f->find(name); n && n->isNumber())
-        out = static_cast<std::uint64_t>(n->asNumber());
-    };
-    fnum("events_applied", fs.eventsApplied);
-    fnum("dropped_packets", fs.droppedPackets);
-    fnum("dropped_flits", fs.droppedFlits);
-    fnum("reroutes", fs.reroutes);
-    fnum("unreachable_pairs", fs.unreachablePairs);
-    fnum("degraded_cycles", fs.degradedCycles);
-    fnum("recovery_cycles", fs.recoveryCycles);
-    fnum("corrupted_flits", fs.corruptedFlits);
-    fnum("retransmitted_flits", fs.retransmittedFlits);
-    fnum("soft_resets", fs.softResets);
-    r.fault = fs;
-  }
+  if (const JsonValue* m = v.find("metrics"); m && m->isObject())
+    r.metrics = blockFromJson<CellMetrics>(*m, kMetricsFields);
+  if (const JsonValue* f = v.find("fault"); f && f->isObject())
+    r.fault = blockFromJson<fault::FaultStats>(*f, kFaultFields);
   return r;
 }
 
@@ -187,6 +203,20 @@ void CampaignSpec::add(CampaignCell cell) {
   cells.push_back(std::move(cell));
 }
 
+void CampaignSpec::add(
+    std::string key, std::vector<std::pair<std::string, std::string>> labels,
+    ScenarioSpec spec) {
+  CampaignCell cell;
+  cell.key = std::move(key);
+  cell.labels = std::move(labels);
+  cell.run = [spec](const CellContext& ctx) {
+    ScenarioSpec s = spec;
+    return runScenario(ctx.applyTo(s));
+  };
+  cell.spec = std::move(spec);
+  add(std::move(cell));
+}
+
 CellRecord makeCellRecord(const CampaignSpec& spec, const CampaignCell& cell,
                           std::uint64_t seed, const ScenarioResult& result,
                           double wallMs) {
@@ -205,13 +235,8 @@ CellRecord makeCellRecord(const CampaignSpec& spec, const CampaignCell& cell,
   if (result.metrics &&
       result.metrics->level >= metrics::MetricsLevel::Summary) {
     CellMetrics cm;
-    cm.vaGrantsNative = result.metrics->vaGrantsNative;
-    cm.vaGrantsForeign = result.metrics->vaGrantsForeign;
-    cm.saGrantsNative = result.metrics->saGrantsNative;
-    cm.saGrantsForeign = result.metrics->saGrantsForeign;
-    cm.escapeAllocations = result.metrics->escapeAllocations;
-    cm.flitsTraversed = result.metrics->flitsTraversed;
-    cm.dpaFlips = result.metrics->dpaFlips;
+    for (const MetricsField& f : kMetricsFields)
+      cm.*f.field = (*result.metrics).*f.from;
     r.metrics = cm;
   }
   r.fault = result.faultStats;

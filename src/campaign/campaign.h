@@ -2,11 +2,12 @@
 //
 // Every figure and ablation of the paper is a grid of fully independent
 // cycle-accurate simulations (scheme x load point x seed). A CampaignSpec
-// describes such a grid as a list of cells; each cell knows how to run
-// its simulation given a seed, and the runner (campaign/runner.h) derives
-// that seed deterministically from (campaignSeed, cellIndex) — so a
-// campaign's results are bit-identical no matter how many worker threads
-// execute it or in which order the cells complete.
+// describes such a grid as a list of cells; each cell carries the
+// ScenarioSpec it simulates and runs it given a seed, and the runner
+// (campaign/runner.h) derives that seed deterministically from
+// (campaignSeed, cellIndex) — so a campaign's results are bit-identical
+// no matter how many worker threads execute it or in which order the
+// cells complete.
 //
 // A completed cell becomes a CellRecord: a structured, JSON-serializable
 // outcome (per-app APLs, delivered flit rate, termination status, wall
@@ -120,8 +121,13 @@ struct CellContext {
 struct CampaignCell {
   std::string key;
   std::vector<std::pair<std::string, std::string>> labels;
-  /// Runs the cell's simulation under the given context. Must be pure (no
-  /// shared mutable state): cells execute concurrently.
+  /// The scenario the cell simulates, before the runner's context is
+  /// applied (absent only for cells with a hand-written `run`). Tools read
+  /// it to replay or check a cell exactly as the campaign runs it.
+  std::optional<ScenarioSpec> spec;
+  /// Runs the cell's simulation under the given context; for a cell
+  /// declared by its spec, runScenario(ctx.applyTo(copy of spec)). Must be
+  /// pure (no shared mutable state): cells execute concurrently.
   std::function<ScenarioResult(const CellContext&)> run;
 };
 
@@ -149,6 +155,10 @@ struct CampaignSpec {
 
   /// Appends a cell, enforcing key uniqueness.
   void add(CampaignCell cell);
+  /// Appends a cell that simulates `spec` under the runner's context.
+  void add(std::string key,
+           std::vector<std::pair<std::string, std::string>> labels,
+           ScenarioSpec spec);
 };
 
 /// Builds the structured record for a freshly executed cell.

@@ -9,6 +9,62 @@
 
 namespace rair::fault {
 
+std::string checkPlan(const FaultPlan& plan, const Mesh& mesh,
+                      const NetworkConfig& net) {
+  const bool retx = net.linkLayer == LinkLayerKind::Retx;
+  const int totalVcs = net.numClasses * net.vcsPerClass;
+  const auto illegal = [](const FaultEvent& e, const std::string& why) {
+    return "event '" + formatFaultEvent(e) + "': " + why;
+  };
+  // The Reset event each node is currently in, replayed in application
+  // order (events are sorted).
+  std::vector<const FaultEvent*> inReset(
+      static_cast<std::size_t>(mesh.numNodes()), nullptr);
+  for (const FaultEvent& e : plan.events()) {
+    if (!mesh.contains(e.node))
+      return illegal(e, "node " + std::to_string(e.node) +
+                            " is outside the " +
+                            std::to_string(mesh.width()) + "x" +
+                            std::to_string(mesh.height()) + " mesh");
+    const bool outage =
+        e.kind == FaultKind::LinkDown || e.kind == FaultKind::LinkUp;
+    if ((outage || e.kind == FaultKind::CorruptFlit) &&
+        !mesh.neighbor(e.node, e.dir).has_value())
+      return illegal(e, "the link does not exist");
+    // The reconfiguration flush purges link pipes; a retransmission
+    // link's replay/sequence state has no purge semantics (a purged entry
+    // would be "retransmitted" forever). The two fault families are
+    // deliberately disjoint per link layer.
+    if (outage && retx)
+      return illegal(e, "link outages require the ideal link layer");
+    if (e.kind == FaultKind::CorruptFlit && !retx)
+      return illegal(e, "corrupt events require the retx link layer "
+                        "(--link-layer retx)");
+    if (e.kind == FaultKind::CreditLoss && (e.vc < 0 || e.vc >= totalVcs))
+      return illegal(e, "VC " + std::to_string(e.vc) +
+                            " is outside the layout's " +
+                            std::to_string(totalVcs) + " VCs");
+    // Soft resets may not nest. A stranded Recover is a no-op.
+    const auto node = static_cast<std::size_t>(e.node);
+    if (e.kind == FaultKind::Reset) {
+      if (inReset[node] != nullptr)
+        return illegal(e, "the node is already in reset");
+      inReset[node] = &e;
+    }
+    if (e.kind == FaultKind::Recover) inReset[node] = nullptr;
+  }
+  // An unrecovered reset is allowed only on the ideal layer: on the retx
+  // layer committed neighbors stall against the reset node forever, so
+  // the plan would never drain.
+  if (retx)
+    for (const FaultEvent* e : inReset)
+      if (e != nullptr)
+        return illegal(*e, "retx-layer soft resets must recover before "
+                           "the plan ends (stalled neighbors would never "
+                           "drain)");
+  return "";
+}
+
 FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
     : sim_(&sim),
       net_(&sim.network()),
@@ -19,52 +75,8 @@ FaultInjector::FaultInjector(Simulator& sim, FaultPlan plan)
                    static_cast<std::size_t>(net_->layout().totalVcs()),
                0);
   inReset_.assign(n, 0);
-  const bool retx = net_->config().linkLayer == LinkLayerKind::Retx;
-  std::vector<std::uint8_t> resetNow(n, 0);
-  for (const FaultEvent& e : plan_.events()) {
-    RAIR_CHECK_MSG(net_->mesh().contains(e.node),
-                   "fault plan names a node outside the mesh");
-    if (e.kind == FaultKind::LinkDown || e.kind == FaultKind::LinkUp) {
-      RAIR_CHECK_MSG(net_->mesh().neighbor(e.node, e.dir).has_value(),
-                     "fault plan kills a link that does not exist");
-      // The reconfiguration flush purges link pipes; a retransmission
-      // link's replay/sequence state has no purge semantics (a purged
-      // entry would be "retransmitted" forever). The two fault families
-      // are deliberately disjoint per link layer.
-      RAIR_CHECK_MSG(!retx,
-                     "link outage faults require the ideal link layer");
-    }
-    if (e.kind == FaultKind::CreditLoss) {
-      RAIR_CHECK_MSG(e.vc >= 0 && e.vc < net_->layout().totalVcs(),
-                     "fault plan names a VC outside the layout");
-    }
-    if (e.kind == FaultKind::CorruptFlit) {
-      RAIR_CHECK_MSG(net_->mesh().neighbor(e.node, e.dir).has_value(),
-                     "fault plan corrupts a link that does not exist");
-      RAIR_CHECK_MSG(retx,
-                     "corrupt_flit faults require the retx link layer "
-                     "(--link-layer retx)");
-    }
-    // Soft resets may not nest (events are sorted, so this replay sees
-    // them in application order). A stranded Recover is a no-op; an
-    // unrecovered reset is allowed only on the ideal layer — on the retx
-    // layer committed neighbors stall against the reset node forever, so
-    // the plan would never drain.
-    if (e.kind == FaultKind::Reset) {
-      const auto idx = static_cast<std::size_t>(e.node);
-      RAIR_CHECK_MSG(!resetNow[idx],
-                     "fault plan resets a node already in reset");
-      resetNow[idx] = 1;
-    }
-    if (e.kind == FaultKind::Recover)
-      resetNow[static_cast<std::size_t>(e.node)] = 0;
-  }
-  if (retx) {
-    for (std::size_t i = 0; i < n; ++i)
-      RAIR_CHECK_MSG(!resetNow[i],
-                     "retx-layer soft resets must recover before the plan "
-                     "ends (stalled neighbors would never drain)");
-  }
+  const std::string illegal = checkPlan(plan_, net_->mesh(), net_->config());
+  RAIR_CHECK_MSG(illegal.empty(), illegal.c_str());
 }
 
 FaultInjector::~FaultInjector() { detach(); }

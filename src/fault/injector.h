@@ -69,6 +69,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "fault/plan.h"
@@ -76,6 +77,12 @@
 #include "sim/simulator.h"
 
 namespace rair::fault {
+
+/// Whether `plan` can run on a network of this mesh and configuration:
+/// "" when it can, else a message naming the first illegal event. The
+/// injector RAIR_CHECKs it; tools call it first and exit 2 instead.
+std::string checkPlan(const FaultPlan& plan, const Mesh& mesh,
+                      const NetworkConfig& net);
 
 /// Applies a FaultPlan to one Simulator. Construct, then attach(); the
 /// injector must outlive the simulation run. With an empty plan attached

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <fstream>
 #include <sstream>
 
 #include "common/assert.h"
@@ -129,17 +130,19 @@ FaultPlan FaultPlan::decode(snapshot::Reader& r) {
   return plan;
 }
 
-std::string FaultPlan::format() const {
+std::string formatFaultEvent(const FaultEvent& e) {
   std::ostringstream out;
-  for (const FaultEvent& e : events_) {
-    out << '@' << e.at << ' ' << faultKindName(e.kind) << ' ' << e.node;
-    if (needsDir(e.kind)) out << ' ' << dirToken(e.dir);
-    if (e.kind == FaultKind::CreditLoss)
-      out << ' ' << e.vc << ' ' << e.count;
-    if (e.kind == FaultKind::CorruptFlit) out << ' ' << e.count;
-    out << '\n';
-  }
+  out << '@' << e.at << ' ' << faultKindName(e.kind) << ' ' << e.node;
+  if (needsDir(e.kind)) out << ' ' << dirToken(e.dir);
+  if (e.kind == FaultKind::CreditLoss) out << ' ' << e.vc << ' ' << e.count;
+  if (e.kind == FaultKind::CorruptFlit) out << ' ' << e.count;
   return out.str();
+}
+
+std::string FaultPlan::format() const {
+  std::string out;
+  for (const FaultEvent& e : events_) out += formatFaultEvent(e) + '\n';
+  return out;
 }
 
 bool FaultPlan::parse(std::string_view text, FaultPlan& out,
@@ -225,6 +228,18 @@ bool FaultPlan::parse(std::string_view text, FaultPlan& out,
   }
   out = std::move(plan);
   return true;
+}
+
+bool readPlanFile(const std::string& path, FaultPlan& out,
+                  std::string* error) {
+  std::ifstream in(path);
+  if (!in) {
+    if (error != nullptr) *error = "cannot open fault plan file for reading";
+    return false;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return FaultPlan::parse(text.str(), out, error);
 }
 
 }  // namespace rair::fault

@@ -104,6 +104,14 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
+/// One event as a line of FaultPlan::format(), without the newline.
+std::string formatFaultEvent(const FaultEvent& e);
+
+/// Reads and parses the plan file at `path`; false, with the reason in
+/// `error`, when the file cannot be read or a line is malformed.
+bool readPlanFile(const std::string& path, FaultPlan& out,
+                  std::string* error = nullptr);
+
 /// Degradation accounting surfaced to metrics, campaign records and the
 /// CLI. All counters are totals over the run so far.
 struct FaultStats {

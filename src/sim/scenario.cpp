@@ -118,13 +118,13 @@ namespace {
 
 /// Whether this run's snapshots are sound: every piece of process state
 /// that shapes results must be inside the snapshot. Summary/Series metrics
-/// and file sinks accumulate outside it (a recorder attached after a
+/// and their file sinks accumulate outside it (a recorder attached after a
 /// restore has not seen the earlier cycles), so snapshot paths are limited
-/// to runs where metrics stay at the default Counters level with no sinks.
+/// to runs where metrics stay at or below the Counters level, which writes
+/// no sink.
 bool snapshotEligible(const ScenarioSpec& spec, const Simulator& sim) {
   return spec.snap.enabled() && sim.snapshotSupported() &&
-         spec.metrics.level <= metrics::MetricsLevel::Counters &&
-         spec.metrics.outPrefix.empty();
+         spec.metrics.level <= metrics::MetricsLevel::Counters;
 }
 
 }  // namespace
@@ -144,15 +144,11 @@ ScenarioResult runScenario(const ScenarioSpec& spec) {
   std::uint64_t warmKey = 0;
   std::string ckptPath;
   if (snapshotEligible(spec, sim)) {
-    if (!spec.snap.checkpointPath.empty() ||
-        !spec.snap.checkpointDir.empty()) {
+    if (!spec.snap.checkpointDir.empty()) {
       fullKey = snapshot::fullStateKey(spec);
-      ckptPath = spec.snap.checkpointPath;
-      if (ckptPath.empty()) {
-        snapshot::ensureDir(spec.snap.checkpointDir);
-        ckptPath = spec.snap.checkpointDir + "/" +
-                   snapshot::checkpointFileName(fullKey);
-      }
+      snapshot::ensureDir(spec.snap.checkpointDir);
+      ckptPath = spec.snap.checkpointDir + "/" +
+                 snapshot::checkpointFileName(fullKey);
       snapshot::tryRestoreCheckpoint(sim, ckptPath, fullKey, &resumedFrom);
     }
     const bool wantWarm =

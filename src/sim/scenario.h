@@ -204,13 +204,6 @@ struct ScenarioSpec {
     snap.warmCacheDir = std::move(dir);
     return *this;
   }
-  /// Enables mid-run checkpointing to `path` every `every` cycles (and
-  /// resume from it when the file already exists for this exact spec).
-  ScenarioSpec& withCheckpoint(std::string path, Cycle every = 25'000) {
-    snap.checkpointPath = std::move(path);
-    snap.checkpointEvery = every;
-    return *this;
-  }
   /// Overwrites only the window fields of `config` (warmup, measure,
   /// drain limit) with the preset, keeping network knobs intact.
   ScenarioSpec& withWindows(bool fast) {

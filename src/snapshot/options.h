@@ -16,22 +16,17 @@ struct SnapshotOptions {
   /// on a miss, stores it after simulating the warm-up once.
   std::string warmCacheDir;
 
-  /// Checkpoint file for mid-run resume. When set, runScenario restores
-  /// from it if it exists (and matches the full scenario key), refreshes
-  /// it every `checkpointEvery` cycles while running, and removes it when
-  /// the run completes.
-  std::string checkpointPath;
-  /// Alternative to checkpointPath for callers that run many scenarios
-  /// (the campaign runner): runScenario derives the file itself as
-  /// `<checkpointDir>/<checkpointFileName(fullStateKey)>`, so every run
-  /// gets a distinct checkpoint without the caller computing keys.
-  /// Ignored when checkpointPath is set.
+  /// Directory of mid-run checkpoints. When set, runScenario keeps the
+  /// run's checkpoint at `<checkpointDir>/<checkpointFileName(fullStateKey)>`
+  /// (creating the directory): it restores from that file if it exists,
+  /// refreshes it every `checkpointEvery` cycles while running, and
+  /// removes it when the run completes. Every scenario gets a distinct
+  /// file without the caller computing keys.
   std::string checkpointDir;
   Cycle checkpointEvery = 25'000;
 
   bool enabled() const {
-    return !warmCacheDir.empty() || !checkpointPath.empty() ||
-           !checkpointDir.empty();
+    return !warmCacheDir.empty() || !checkpointDir.empty();
   }
 };
 

@@ -1,11 +1,16 @@
 // Shared helpers for simulator-level tests.
 #pragma once
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/network.h"
+#include "sim/scenario.h"
 #include "sim/simulator.h"
+#include "snapshot/buffer.h"
+#include "snapshot/checkpoint.h"
+#include "snapshot/scenario_key.h"
 #include "traffic/source.h"
 
 namespace rair::testutil {
@@ -60,6 +65,23 @@ inline SimConfig fastConfig() {
   cfg.drainLimit = 50'000;
   cfg.progressTimeout = 20'000;
   return cfg;
+}
+
+/// `spec` keeping its mid-run checkpoint in directory `dir`, the one way
+/// runScenario names a checkpoint (the campaign's --checkpoint-dir).
+inline ScenarioSpec checkpointingIn(ScenarioSpec spec, const std::string& dir) {
+  snapshot::SnapshotOptions snap;
+  snap.checkpointDir = dir;
+  return spec.withSnapshot(snap);
+}
+
+/// The file runScenario resumes `spec` from under checkpointingIn(spec,
+/// dir), for tests that fabricate the interrupted run; creates `dir`.
+inline std::string checkpointPath(const std::string& dir,
+                                  const ScenarioSpec& spec) {
+  snapshot::ensureDir(dir);
+  return dir + "/" +
+         snapshot::checkpointFileName(snapshot::fullStateKey(spec));
 }
 
 }  // namespace rair::testutil

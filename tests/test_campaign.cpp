@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,8 +23,8 @@ namespace {
 // mesh with sub-second windows. Cells are pure functions of the seed, as
 // the runner requires.
 CampaignSpec smallSpec() {
-  auto mesh = std::make_shared<Mesh>(4, 4);
-  auto regions = std::make_shared<RegionMap>(RegionMap::halves(*mesh));
+  static const Mesh mesh(4, 4);
+  static const RegionMap regions = RegionMap::halves(mesh);
   SimConfig cfg;
   cfg.warmupCycles = 200;
   cfg.measureCycles = 1'000;
@@ -37,22 +36,17 @@ CampaignSpec smallSpec() {
   for (const SchemeSpec& scheme : {schemeRoRr(), schemeRaRair()}) {
     for (const char* load : {"low", "mid"}) {
       const double rate = load[0] == 'l' ? 0.05 : 0.15;
-      CampaignCell cell;
-      cell.key = scheme.label + "/" + load;
-      cell.labels = {{"scheme", scheme.label}, {"load", load}};
-      cell.run = [mesh, regions, cfg, scheme, rate](const CellContext& ctx) {
-        std::vector<AppTrafficSpec> apps(2);
-        apps[0].app = 0;
-        apps[0].injectionRate = rate;
-        apps[1].app = 1;
-        apps[1].injectionRate = rate;
-        ScenarioSpec spec = ScenarioSpec(*mesh, *regions)
-                                .withConfig(cfg)
-                                .withScheme(scheme)
-                                .withApps(std::move(apps));
-        return runScenario(ctx.applyTo(spec));
-      };
-      spec.add(std::move(cell));
+      std::vector<AppTrafficSpec> apps(2);
+      apps[0].app = 0;
+      apps[0].injectionRate = rate;
+      apps[1].app = 1;
+      apps[1].injectionRate = rate;
+      spec.add(scheme.label + "/" + load,
+               {{"scheme", scheme.label}, {"load", load}},
+               ScenarioSpec(mesh, regions)
+                   .withConfig(cfg)
+                   .withScheme(scheme)
+                   .withApps(std::move(apps)));
     }
   }
   return spec;
@@ -417,8 +411,8 @@ TEST(Runner, TripwiredCellIsRecordedNotFatal) {
 // level, per-cell sink prefix and fault plan, and neither carries a block
 // it was not asked for.
 TEST(Runner, MetricsAndFaultsReachEveryCell) {
-  auto mesh = std::make_shared<Mesh>(4, 4);
-  auto regions = std::make_shared<RegionMap>(RegionMap::quadrants(*mesh));
+  const Mesh mesh(4, 4);
+  const RegionMap regions = RegionMap::quadrants(mesh);
   SimConfig cfg;
   cfg.warmupCycles = 100;
   cfg.measureCycles = 400;
@@ -426,38 +420,28 @@ TEST(Runner, MetricsAndFaultsReachEveryCell) {
 
   CampaignSpec spec;
   spec.name = "reach";
-  CampaignCell synthetic;
-  synthetic.key = "synthetic/RO_RR";
-  synthetic.run = [mesh, regions, cfg](const CellContext& ctx) {
-    std::vector<AppTrafficSpec> apps(4);
-    for (AppId a = 0; a < 4; ++a) {
-      apps[static_cast<std::size_t>(a)].app = a;
-      apps[static_cast<std::size_t>(a)].injectionRate = 0.05;
-    }
-    ScenarioSpec s = ScenarioSpec(*mesh, *regions)
-                         .withConfig(cfg)
-                         .withScheme(schemeRoRr())
-                         .withApps(std::move(apps));
-    return runScenario(ctx.applyTo(s));
-  };
-  spec.add(std::move(synthetic));
-  CampaignCell parsec;
-  parsec.key = "parsec/RA_RAIR";
-  parsec.run = [mesh, regions, cfg](const CellContext& ctx) {
-    ScenarioSpec s = ScenarioSpec(*mesh, *regions)
-                         .withConfig(cfg)
-                         .withScheme(schemeRaRair())
-                         .withParsecApps(scenarios::fig16Benchmarks());
-    return runScenario(ctx.applyTo(s));
-  };
-  spec.add(std::move(parsec));
+  std::vector<AppTrafficSpec> apps(4);
+  for (AppId a = 0; a < 4; ++a) {
+    apps[static_cast<std::size_t>(a)].app = a;
+    apps[static_cast<std::size_t>(a)].injectionRate = 0.05;
+  }
+  spec.add("synthetic/RO_RR", {},
+           ScenarioSpec(mesh, regions)
+               .withConfig(cfg)
+               .withScheme(schemeRoRr())
+               .withApps(std::move(apps)));
+  spec.add("parsec/RA_RAIR", {},
+           ScenarioSpec(mesh, regions)
+               .withConfig(cfg)
+               .withScheme(schemeRaRair())
+               .withParsecApps(scenarios::fig16Benchmarks()));
 
   const std::string prefix = ::testing::TempDir() + "rair_reach_";
   RunnerOptions opts;
   opts.jobs = 2;
   opts.cell.metrics.level = metrics::MetricsLevel::Summary;
   opts.cell.metrics.outPrefix = prefix;
-  opts.cell.faults.creditLoss(200, mesh->nodeAt({1, 1}), Dir::East, 1, 1);
+  opts.cell.faults.creditLoss(200, mesh.nodeAt({1, 1}), Dir::East, 1, 1);
   for (const char* key : {"synthetic_RO_RR", "parsec_RA_RAIR"})
     std::remove((prefix + "reach_" + key + ".summary.json").c_str());
   const CampaignSummary instrumented = runCampaign(spec, opts);
@@ -497,8 +481,10 @@ TEST(Builtin, EveryCampaignRendersItsTables) {
     const CampaignSpec spec = buildBuiltinCampaign(name, ctx);
     EXPECT_EQ(spec.name, name);
     std::set<std::string> keys;
-    for (const CampaignCell& c : spec.cells)
+    for (const CampaignCell& c : spec.cells) {
       EXPECT_TRUE(keys.insert(c.key).second) << c.key;
+      EXPECT_TRUE(c.spec.has_value()) << c.key;
+    }
     ASSERT_FALSE(spec.cells.empty());
     ASSERT_TRUE(spec.renderTables);
 

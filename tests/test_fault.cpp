@@ -9,10 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "campaign/builtin.h"
 #include "check/fuzz.h"
 #include "check/oracle.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
+#include "fault/random_plan.h"
 #include "routing/tables.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
@@ -20,6 +22,7 @@
 #include "snapshot/buffer.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -507,7 +510,8 @@ TEST(FaultSnapshot, MidOutageCheckpointResumeMatchesStraightRun) {
   const ScenarioResult straight = runScenario(spec);
   ASSERT_TRUE(straight.faultStats.has_value());
 
-  const std::string path = ::testing::TempDir() + "rair_fault_mid.snap";
+  const std::string dir = ::testing::TempDir() + "rair_fault_mid";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   // 3000 is inside the outage: the checkpoint carries dead links, the
   // lost-credit ledger and a pending stall release.
@@ -515,7 +519,7 @@ TEST(FaultSnapshot, MidOutageCheckpointResumeMatchesStraightRun) {
 
   // Resume on a different thread count than the straight run.
   const ScenarioResult resumed =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+      runScenario(testutil::checkpointingIn(spec, dir).withThreads(4));
   EXPECT_EQ(resumed.resumedFromCycle, 3'000u);
   EXPECT_EQ(resumed.run.cyclesRun, straight.run.cyclesRun);
   EXPECT_EQ(resumed.run.packetsCreated, straight.run.packetsCreated);
@@ -563,12 +567,13 @@ TEST(FaultSnapshot, MidResetCheckpointResumeMatchesStraightRun) {
   ASSERT_TRUE(straight.faultStats.has_value());
   EXPECT_EQ(straight.faultStats->softResets, 1u);
 
-  const std::string path = ::testing::TempDir() + "rair_fault_reset.snap";
+  const std::string dir = ::testing::TempDir() + "rair_fault_reset";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 3'000, path));
 
   const ScenarioResult resumed =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+      runScenario(testutil::checkpointingIn(spec, dir).withThreads(4));
   EXPECT_EQ(resumed.resumedFromCycle, 3'000u);
   EXPECT_EQ(resumed.run.cyclesRun, straight.run.cyclesRun);
   EXPECT_EQ(resumed.run.packetsCreated, straight.run.packetsCreated);
@@ -598,11 +603,12 @@ TEST(FaultSnapshot, DbarRetxCheckpointResumesOnFourThreads) {
   ASSERT_TRUE(straight.faultStats.has_value());
   EXPECT_GT(straight.faultStats->corruptedFlits, 0u);
 
-  const std::string path = ::testing::TempDir() + "rair_fault_dbar.snap";
+  const std::string dir = ::testing::TempDir() + "rair_fault_dbar";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 3'000, path));
   const ScenarioResult resumed =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+      runScenario(testutil::checkpointingIn(spec, dir).withThreads(4));
   EXPECT_EQ(resumed.resumedFromCycle, 3'000u);
   EXPECT_EQ(resumed.run.cyclesRun, straight.run.cyclesRun);
   EXPECT_EQ(resumed.run.packetsCreated, straight.run.packetsCreated);
@@ -661,6 +667,107 @@ TEST(FaultFuzz, PlanGenerationIsDeterministic) {
   const FaultPlan b = check::generateFaultPlan(7, c);
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
+}
+
+// ---- Plan legality (fault::checkPlan) -------------------------------------
+
+TEST(FaultPlanCheck, NamesTheFirstIllegalEvent) {
+  const Mesh mesh(8, 8);
+  NetworkConfig ideal;  // one class of 5 VCs on ideal links
+  NetworkConfig retx = ideal;
+  retx.linkLayer = LinkLayerKind::Retx;
+  const auto check = [&](const char* text, const NetworkConfig& net) {
+    FaultPlan plan;
+    EXPECT_TRUE(FaultPlan::parse(text, plan)) << text;
+    return fault::checkPlan(plan, mesh, net);
+  };
+  EXPECT_EQ(check("@5000 down 27 E\n@8000 up 27 E\n", ideal), "");
+  EXPECT_EQ(check("@5000 down 999 E\n", ideal),
+            "event '@5000 down 999 E': node 999 is outside the 8x8 mesh");
+  EXPECT_EQ(check("@5000 down 7 E\n", ideal),
+            "event '@5000 down 7 E': the link does not exist");
+  EXPECT_EQ(check("@5000 down 27 E\n", retx),
+            "event '@5000 down 27 E': link outages require the ideal link "
+            "layer");
+  EXPECT_EQ(check("@5000 corrupt 27 E 4\n", retx), "");
+  EXPECT_EQ(check("@5000 corrupt 27 E 4\n", ideal),
+            "event '@5000 corrupt 27 E 4': corrupt events require the retx "
+            "link layer (--link-layer retx)");
+  EXPECT_EQ(check("@5000 creditloss 3 E 40 1\n", ideal),
+            "event '@5000 creditloss 3 E 40 1': VC 40 is outside the "
+            "layout's 5 VCs");
+  EXPECT_EQ(check("@5000 reset 3\n@6000 reset 3\n", ideal),
+            "event '@6000 reset 3': the node is already in reset");
+  EXPECT_EQ(check("@5000 reset 3 100\n@6000 reset 3 100\n", retx), "");
+  // An unrecovered reset is a node outage on ideal links, but stalls the
+  // retx neighbors forever.
+  EXPECT_EQ(check("@5000 reset 3\n", ideal), "");
+  EXPECT_EQ(check("@5000 reset 3\n", retx),
+            "event '@5000 reset 3': retx-layer soft resets must recover "
+            "before the plan ends (stalled neighbors would never drain)");
+}
+
+TEST(FaultPlanCheck, GeneratedAndCannedPlansAreLegal) {
+  // The shared generator, in both sampling modes and both families.
+  const Mesh mesh(8, 8);
+  for (const LinkLayerKind layer : {LinkLayerKind::Ideal, LinkLayerKind::Retx}) {
+    NetworkConfig net;
+    net.linkLayer = layer;
+    for (const Cycle mtbf : {Cycle{0}, Cycle{500}}) {
+      fault::RandomPlanOptions po;
+      po.numClasses = net.numClasses;
+      po.vcsPerClass = net.vcsPerClass;
+      po.windowEnd = 20'000;
+      po.retxLayer = layer == LinkLayerKind::Retx;
+      po.mtbf = mtbf;
+      for (std::uint64_t seed = 1; seed <= 40; ++seed)
+        EXPECT_EQ(fault::checkPlan(fault::generateRandomPlan(seed, po), mesh,
+                                   net),
+                  "")
+            << "seed " << seed << " mtbf " << mtbf;
+    }
+  }
+
+  // The fuzz harness's plans, each on its own case's geometry, PARSEC
+  // twins included.
+  for (const LinkLayerKind layer : {LinkLayerKind::Ideal, LinkLayerKind::Retx}) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+      std::vector<check::FuzzCase> cases{check::generateCase(seed)};
+      cases[0].linkLayer = layer;
+      if (auto twin = check::parsecTwin(seed, cases[0]))
+        cases.push_back(std::move(*twin));
+      for (const check::FuzzCase& c : cases) {
+        NetworkConfig net;
+        net.numClasses = c.numClasses;
+        net.vcsPerClass = c.vcsPerClass;
+        net.linkLayer = c.linkLayer;
+        EXPECT_EQ(fault::checkPlan(check::generateFaultPlan(seed, c),
+                                   Mesh(c.meshW, c.meshH), net),
+                  "")
+            << c.describe();
+      }
+    }
+  }
+
+  // The faults campaign's canned and density plans, on each cell's own
+  // network (calibration stubbed: the plans do not depend on the loads).
+  for (const LinkLayerKind layer : {LinkLayerKind::Ideal, LinkLayerKind::Retx}) {
+    campaign::BuildContext ctx = campaign::defaultBuildContext(true);
+    ctx.sim.net.linkLayer = layer;
+    ctx.faultDensity = 0.5;
+    ctx.value = [](const std::string&, const std::function<double()>&) {
+      return 0.1;
+    };
+    const campaign::CampaignSpec spec =
+        campaign::buildBuiltinCampaign("faults", ctx);
+    for (const campaign::CampaignCell& cell : spec.cells) {
+      ASSERT_TRUE(cell.spec.has_value()) << cell.key;
+      EXPECT_EQ(fault::checkPlan(cell.spec->faults, *cell.spec->mesh,
+                                 cell.spec->effectiveConfig().net),
+                "")
+          << cell.key;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "sim/scenario.h"
 #include "snapshot/buffer.h"
 #include "snapshot/scenario_key.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -293,13 +294,14 @@ TEST(RetxSnapshot, MidRetransmissionCheckpointResumeMatchesStraightRun) {
   const ScenarioResult straight = runScenario(spec);
   ASSERT_TRUE(straight.faultStats.has_value());
 
-  const std::string path = ::testing::TempDir() + "rair_retx_mid.snap";
+  const std::string dir = ::testing::TempDir() + "rair_retx_mid";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 402, path));
 
   // Resume on a different thread count than the straight run.
   const ScenarioResult resumed =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+      runScenario(testutil::checkpointingIn(spec, dir).withThreads(4));
   EXPECT_EQ(resumed.resumedFromCycle, 402u);
   expectSameResult(resumed, straight);
   ASSERT_TRUE(resumed.faultStats.has_value());

@@ -20,6 +20,7 @@
 #include "snapshot/checkpoint.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -381,13 +382,14 @@ TEST(ShardContinuation, CheckpointAt8ThreadsResumesLegacyToGolden) {
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.0, schemeRoRr(), 10451216379200822465ull);
 
-  const std::string path = ::testing::TempDir() + "rair_shard_cont_a.snap";
+  const std::string dir = ::testing::TempDir() + "rair_shard_cont_a";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(ScenarioSpec(spec).withThreads(8),
                                       kMidWindow, path));
 
   // Resume on one shard thread (the default).
-  const ScenarioResult r = runScenario(ScenarioSpec(spec).withCheckpoint(path));
+  const ScenarioResult r = runScenario(testutil::checkpointingIn(spec, dir));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
   expectFig09Golden(r);
 }
@@ -398,12 +400,13 @@ TEST(ShardContinuation, LegacyCheckpointResumesAt4ThreadsToGolden) {
   const ScenarioSpec spec =
       fig12SpecA(mesh, regions, schemeRaRair(), 16184226688143867045ull);
 
-  const std::string path = ::testing::TempDir() + "rair_shard_cont_b.snap";
+  const std::string dir = ::testing::TempDir() + "rair_shard_cont_b";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, kMidWindow, path));
 
   const ScenarioResult r = runScenario(
-      ScenarioSpec(spec).withCheckpoint(path).withThreads(4));
+      testutil::checkpointingIn(spec, dir).withThreads(4));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
   expectFig12Golden(r);
 }
@@ -563,12 +566,13 @@ TEST(ShardRebalance, ForcedMovesKeepCheckpointResumeOnGolden) {
   const ScenarioSpec spec =
       fig12SpecA(mesh, regions, schemeRaRair(), 16184226688143867045ull);
   const ForcedRebalance force(7);
-  const std::string path = ::testing::TempDir() + "rair_shard_rebal.snap";
+  const std::string dir = ::testing::TempDir() + "rair_shard_rebal";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(ScenarioSpec(spec).withThreads(4),
                                       kMidWindow, path));
   const ScenarioResult r = runScenario(
-      ScenarioSpec(spec).withCheckpoint(path).withThreads(8));
+      testutil::checkpointingIn(spec, dir).withThreads(8));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
   expectFig12Golden(r);
 }

@@ -21,6 +21,7 @@
 #include "snapshot/scenario_key.h"
 #include "snapshot/warm_cache.h"
 #include "stats/stats.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -406,17 +407,19 @@ TEST(WarmCache, SecondRunRestoresCachedWarmupBitIdentically) {
 TEST(Checkpoint, ResumeMidMeasurementIsBitIdentical) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
-  const std::string path = ::testing::TempDir() + "rair_ckpt_test.snap";
+  ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());
+  const std::string dir = ::testing::TempDir() + "rair_ckpt_test";
+  const std::string path = testutil::checkpointPath(dir, spec);
   std::remove(path.c_str());
 
-  ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());
   const ScenarioResult straight = runScenario(spec);
 
   // Fabricate the interrupted run: checkpoint in the middle of the
   // measurement window (warmup 200, measure end 1200).
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 700, path));
 
-  const ScenarioResult resumed = runScenario(spec.withCheckpoint(path));
+  const ScenarioResult resumed =
+      runScenario(testutil::checkpointingIn(spec, dir));
   EXPECT_EQ(resumed.resumedFromCycle, 700u);
   expectSameResult(resumed, straight);
 
@@ -427,18 +430,23 @@ TEST(Checkpoint, ResumeMidMeasurementIsBitIdentical) {
 TEST(Checkpoint, ForeignKeyCheckpointIsIgnored) {
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
-  const std::string path = ::testing::TempDir() + "rair_ckpt_foreign.snap";
-  std::remove(path.c_str());
-
   ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());
+  const std::string dir = ::testing::TempDir() + "rair_ckpt_foreign";
+  const std::string path = testutil::checkpointPath(dir, spec);
+  std::remove(path.c_str());
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 700, path));
 
-  // A different seed must not restore another run's checkpoint.
+  // A different seed must not restore another run's checkpoint, even one
+  // sitting under its own file name.
   ScenarioSpec other = twoAppSpec(mesh, regions, schemeRaRair());
   other.seed = 43;
-  const ScenarioResult r = runScenario(other.withCheckpoint(path));
+  const std::string otherPath = testutil::checkpointPath(dir, other);
+  std::filesystem::copy_file(
+      path, otherPath, std::filesystem::copy_options::overwrite_existing);
+  const ScenarioResult r = runScenario(testutil::checkpointingIn(other, dir));
   EXPECT_EQ(r.resumedFromCycle, 0u);
   std::remove(path.c_str());
+  std::remove(otherPath.c_str());
 }
 
 TEST(SnapshotKeys, WarmKeyIgnoresMeasureWindowButFullKeyDoesNot) {

@@ -14,6 +14,7 @@
 #include "snapshot/buffer.h"
 #include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -59,12 +60,13 @@ TEST(Continuation, Fig09CellResumedMidWindowMatchesGolden) {
   const ScenarioSpec spec =
       fig09Spec(mesh, regions, 0.0, schemeRoRr(), 10451216379200822465ull);
 
-  const std::string path = ::testing::TempDir() + "rair_cont_fig09.snap";
+  const std::string dir = ::testing::TempDir() + "rair_cont_fig09";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, kMidWindow, path));
 
   const ScenarioResult r =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path));
+      runScenario(testutil::checkpointingIn(spec, dir));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
 
   // The recorded golden numbers of the uninterrupted run
@@ -88,12 +90,13 @@ TEST(Continuation, Fig12CellResumedMidWindowMatchesGolden) {
   const ScenarioSpec spec =
       fig12SpecA(mesh, regions, schemeRaRair(), 16184226688143867045ull);
 
-  const std::string path = ::testing::TempDir() + "rair_cont_fig12.snap";
+  const std::string dir = ::testing::TempDir() + "rair_cont_fig12";
+  const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
   ASSERT_TRUE(writeScenarioCheckpoint(spec, kMidWindow, path));
 
   const ScenarioResult r =
-      runScenario(ScenarioSpec(spec).withCheckpoint(path));
+      runScenario(testutil::checkpointingIn(spec, dir));
   EXPECT_EQ(r.resumedFromCycle, kMidWindow);
 
   // Golden numbers of the uninterrupted run (test_equivalence.cpp,

@@ -9,18 +9,16 @@
 // schema and resume semantics.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "campaign/builtin.h"
 #include "campaign/runner.h"
 #include "campaign/store.h"
 #include "cli_args.h"
-#include "fault/plan.h"
+#include "fault/injector.h"
 #include "link/link_layer.h"
 #include "metrics/metrics.h"
 #include "snapshot/buffer.h"
@@ -47,18 +45,19 @@ void usage(std::FILE* to) {
       "                in each cell record (default records stay\n"
       "                byte-identical to uninstrumented runs)\n"
       "  --metrics-out PREFIX\n"
-      "                write per-cell metrics sinks (summary.json,\n"
-      "                counters.csv, series.jsonl) under\n"
-      "                PREFIX<campaign>_<key>. (creates the prefix's\n"
-      "                directory when it is missing)\n"
+      "                write per-cell metrics sinks under\n"
+      "                PREFIX<campaign>_<key>.: summary.json and\n"
+      "                counters.csv, plus series.jsonl at --metrics\n"
+      "                series. Requires --metrics summary|series; creates\n"
+      "                the prefix's directory when it is missing\n"
       "  --warm-cache DIR\n"
       "                cache end-of-warm-up simulator states in DIR;\n"
       "                calibration probes and cells whose warm-up was\n"
       "                already simulated (e.g. on a re-run) restore it\n"
       "                instead of re-simulating. Cells that cannot\n"
       "                snapshot (fig17's PARSEC request/reply cells, and\n"
-      "                every cell under --metrics summary|series or\n"
-      "                --metrics-out) run without it, same records\n"
+      "                every cell under --metrics summary|series) run\n"
+      "                without it, same records\n"
       "  --checkpoint-dir DIR\n"
       "                write per-cell mid-run checkpoints into DIR; an\n"
       "                interrupted campaign resumes unfinished cells from\n"
@@ -88,7 +87,9 @@ void usage(std::FILE* to) {
       "                attach the fault plan in FILE (text format, see\n"
       "                tools/rair_fault --help) to every cell that does\n"
       "                not define its own; cell records gain a \"fault\"\n"
-      "                block. Changes results -- use a dedicated --out.\n"
+      "                block. A plan one of those cells cannot run exits\n"
+      "                2 before any cell runs. Changes results -- use a\n"
+      "                dedicated --out.\n"
       "                The built-in \"faults\" campaign runs a canned\n"
       "                resilience sweep without this flag.\n");
 }
@@ -232,6 +233,14 @@ int main(int argc, char** argv) {
                          "built-ins\n", args.name.c_str());
     return 2;
   }
+  // Below summary level no sink is written, so a prefix there would be
+  // silently ignored.
+  if (!args.metrics.outPrefix.empty() &&
+      args.metrics.level < rair::metrics::MetricsLevel::Summary) {
+    std::fprintf(stderr, "--metrics-out requires --metrics summary or "
+                         "--metrics series\n");
+    return 2;
+  }
   // The sinks are written after every cell has run: make the prefix's
   // directory now, as cells do for --checkpoint-dir, and refuse before any
   // calibration when it cannot be made.
@@ -243,6 +252,15 @@ int main(int argc, char** argv) {
     if (!dir.empty() && !rair::snapshot::ensureDir(dir)) {
       std::fprintf(stderr, "cannot create the --metrics-out directory '%s'\n",
                    dir.c_str());
+      return 2;
+    }
+  }
+  RunnerOptions opts;
+  if (!args.faultsFile.empty()) {
+    std::string err;
+    if (!rair::fault::readPlanFile(args.faultsFile, opts.cell.faults, &err)) {
+      std::fprintf(stderr, "bad fault plan '%s': %s\n",
+                   args.faultsFile.c_str(), err.c_str());
       return 2;
     }
   }
@@ -280,20 +298,16 @@ int main(int argc, char** argv) {
     return buildBuiltinCampaign(args.name, ctx);
   }();
 
-  RunnerOptions opts;
-  if (!args.faultsFile.empty()) {
-    std::ifstream in(args.faultsFile);
-    if (!in) {
-      std::fprintf(stderr, "cannot read fault plan '%s'\n",
-                   args.faultsFile.c_str());
-      return 2;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::string err;
-    if (!rair::fault::FaultPlan::parse(text.str(), opts.cell.faults, &err)) {
-      std::fprintf(stderr, "bad fault plan '%s': %s\n",
-                   args.faultsFile.c_str(), err.c_str());
+  // The injector's legality rules, checked against every cell that takes
+  // the campaign-wide plan before any of them runs.
+  for (const CampaignCell& cell : spec.cells) {
+    if (!cell.spec || !cell.spec->faults.empty()) continue;
+    const std::string err =
+        rair::fault::checkPlan(opts.cell.faults, *cell.spec->mesh,
+                               cell.spec->effectiveConfig().net);
+    if (!err.empty()) {
+      std::fprintf(stderr, "fault plan '%s' cannot run on cell %s: %s\n",
+                   args.faultsFile.c_str(), cell.key.c_str(), err.c_str());
       return 2;
     }
   }

@@ -17,15 +17,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/builtin.h"
 #include "check/oracle.h"
 #include "cli_args.h"
-#include "fault/plan.h"
+#include "fault/injector.h"
 #include "link/link_layer.h"
 #include "region/region_map.h"
 #include "scenarios/paper_scenarios.h"
@@ -56,7 +55,10 @@ void usage(std::FILE* to) {
       "                  @<cycle> reset <node> [<duration>]\n"
       "                  @<cycle> recover <node>\n"
       "                blank lines and #-comments are ignored; <node> is a\n"
-      "                row-major id (y*width + x)\n"
+      "                row-major id (y*width + x). A plan the network\n"
+      "                cannot run (a node outside the mesh, a missing\n"
+      "                link, a VC outside the layout, a nested reset)\n"
+      "                exits 2\n"
       "  --example     print a commented example plan and exit\n"
       "  --scheme S    scheme label: RO_RR (default), RO_RR_XY,\n"
       "                RO_RR_DBAR, RO_Rank, RA_DBAR, RA_RAIR, RAIR_DBAR,\n"
@@ -86,8 +88,7 @@ void usage(std::FILE* to) {
       "                instead of the synthetic two-app scenario; a\n"
       "                missing or damaged trace exits 2\n"
       "  --check       additionally replay under the fault-aware network\n"
-      "                oracle and report any invariant violations (not\n"
-      "                supported with --cell)\n");
+      "                oracle and report any invariant violations\n");
 }
 
 int printExample() {
@@ -196,35 +197,7 @@ bool parseArgs(int argc, char** argv, Args& args) {
     std::fprintf(stderr, "--cell and --trace are mutually exclusive\n");
     return false;
   }
-  if (!args.cellRef.empty() && args.check) {
-    std::fprintf(stderr, "--check is not supported with --cell\n");
-    return false;
-  }
   return !args.planFile.empty();
-}
-
-/// Friendly plan/layer compatibility check, instead of the injector's
-/// RAIR_CHECK abort deep inside the run.
-bool validatePlanLayer(const fault::FaultPlan& plan, LinkLayerKind layer) {
-  bool corrupt = false, outage = false;
-  for (const fault::FaultEvent& e : plan.events()) {
-    corrupt |= e.kind == fault::FaultKind::CorruptFlit;
-    outage |= e.kind == fault::FaultKind::LinkDown ||
-              e.kind == fault::FaultKind::LinkUp;
-  }
-  if (corrupt && layer == LinkLayerKind::Ideal) {
-    std::fprintf(stderr,
-                 "plan contains corrupt events, which require the "
-                 "retransmission layer: rerun with --link-layer retx\n");
-    return false;
-  }
-  if (outage && layer == LinkLayerKind::Retx) {
-    std::fprintf(stderr,
-                 "plan contains down/up events, which require the ideal "
-                 "link layer (retx has no outage semantics)\n");
-    return false;
-  }
-  return true;
 }
 
 void reportPair(const ScenarioResult& twin, const ScenarioResult& faulted) {
@@ -273,27 +246,22 @@ void reportPair(const ScenarioResult& twin, const ScenarioResult& faulted) {
   }
 }
 
-int finish(const ScenarioResult& faulted, bool ok) {
-  if (faulted.run.termination != Termination::Drained)
-    std::printf("\nWARNING: faulted run did not drain (%s)\n",
-                terminationName(faulted.run.termination));
-  return ok ? 0 : 1;
-}
-
-/// --cell: replay the plan on a built-in campaign cell; the twin is the
-/// cell exactly as rair_campaign would run it.
-int runCellMode(const Args& args, const fault::FaultPlan& plan) {
+/// --cell: the spec of a built-in campaign cell, with the seed and shard
+/// threads rair_campaign runs it with; nullopt, after a message, when the
+/// reference names no cell or the cell defines its own plan.
+std::optional<ScenarioSpec> cellWorkload(const Args& args,
+                                         std::string& header) {
   const auto colon = args.cellRef.find(':');
   if (colon == std::string::npos) {
     std::fprintf(stderr,
                  "--cell expects CAMPAIGN:KEY (e.g. fig09:RA_RAIR/p50)\n");
-    return 2;
+    return std::nullopt;
   }
   const std::string name = args.cellRef.substr(0, colon);
   const std::string key = args.cellRef.substr(colon + 1);
   if (!campaign::isBuiltinCampaign(name)) {
     std::fprintf(stderr, "unknown campaign '%s'\n", name.c_str());
-    return 2;
+    return std::nullopt;
   }
 
   campaign::BuildContext ctx = campaign::defaultBuildContext(args.fast);
@@ -313,40 +281,29 @@ int runCellMode(const Args& args, const fault::FaultPlan& plan) {
                  name.c_str(), key.c_str());
     for (const auto& c : spec.cells)
       std::fprintf(stderr, "  %s\n", c.key.c_str());
-    return 2;
+    return std::nullopt;
   }
-  const campaign::CampaignCell& cell = spec.cells[index];
-  for (const auto& [label, value] : cell.labels)
-    if (label == "fault" && value != "none") {
-      std::fprintf(stderr,
-                   "cell %s defines its own fault plan; pick a plan-free "
-                   "cell (e.g. a /none cell or any non-faults campaign)\n",
-                   key.c_str());
-      return 2;
-    }
+  ScenarioSpec cell = spec.cells[index].spec.value();
+  if (!cell.faults.empty()) {
+    std::fprintf(stderr,
+                 "cell %s defines its own fault plan; pick a plan-free "
+                 "cell (e.g. a /none cell or any non-faults campaign)\n",
+                 key.c_str());
+    return std::nullopt;
+  }
 
   campaign::CellContext cc;
   cc.seed = campaign::cellSeed(spec.campaignSeed, index);
   cc.shardThreads = args.threads;
-
-  std::printf("campaign %s, cell %s, campaign seed %llu, %s windows\n\n",
-              name.c_str(), key.c_str(),
-              static_cast<unsigned long long>(args.seed),
-              args.fast ? "fast" : "paper");
-  std::fprintf(stderr, "rair_fault: running fault-free twin...\n");
-  const ScenarioResult twin = cell.run(cc);
-  std::fprintf(stderr, "rair_fault: replaying plan...\n");
-  campaign::CellContext ccFaulted = cc;
-  ccFaulted.faults = plan;
-  const ScenarioResult faulted = cell.run(ccFaulted);
-
-  reportPair(twin, faulted);
-  return finish(faulted, faulted.run.termination == Termination::Drained);
+  header = "campaign " + name + ", cell " + key + ", campaign seed " +
+           std::to_string(args.seed);
+  return cc.applyTo(cell);
 }
 
-/// Runs the fault-free twin and the faulted replay of `spec`, prints
-/// `header` and the per-region comparison and, under --check, replays the
-/// plan once more under a period-1 collecting oracle.
+/// The one replay of every mode: runs the fault-free twin and the faulted
+/// replay of `spec`, prints `header` and the per-region comparison and,
+/// under --check, replays the plan once more under a period-1 collecting
+/// oracle.
 int replayPlan(ScenarioSpec spec, const fault::FaultPlan& plan,
                const Args& args, const std::string& header) {
   std::fprintf(stderr, "rair_fault: running fault-free twin...\n");
@@ -379,57 +336,53 @@ int replayPlan(ScenarioSpec spec, const fault::FaultPlan& plan,
                 static_cast<unsigned long long>(report.deadlockScans));
     ok = ok && report.ok();
   }
-  return finish(faulted, ok);
+  if (faulted.run.termination != Termination::Drained)
+    std::printf("\nWARNING: faulted run did not drain (%s)\n",
+                terminationName(faulted.run.termination));
+  return ok ? 0 : 1;
 }
 
-/// --trace: replay the plan on a recorded trace workload (8x8 halves
-/// fixture, same as the canonical mode).
-int runTraceMode(const Args& args, const SchemeSpec& scheme,
-                 const fault::FaultPlan& plan) {
-  const Mesh mesh(8, 8);
-  const RegionMap regions = RegionMap::halves(mesh);
+/// --trace: `fixture` replaying a recorded trace workload; nullopt, after
+/// a message, when the trace is missing, damaged or does not fit it.
+std::optional<ScenarioSpec> traceWorkload(const Args& args,
+                                          const ScenarioSpec& fixture,
+                                          std::string& header) {
   std::vector<TraceRecord> records;
   std::string err;
   if (!readTraceFile(args.traceFile, records, &err)) {
     std::fprintf(stderr, "bad trace '%s': %s\n", args.traceFile.c_str(),
                  err.c_str());
-    return 2;
+    return std::nullopt;
   }
   if (records.empty()) {
     std::fprintf(stderr, "trace '%s' has no records\n",
                  args.traceFile.c_str());
-    return 2;
+    return std::nullopt;
   }
-  const SimConfig cfg = ScenarioSpec::windowPreset(args.fast);
-  int numApps = regions.numApps();
+  const Mesh& mesh = *fixture.mesh;
+  const int numClasses = fixture.config.net.numClasses;
+  int numApps = fixture.regions->numApps();
   for (const TraceRecord& r : records) {
     if (r.src >= mesh.numNodes() || r.dst >= mesh.numNodes()) {
       std::fprintf(stderr,
                    "trace '%s' targets node %d outside the 8x8 mesh\n",
                    args.traceFile.c_str(), std::max(r.src, r.dst));
-      return 2;
+      return std::nullopt;
     }
-    if (static_cast<int>(r.msgClass) >= cfg.net.numClasses) {
+    if (static_cast<int>(r.msgClass) >= numClasses) {
       std::fprintf(stderr,
                    "trace '%s' uses message class %d but the paper "
                    "config has %d class(es)\n",
                    args.traceFile.c_str(), static_cast<int>(r.msgClass),
-                   cfg.net.numClasses);
-      return 2;
+                   numClasses);
+      return std::nullopt;
     }
     numApps = std::max(numApps, static_cast<int>(r.app) + 1);
   }
-  const std::string header =
-      "trace " + args.traceFile + " (" + std::to_string(records.size()) +
-      " records, " + std::to_string(numApps) + " apps), scheme " +
-      scheme.label;
-  return replayPlan(ScenarioSpec(mesh, regions)
-                        .withConfig(cfg)
-                        .withScheme(scheme)
-                        .withTrace(std::move(records))
-                        .withLinkLayer(args.linkLayer)
-                        .withThreads(args.threads),
-                    plan, args, header);
+  header = "trace " + args.traceFile + " (" + std::to_string(records.size()) +
+           " records, " + std::to_string(numApps) + " apps), scheme " +
+           fixture.scheme.label;
+  return ScenarioSpec(fixture).withTrace(std::move(records));
 }
 
 }  // namespace
@@ -444,17 +397,9 @@ int main(int argc, char** argv) {
   SchemeSpec scheme;
   if (!cli::parseScheme(args.schemeName, scheme)) return 2;
 
-  std::ifstream in(args.planFile);
-  if (!in) {
-    std::fprintf(stderr, "cannot read fault plan '%s'\n",
-                 args.planFile.c_str());
-    return 2;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
   fault::FaultPlan plan;
   std::string err;
-  if (!fault::FaultPlan::parse(text.str(), plan, &err)) {
+  if (!fault::readPlanFile(args.planFile, plan, &err)) {
     std::fprintf(stderr, "bad fault plan '%s': %s\n", args.planFile.c_str(),
                  err.c_str());
     return 2;
@@ -464,37 +409,46 @@ int main(int argc, char** argv) {
                  args.planFile.c_str());
     return 2;
   }
-  if (!validatePlanLayer(plan, args.linkLayer)) return 2;
+
+  // The canonical and --trace workloads run on the 8x8 halves fixture.
+  const Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  const ScenarioSpec fixture =
+      ScenarioSpec(mesh, regions)
+          .withConfig(ScenarioSpec::windowPreset(args.fast))
+          .withScheme(scheme)
+          .withLinkLayer(args.linkLayer)
+          .withThreads(args.threads);
+  const bool canonical = args.cellRef.empty() && args.traceFile.empty();
+  std::string header = "scheme " + scheme.label + ", p=" +
+                       std::to_string(args.p) + ", seed " +
+                       std::to_string(args.seed);
+  std::optional<ScenarioSpec> spec =
+      !args.cellRef.empty()     ? cellWorkload(args, header)
+      : !args.traceFile.empty() ? traceWorkload(args, fixture, header)
+                                : ScenarioSpec(fixture).withSeed(args.seed);
+  if (!spec) return 2;
+  err = fault::checkPlan(plan, *spec->mesh, spec->effectiveConfig().net);
+  if (!err.empty()) {
+    std::fprintf(stderr, "fault plan '%s' cannot run on this network: %s\n",
+                 args.planFile.c_str(), err.c_str());
+    return 2;
+  }
   std::printf("plan (%zu events):\n%s\n", plan.events().size(),
               plan.format().c_str());
 
-  if (!args.cellRef.empty()) return runCellMode(args, plan);
-  if (!args.traceFile.empty()) return runTraceMode(args, scheme, plan);
-
-  const Mesh mesh(8, 8);
-  const RegionMap regions = RegionMap::halves(mesh);
-
-  // Calibrate the half-mesh saturation knee (the campaign's shared
-  // "halves/halfSat" scalar) so the twin runs at the paper's operating
-  // point: app 0 at 10% of saturation, app 1 at the stable high load.
-  std::fprintf(stderr, "rair_fault: calibrating half-mesh saturation...\n");
-  AppTrafficSpec shape;
-  shape.app = 0;
-  const double sat = appSaturationRate(mesh, regions, shape,
-                                       campaign::paperSatOptions(args.fast));
-  const auto apps = scenarios::twoAppInterRegion(
-      args.p / 100.0, scenarios::kLowLoadFraction * sat,
-      scenarios::kHighLoadFraction * sat);
-
-  return replayPlan(ScenarioSpec(mesh, regions)
-                        .withConfig(ScenarioSpec::windowPreset(args.fast))
-                        .withScheme(scheme)
-                        .withApps(apps)
-                        .withSeed(args.seed)
-                        .withLinkLayer(args.linkLayer)
-                        .withThreads(args.threads),
-                    plan, args,
-                    "scheme " + scheme.label + ", p=" +
-                        std::to_string(args.p) + ", seed " +
-                        std::to_string(args.seed));
+  if (canonical) {
+    // Calibrate the half-mesh saturation knee (the campaign's shared
+    // "halves/halfSat" scalar) so the twin runs at the paper's operating
+    // point: app 0 at 10% of saturation, app 1 at the stable high load.
+    std::fprintf(stderr, "rair_fault: calibrating half-mesh saturation...\n");
+    AppTrafficSpec shape;
+    shape.app = 0;
+    const double sat = appSaturationRate(mesh, regions, shape,
+                                         campaign::paperSatOptions(args.fast));
+    spec->withApps(scenarios::twoAppInterRegion(
+        args.p / 100.0, scenarios::kLowLoadFraction * sat,
+        scenarios::kHighLoadFraction * sat));
+  }
+  return replayPlan(*spec, plan, args, header);
 }

@@ -15,6 +15,9 @@
 #   metrics-out-uncreatable     the directory cannot be made (its parent
 #                               is missing too): exit 2 before any
 #                               calibration, so no results file is started
+#   metrics-out-no-level        --metrics-out without --metrics
+#                               summary|series writes no sink: exit 2
+#                               before any calibration
 #
 #   test_fig17_options.sh <rair_campaign binary> <scratch dir> <option>
 set -eu
@@ -73,6 +76,12 @@ case $option in
     status=0
     run out.json --metrics summary --metrics-out "$dir/missing/deeper/x" ||
       status=$?
+    test "$status" -eq 2
+    test ! -e "$dir/out.json"
+    ;;
+  metrics-out-no-level)
+    status=0
+    run out.json --metrics-out "$dir/metrics/" || status=$?
     test "$status" -eq 2
     test ! -e "$dir/out.json"
     ;;
