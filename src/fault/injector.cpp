@@ -466,59 +466,19 @@ void FaultInjector::applyTopologyChange(Cycle now) {
   // ---- Repair + reroute: stale routes recompute, aggregates rebuild -----
   for (NodeId node = 0; node < numNodes; ++node) {
     Router& r = net_->router(node);
-    r.occNative_ = 0;
-    r.occForeign_ = 0;
-    r.pendingRc_ = 0;
-    r.pendingVa_ = 0;
-    r.numActive_ = 0;
-    r.routingMask_.fill(0);
-    r.waitingMask_.fill(0);
-    r.activeMask_.fill(0);
-    for (int p = 0; p < kNumPorts; ++p) {
-      for (int vc = 0; vc < tv; ++vc) {
-        auto& ivc = r.inVc(p, vc);
-        if (ivc.state == VcState::WaitingVa) {
-          // The route was computed against the old tables; send the packet
-          // back through RC. (Active VCs keep their grant: their output
-          // port is alive — dead and escape commitments were doomed.)
-          ivc.state = VcState::Routing;
-          ivc.route = RouteResult{};
-          ivc.outPort = -1;
-          ivc.outVc = -1;
-          ivc.ready = now;
-          ++reroutes_;
-        }
-        switch (ivc.state) {
-          case VcState::Idle:
-            break;
-          case VcState::Routing:
-            ++r.pendingRc_;
-            r.setStateBit(r.routingMask_, p, vc, true);
-            break;
-          case VcState::WaitingVa:
-            ++r.pendingVa_;
-            r.setStateBit(r.waitingMask_, p, vc, true);
-            break;
-          case VcState::Active:
-            ++r.numActive_;
-            r.setStateBit(r.activeMask_, p, vc, true);
-            break;
-        }
-        const std::uint8_t cls =
-            ivc.buf.empty()
-                ? std::uint8_t{0}
-                : (r.isNative(ivc.buf.front()) ? std::uint8_t{1}
-                                               : std::uint8_t{2});
-        ivc.occClass = cls;
-        if (cls == 1) ++r.occNative_;
-        if (cls == 2) ++r.occForeign_;
-      }
-      int free = 0;
-      for (int vc = 0; vc < tv; ++vc)
-        if (layout.isAdaptive(vc) && r.countsAsFree(r.outVc(p, vc), vc))
-          ++free;
-      r.freeAdaptive_[static_cast<std::size_t>(p)] = free;
+    for (Router::InputVc& ivc : r.inputs_) {
+      if (ivc.state != VcState::WaitingVa) continue;
+      // The route was computed against the old tables; send the packet
+      // back through RC. (Active VCs keep their grant: their output port
+      // is alive — dead and escape commitments were doomed.)
+      ivc.state = VcState::Routing;
+      ivc.route = RouteResult{};
+      ivc.outPort = -1;
+      ivc.outVc = -1;
+      ivc.ready = now;
+      ++reroutes_;
     }
+    r.recountAggregates();
   }
 }
 
@@ -537,8 +497,9 @@ void FaultInjector::save(snapshot::Writer& w) const {
   w.u64(softResets_);
 
   // Dead links, canonically keyed by their lower-id endpoint. Stall masks
-  // and freezes are read from the live routers/NICs (they are fault-owned
-  // state those elements deliberately do not serialize).
+  // and freezes are read from the live routers/NICs, and resets stand for
+  // the receiver-down flags of their retx in-links (fault-owned state
+  // those elements deliberately do not serialize).
   std::vector<std::pair<NodeId, Dir>> dead;
   std::vector<std::pair<NodeId, std::uint32_t>> stalls;
   std::vector<NodeId> frozen;
@@ -586,9 +547,9 @@ void FaultInjector::restore(snapshot::Reader& r) {
   const NodeId numNodes = mesh.numNodes();
 
   // Reset whatever this injector applied so far (restore may rewind a
-  // live, already-degraded run). Receiver-down flags are re-applied from
-  // the restored reset set below; the link sections restore the same
-  // flags themselves, so ordering against the network restore is moot.
+  // live, already-degraded run). Receiver-down flags, like stalls and
+  // freezes, are fault-owned state the network sections do not carry:
+  // they are re-applied from the restored reset set below.
   const bool retx = net_->config().linkLayer == LinkLayerKind::Retx;
   for (NodeId n = 0; n < numNodes; ++n) {
     net_->router(n).stalledOutPorts_ = 0;

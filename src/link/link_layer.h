@@ -188,11 +188,6 @@ class IdealLink final : public LinkLayer {
   void tickDownstream(Cycle) {}
   bool idle() const { return data_.empty() && credits_.empty(); }
 
-  /// Blocking-style receives for unit tests (the simulator uses the
-  /// zero-copy peek/pop pairs).
-  std::optional<FlitMsg> recvFlit(Cycle now) { return data_.pop(now); }
-  std::optional<CreditMsg> recvCredit(Cycle now) { return credits_.pop(now); }
-
   int inFlightFlits(int vc) const override;
   int inFlightCredits(int vc) const override;
   void forEachFlit(

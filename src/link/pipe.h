@@ -6,7 +6,6 @@
 // unchanged so snapshot bytes and oracle accounting stay identical.
 #pragma once
 
-#include <optional>
 #include <utility>
 
 #include "common/assert.h"
@@ -30,19 +29,11 @@ class DelayPipe {
     q_.reserve(static_cast<std::size_t>(latency) + 2);
   }
 
-  /// Enqueue `v` at time `now`; it becomes poppable at now + latency.
+  /// Enqueue `v` at time `now`; it becomes visible at now + latency.
   void push(Cycle now, T v) {
     RAIR_DCHECK(q_.empty() ||
                 q_[q_.size() - 1].first <= now + latency_);
     q_.push_back({now + latency_, std::move(v)});
-  }
-
-  /// Pops the front element if it has arrived by `now`.
-  std::optional<T> pop(Cycle now) {
-    if (q_.empty() || q_.front().first > now) return std::nullopt;
-    T v = std::move(q_.front().second);
-    q_.pop_front();
-    return v;
   }
 
   /// Zero-copy front access: pointer to the front element if it has

@@ -153,8 +153,9 @@ void RetxLink::corruptNext(int count) {
 // ---- Snapshot ----------------------------------------------------------
 
 namespace {
-// v2: per-entry tombstone flag + the receiver-down (soft reset) flag.
-constexpr std::uint8_t kRetxSectionVersion = 2;
+// v3: the receiver-down flag left the section (the fault section carries
+// soft resets); v2 added the per-entry tombstone flag.
+constexpr std::uint8_t kRetxSectionVersion = 3;
 }  // namespace
 
 void RetxLink::save(snapshot::Writer& w) const {
@@ -186,7 +187,6 @@ void RetxLink::save(snapshot::Writer& w) const {
   w.boolean(nakPending_);
   w.u64(nakSeq_);
   w.boolean(nakArmed_);
-  w.boolean(receiverDown_);
   w.u64(corrupted_);
   w.u64(retransmitted_);
 }
@@ -225,7 +225,6 @@ void RetxLink::restore(snapshot::Reader& r) {
   nakPending_ = r.boolean();
   nakSeq_ = r.u64();
   nakArmed_ = r.boolean();
-  receiverDown_ = r.boolean();
   corrupted_ = r.u64();
   retransmitted_ = r.u64();
 }

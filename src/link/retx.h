@@ -168,7 +168,9 @@ class RetxLink final : public LinkLayer {
   bool nakPending_ = false;      ///< staged go-back request
   std::uint64_t nakSeq_ = 0;     ///< sequence captured when the NAK staged
   bool nakArmed_ = false;        ///< suppress duplicate NAKs for one gap
-  bool receiverDown_ = false;    ///< downstream router in soft reset
+  /// Downstream router in soft reset. Owned by the fault injector, which
+  /// re-applies it on restore; the link's snapshot does not carry it.
+  bool receiverDown_ = false;
 
   // Lifetime counters (surface through FaultStats).
   std::uint64_t corrupted_ = 0;

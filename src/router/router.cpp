@@ -35,11 +35,7 @@ Router::Router(NodeId id, AppId appTag, const RouterConfig& config,
   vaRr_.assign(slots, 0);
   vaRequests_.reserve(slots);
   saInWinners_.reserve(kNumPorts);
-  // Every adaptive output VC starts unallocated and fully credited.
-  int adaptivePerPort = 0;
-  for (int vc = 0; vc < layout_.totalVcs(); ++vc)
-    if (layout_.isAdaptive(vc)) ++adaptivePerPort;
-  freeAdaptive_.fill(adaptivePerPort);
+  recountAggregates();
 }
 
 void Router::connectIn(Dir p, LinkLayer* link) {
@@ -510,6 +506,43 @@ void Router::endCycle(Cycle now) {
     tickIn_[static_cast<size_t>(i)]->tickDownstream(now);
 }
 
+void Router::recountAggregates() {
+  occNative_ = 0;
+  occForeign_ = 0;
+  pendingRc_ = 0;
+  pendingVa_ = 0;
+  numActive_ = 0;
+  routingMask_.fill(0);
+  waitingMask_.fill(0);
+  activeMask_.fill(0);
+  for (int port = 0; port < kNumPorts; ++port) {
+    int free = 0;
+    for (int vc = 0; vc < layout_.totalVcs(); ++vc) {
+      InputVc& ivc = inVc(port, vc);
+      switch (ivc.state) {
+        case VcState::Idle:
+          break;
+        case VcState::Routing:
+          ++pendingRc_;
+          setStateBit(routingMask_, port, vc, true);
+          break;
+        case VcState::WaitingVa:
+          ++pendingVa_;
+          setStateBit(waitingMask_, port, vc, true);
+          break;
+        case VcState::Active:
+          ++numActive_;
+          setStateBit(activeMask_, port, vc, true);
+          break;
+      }
+      ivc.occClass = 0;
+      reclassifyOccupancy(ivc);
+      if (layout_.isAdaptive(vc) && countsAsFree(outVc(port, vc), vc)) ++free;
+    }
+    freeAdaptive_[static_cast<size_t>(port)] = free;
+  }
+}
+
 void Router::save(snapshot::Writer& w) const {
   w.u32(static_cast<std::uint32_t>(inputs_.size()));
   for (const InputVc& ivc : inputs_) {
@@ -519,7 +552,6 @@ void Router::save(snapshot::Writer& w) const {
     w.i32(ivc.outPort);
     w.i32(ivc.outVc);
     w.u64(ivc.ready);
-    w.u8(ivc.occClass);
     w.u64(ivc.pktId);
   }
   for (const OutputVc& ovc : outputs_) {
@@ -541,16 +573,6 @@ void Router::save(snapshot::Writer& w) const {
   w.u64(counters_.flitsTraversed);
   for (const std::uint64_t f : counters_.portFlits) w.u64(f);
   w.i32(flitsMovedThisCycle_);
-  w.i32(flitsMovedLastCycle_);
-  w.i32(occNative_);
-  w.i32(occForeign_);
-  for (const int f : freeAdaptive_) w.i32(f);
-  w.i32(pendingRc_);
-  w.i32(pendingVa_);
-  w.i32(numActive_);
-  for (const std::uint64_t m : routingMask_) w.u64(m);
-  for (const std::uint64_t m : waitingMask_) w.u64(m);
-  for (const std::uint64_t m : activeMask_) w.u64(m);
   w.boolean(policyState_ != nullptr);
   if (policyState_) policyState_->save(w);
 }
@@ -565,7 +587,6 @@ void Router::restore(snapshot::Reader& r) {
     ivc.outPort = r.i32();
     ivc.outVc = r.i32();
     ivc.ready = r.u64();
-    ivc.occClass = r.u8();
     ivc.pktId = r.u64();
   }
   for (OutputVc& ovc : outputs_) {
@@ -587,16 +608,7 @@ void Router::restore(snapshot::Reader& r) {
   counters_.flitsTraversed = r.u64();
   for (std::uint64_t& f : counters_.portFlits) f = r.u64();
   flitsMovedThisCycle_ = r.i32();
-  flitsMovedLastCycle_ = r.i32();
-  occNative_ = r.i32();
-  occForeign_ = r.i32();
-  for (int& f : freeAdaptive_) f = r.i32();
-  pendingRc_ = r.i32();
-  pendingVa_ = r.i32();
-  numActive_ = r.i32();
-  for (std::uint64_t& m : routingMask_) m = r.u64();
-  for (std::uint64_t& m : waitingMask_) m = r.u64();
-  for (std::uint64_t& m : activeMask_) m = r.u64();
+  recountAggregates();
   const bool hasPolicyState = r.boolean();
   RAIR_CHECK_MSG(hasPolicyState == (policyState_ != nullptr),
                  "router restore: policy-state presence mismatch");

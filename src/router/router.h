@@ -149,11 +149,12 @@ class Router {
   /// is unconnected or no credit is outstanding to drop.
   bool debugDropCredit(Dir p, int vc);
 
-  /// Snapshot hooks: every field a future cycle reads — VC state machines,
-  /// buffered flits, credits, round-robin pointers, occupancy aggregates,
-  /// state bitmasks, counters and the policy state. The per-cycle scratch
-  /// vectors (vaRequests_, saInWinners_) are rebuilt each cycle and
-  /// excluded. restore() requires an identically configured router.
+  /// Snapshot hooks: every primary field a future cycle reads — VC state
+  /// machines, buffered flits, credits, round-robin pointers, counters and
+  /// the policy state. restore() rebuilds the aggregates derived from them
+  /// with recountAggregates(); the per-cycle scratch vectors (vaRequests_,
+  /// saInWinners_) are rebuilt each cycle and excluded. restore() requires
+  /// an identically configured router.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
 
@@ -235,6 +236,13 @@ class Router {
   /// front flit of `ivc` changed (push into empty buffer or pop).
   void reclassifyOccupancy(InputVc& ivc);
 
+  /// Rebuilds every aggregate the pipeline keeps incrementally (per-VC
+  /// occClass, occNative_/occForeign_, freeAdaptive_, the pending/active
+  /// counters and the state bitmasks) from the input and output VC state.
+  /// The one from-scratch recount: construction, restore() and the fault
+  /// layer's repair after a topology change call it.
+  void recountAggregates();
+
   /// Adjusts freeAdaptive_ when output VC (port, vc) may have crossed the
   /// "available for a 1-flit packet" boundary. `wasFree` is the
   /// availability before the mutation.
@@ -275,10 +283,15 @@ class Router {
 
   RouterOccupancy prevOccupancy_;
   RouterCounters counters_;
+  /// Flits the latest switch stage moved. The next cycle reports them as
+  /// flitsMovedLastCycle() to the progress check, so a snapshot carries it.
   int flitsMovedThisCycle_ = 0;
+  /// Set from flitsMovedThisCycle_ at the start of every switch stage,
+  /// before anything reads it, so a snapshot does not carry it.
   int flitsMovedLastCycle_ = 0;
 
-  // Incrementally maintained aggregates (hot path avoids full scans).
+  // Incrementally maintained aggregates (hot path avoids full scans);
+  // derived state, rebuilt by recountAggregates().
   int occNative_ = 0;   ///< input VCs whose front flit is native
   int occForeign_ = 0;  ///< input VCs whose front flit is foreign
   std::array<int, kNumPorts> freeAdaptive_{};  ///< per out port, 1-flit avail

@@ -9,8 +9,13 @@
 //
 //   * escape routes follow a BFS spanning tree per connected component
 //     (root = lowest node id). Routing along the unique tree path is the
-//     up*/down* special case, so the escape subnetwork stays cycle-free
-//     and Duato's protocol keeps holding on the degraded graph.
+//     up*/down* special case, so the escape subnetwork stays cycle-free,
+//     which is what keeps the degraded graph deadlock-free under Duato's
+//     protocol. It bounds neither path length nor self-overlap: a packet
+//     may alternate adaptive (distance-decreasing) and escape (tree,
+//     possibly distance-increasing) hops, come back to a node it left and
+//     re-enter a non-atomic VC that still holds its own tail (see ROADMAP
+//     item 2).
 //   * adaptive candidates are the BFS-distance-decreasing directions on
 //     the degraded graph (capped at two, enumerated in fixed N,E,S,W
 //     order), so adaptive VCs retain path diversity where it exists.

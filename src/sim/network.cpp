@@ -26,7 +26,7 @@ Network::Network(const Mesh& mesh, const RegionMap& regions,
       routing_(makeRouting(routingKind, &regions)),
       policy_(&policy),
       maxHops_(std::max(mesh.width(), mesh.height()) - 1),
-      histSlots_(static_cast<std::size_t>(maxHops_) + 1) {
+      histSlots_(static_cast<std::size_t>(std::max(maxHops_, 1))) {
   const RouterConfig rc{layout_, config_.vcDepth, config_.atomicVcs};
   routers_.reserve(static_cast<size_t>(mesh.numNodes()));
   nics_.reserve(static_cast<size_t>(mesh.numNodes()));
@@ -186,32 +186,12 @@ std::string elementSection(const char* kind, std::size_t i) {
 }
 }  // namespace
 
-void Network::saveAggregates(snapshot::Writer& w, std::size_t age) const {
-  for (NodeId n = 0; n < mesh_->numNodes(); ++n) {
-    for (int di = 0; di < 4; ++di) {
-      int sum = 0;
-      NodeId m = n;
-      for (int h = 0; h < maxHops_; ++h) {
-        if (m >= 0) {
-          sum += freeHist_[histIndex(age + static_cast<std::size_t>(h), m,
-                                     di)];
-          m = neighborTable_[static_cast<size_t>(m) * 4 +
-                             static_cast<size_t>(di)];
-        }
-        w.i32(sum);
-      }
-    }
-  }
-}
-
 void Network::save(snapshot::Writer& w) const {
-  // Two aggregate tables, which snapshots written before the history
-  // existed also hold: the aggregates after the newest completed cycle,
-  // then those after the cycle before.
-  w.beginSection("net/agg");
-  w.u32(static_cast<std::uint32_t>(aggTableSize()));
-  saveAggregates(w, 0);
-  saveAggregates(w, 1);
+  w.beginSection("net/hist");
+  w.u32(static_cast<std::uint32_t>(freeHist_.size()));
+  for (std::size_t age = 0; age < histSlots_; ++age)
+    for (NodeId n = 0; n < mesh_->numNodes(); ++n)
+      for (int di = 0; di < 4; ++di) w.i32(freeHist_[histIndex(age, n, di)]);
   w.endSection();
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     w.beginSection(elementSection("router", i));
@@ -231,44 +211,18 @@ void Network::save(snapshot::Writer& w) const {
 }
 
 void Network::restore(snapshot::Reader& r) {
-  r.beginSection("net/agg");
-  RAIR_CHECK_MSG(r.u32() == aggTableSize(),
-                 "network restore: congestion table size mismatch");
-  // Each h term of a table adds the free-VC count of the router h hops on,
-  // h cycles older than the table, so adjacent terms' differences give the
-  // history back. A term is a VC count; an entry both tables determine
-  // must agree; a term past the mesh edge must add nothing. Entries
-  // neither table determines are never read: they stay 0.
-  std::fill(freeHist_.begin(), freeHist_.end(), 0);
+  r.beginSection("net/hist");
+  RAIR_CHECK_MSG(r.u32() == freeHist_.size(),
+                 "network restore: congestion history size mismatch");
   newest_ = 0;
-  std::vector<bool> known(freeHist_.size(), false);
-  for (std::size_t age = 0; age < 2; ++age) {
+  for (std::size_t age = 0; age < histSlots_; ++age) {
     for (NodeId n = 0; n < mesh_->numNodes(); ++n) {
       for (int di = 0; di < 4; ++di) {
-        std::int64_t prev = 0;
-        NodeId m = n;
-        for (int h = 0; h < maxHops_; ++h) {
-          const std::int64_t v = r.i32();
-          const std::int64_t term = v - prev;
-          prev = v;
-          if (m < 0) {
-            RAIR_CHECK_MSG(term == 0,
-                           "network restore: congestion table adds a term "
-                           "past the mesh edge");
-            continue;
-          }
-          RAIR_CHECK_MSG(term >= 0 && term <= layout_.totalVcs(),
-                         "network restore: congestion table term is not a "
-                         "VC count");
-          const std::size_t i =
-              histIndex(age + static_cast<std::size_t>(h), m, di);
-          RAIR_CHECK_MSG(!known[i] || freeHist_[i] == term,
-                         "network restore: congestion tables disagree");
-          freeHist_[i] = static_cast<int>(term);
-          known[i] = true;
-          m = neighborTable_[static_cast<size_t>(m) * 4 +
-                             static_cast<size_t>(di)];
-        }
+        const std::int32_t v = r.i32();
+        RAIR_CHECK_MSG(v >= 0 && v <= layout_.totalVcs(),
+                       "network restore: congestion history entry is not a "
+                       "VC count");
+        freeHist_[histIndex(age, n, di)] = v;
       }
     }
   }

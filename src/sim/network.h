@@ -71,12 +71,13 @@ class Network final : public CongestionView {
 
   /// Fused phase A over [begin, end): NIC tick, then router beginCycle /
   /// routeCompute / vcAllocate per node. Reads the congestion history of
-  /// completed cycles (never the slot phase B writes), writes node-local
-  /// state only.
+  /// completed cycles (phase B overwrites its oldest slot only after the
+  /// phase barrier), writes node-local state only.
   void phaseInjectRoute(Cycle now, NodeId begin, NodeId end);
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
   /// per node, then the node's four free-VC counts into this cycle's
-  /// history slot. Returns the flits the range's switches moved this cycle.
+  /// history slot. Returns the flits the range's switches moved in the
+  /// previous cycle (Router::flitsMovedLastCycle).
   int phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
   /// Run once after phase B: the cycle phase B just recorded becomes the
   /// newest one aggregatedFree reads.
@@ -113,8 +114,8 @@ class Network final : public CongestionView {
   int freeVcsThrough(NodeId n, Dir d) const override;
   int aggregatedFree(NodeId n, Dir d, int hops) const override;
 
-  /// Snapshot hooks: one named section per hardware element plus the
-  /// side-band congestion network. Wiring and config are reconstructed,
+  /// Snapshot hooks: the side-band congestion history, then one named
+  /// section per hardware element. Wiring and config are reconstructed,
   /// not serialized — restore() requires an identically built network.
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
@@ -133,14 +134,6 @@ class Network final : public CongestionView {
             static_cast<std::size_t>(n)) * 4 +
            static_cast<std::size_t>(dirIdx);
   }
-  /// Entries of one snapshot aggregate table.
-  std::size_t aggTableSize() const {
-    return static_cast<std::size_t>(mesh_->numNodes()) * 4 *
-           static_cast<std::size_t>(maxHops_);
-  }
-  /// Writes the aggregate table `age` completed cycles old, rebuilt from
-  /// the history: [node][4 dirs][maxHops_], the snapshot's net/agg layout.
-  void saveAggregates(snapshot::Writer& w, std::size_t age) const;
 
   const Mesh* mesh_;
   const RegionMap* regions_;
@@ -171,9 +164,10 @@ class Network final : public CongestionView {
   // router(node).freeAdaptiveOutVcs(dir) as phase B left it in one cycle.
   // The h-hop aggregate reads the router h hops away from the slot h
   // cycles old (one-hop-per-cycle wire propagation), so DBAR's sums are
-  // formed on query. maxHops_ + 1 slots: the newest maxHops_ cycles feed a
-  // query, one more feeds the previous-cycle table a snapshot carries.
-  // Zero-initialised slots are the cycles before cycle 0.
+  // formed on query from the newest maxHops_ cycles, so the ring holds
+  // exactly those (at least one slot): phase B overwrites the oldest only
+  // after phase A's last query of the cycle. A snapshot carries the ring
+  // in age order. Zero-initialised slots are the cycles before cycle 0.
   int maxHops_;
   std::size_t histSlots_;
   std::size_t newest_ = 0;  ///< slot of the newest completed cycle

@@ -173,10 +173,11 @@ TEST(CongestionInfo, OnDemandSumsMatchBruteForce) {
 }
 
 #if defined(GTEST_HAS_DEATH_TEST)
-TEST(CongestionInfoDeathTest, InconsistentAggregateTablesFailToRestore) {
-  // The net/agg section holds the aggregates after the newest cycle, then
-  // those of the cycle before; restore derives the free-VC history from
-  // both. Each patch below damages one entry of a valid section.
+TEST(CongestionInfoDeathTest, HistoryEntryOutsideVcCountFailsToRestore) {
+  // The net/hist section holds the free-VC history ring itself: an entry
+  // count, then [age][node][4 dirs] newest cycle first. A restored network
+  // answers every aggregate query as the saved one did; an entry that is
+  // not one port's free-VC count refuses to restore.
   Mesh m(4, 4);
   const auto rm = RegionMap::halves(m);
   RoundRobinPolicy policy;
@@ -186,23 +187,17 @@ TEST(CongestionInfoDeathTest, InconsistentAggregateTablesFailToRestore) {
   net.save(w);
   const std::vector<std::uint8_t> good = w.payload();
   const auto sections = snapshot::listSections(good);
-  ASSERT_EQ(sections.front().name, "net/agg");
+  ASSERT_EQ(sections.front().name, "net/hist");
   const std::size_t maxHops = 3;
-  const std::size_t tableSize = 16 * 4 * maxHops;
+  const int totalVcs = net.layout().totalVcs();
 
-  const auto patched = [&](std::size_t table, NodeId n, Dir d, std::size_t h,
-                           int delta) {
+  const auto patched = [&](std::size_t age, NodeId n, Dir d,
+                           std::int32_t value) {
     std::vector<std::uint8_t> bytes = good;
-    const std::size_t entry = table * tableSize +
-                              (static_cast<std::size_t>(n) * 4 +
-                               static_cast<std::size_t>(d) - 1) *
-                                  maxHops +
-                              h;
+    const std::size_t entry = (age * 16 + static_cast<std::size_t>(n)) * 4 +
+                              static_cast<std::size_t>(d) - 1;
     const std::size_t at = sections.front().offset + 4 + entry * 4;
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
-    v += static_cast<std::uint32_t>(delta);
+    const auto v = static_cast<std::uint32_t>(value);
     for (std::size_t i = 0; i < 4; ++i)
       bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     return bytes;
@@ -211,18 +206,18 @@ TEST(CongestionInfoDeathTest, InconsistentAggregateTablesFailToRestore) {
     Network other(m, rm, cfg(), RoutingKind::Dbar, policy);
     snapshot::Reader r(bytes);
     other.restore(r);
+    for (NodeId n = 0; n < m.numNodes(); ++n)
+      for (const Dir d : kDirs)
+        for (int hops = 1; hops <= static_cast<int>(maxHops); ++hops)
+          EXPECT_EQ(other.aggregatedFree(n, d, hops),
+                    net.aggregatedFree(n, d, hops));
   };
 
   restoreInto(good);  // the unpatched payload restores
-  // (1,1) East, 1 hop, in the older table: router (2,1) two cycles back,
-  // which the newer table's 2-hop term of (0,1) East also gives.
-  EXPECT_DEATH(restoreInto(patched(1, m.nodeAt({1, 1}), Dir::East, 1, 1)),
-               "congestion tables disagree");
-  // (3,1) East sits at the mesh edge: its deeper terms add nothing.
-  EXPECT_DEATH(restoreInto(patched(0, m.nodeAt({3, 1}), Dir::East, 2, 1)),
-               "past the mesh edge");
-  // A term is a free-VC count: never negative.
-  EXPECT_DEATH(restoreInto(patched(0, m.nodeAt({1, 1}), Dir::East, 0, -10)),
+  EXPECT_DEATH(restoreInto(patched(0, m.nodeAt({1, 1}), Dir::East, -1)),
+               "not a VC count");
+  EXPECT_DEATH(restoreInto(patched(maxHops - 1, m.nodeAt({2, 1}), Dir::West,
+                                   totalVcs + 1)),
                "not a VC count");
 }
 #endif

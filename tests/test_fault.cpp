@@ -586,7 +586,7 @@ TEST(FaultSnapshot, MidResetCheckpointResumeMatchesStraightRun) {
 
 TEST(FaultSnapshot, DbarRetxCheckpointResumesOnFourThreads) {
   // RA_DBAR reads the congestion history, which a snapshot carries as the
-  // two aggregate tables. A checkpoint written mid-run on one shard thread,
+  // history ring itself. A checkpoint written mid-run on one shard thread,
   // with corruption on retx links, resumes on four to the straight run's
   // result, and save -> restore -> save is byte-stable.
   Mesh mesh(8, 8);
@@ -627,6 +627,77 @@ TEST(FaultSnapshot, DbarRetxCheckpointResumesOnFourThreads) {
   snapshot::Writer w;
   other.sim->save(w);
   EXPECT_TRUE(w.payload() == saved);
+}
+
+/// Every router of `b` reports the same OVC_n/OVC_f occupancy registers
+/// and free adaptive output VCs per port as the same router of `a`.
+void expectSameRouterAggregates(const Network& a, const Network& b) {
+  for (NodeId n = 0; n < a.mesh().numNodes(); ++n) {
+    const RouterOccupancy oa = a.router(n).occupancy();
+    const RouterOccupancy ob = b.router(n).occupancy();
+    EXPECT_EQ(oa.nativeOccupiedVcs, ob.nativeOccupiedVcs) << "node " << n;
+    EXPECT_EQ(oa.foreignOccupiedVcs, ob.foreignOccupiedVcs) << "node " << n;
+    for (int p = 0; p < kNumPorts; ++p) {
+      const Dir d = static_cast<Dir>(p);
+      EXPECT_EQ(a.router(n).freeAdaptiveOutVcs(d),
+                b.router(n).freeAdaptiveOutVcs(d))
+          << "node " << n << " port " << p;
+    }
+  }
+}
+
+/// One full oracle scan of `as` at its current cycle must find nothing.
+void expectOracleClean(const AssembledScenario& as) {
+  check::OracleOptions oo;
+  oo.failFast = false;
+  check::NetworkOracle oracle(as.sim->network(), as.sim->ledger(), oo);
+  oracle.attachFaults(as.injector.get());
+  oracle.scanNow(as.sim->now());
+  EXPECT_TRUE(oracle.report().ok()) << oracle.report().summary();
+}
+
+TEST(FaultSnapshot, RestoredRouterAggregatesMatchTheSource) {
+  // A snapshot carries no router aggregate: restore recounts them from
+  // the VC state. Non-atomic VCs on retx links, taken mid soft reset and
+  // restored into a freshly assembled simulator, must read the source's
+  // registers and pass the oracle's independent recount — at the restore
+  // and again right after the reset's recovery repairs the topology.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  ScenarioSpec spec = midResetSpec(mesh, regions);
+  spec.config.net.atomicVcs = false;
+
+  AssembledScenario source = assembleScenario(spec);
+  source.sim->begin();
+  while (source.sim->now() < 3'000) source.sim->stepCycle();
+  ASSERT_EQ(source.injector->stats().softResets, 1u);
+  int occupied = 0;
+  for (NodeId n = 0; n < mesh.numNodes(); ++n) {
+    const RouterOccupancy o = source.sim->network().router(n).occupancy();
+    occupied += o.nativeOccupiedVcs + o.foreignOccupiedVcs;
+  }
+  EXPECT_GT(occupied, 0) << "the snapshot holds no buffered traffic";
+  snapshot::Writer w;
+  source.sim->save(w);
+
+  AssembledScenario restored = assembleScenario(spec);
+  snapshot::Reader r(w.payload());
+  restored.sim->restore(r);
+  EXPECT_TRUE(r.atEnd());
+  expectSameRouterAggregates(source.sim->network(), restored.sim->network());
+  expectOracleClean(restored);
+
+  const Cycle resetRepair = source.injector->lastTopologyChange();
+  while (restored.injector->lastTopologyChange() == resetRepair) {
+    ASSERT_LT(restored.sim->now(), 6'000u) << "the reset never recovered";
+    source.sim->stepCycle();
+    restored.sim->stepCycle();
+  }
+  EXPECT_EQ(source.injector->lastTopologyChange(),
+            restored.injector->lastTopologyChange());
+  expectSameRouterAggregates(source.sim->network(), restored.sim->network());
+  expectOracleClean(source);
+  expectOracleClean(restored);
 }
 
 TEST(FaultSnapshot, PlanEntersTheScenarioKey) {

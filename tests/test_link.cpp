@@ -8,12 +8,13 @@ namespace {
 TEST(DelayPipe, DeliversAfterLatency) {
   DelayPipe<int> p(2);
   p.push(10, 42);
-  EXPECT_FALSE(p.pop(10).has_value());
-  EXPECT_FALSE(p.pop(11).has_value());
-  auto v = p.pop(12);
-  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(p.peek(10), nullptr);
+  EXPECT_EQ(p.peek(11), nullptr);
+  const int* v = p.peek(12);
+  ASSERT_NE(v, nullptr);
   EXPECT_EQ(*v, 42);
-  EXPECT_FALSE(p.pop(13).has_value());
+  p.popFront();
+  EXPECT_EQ(p.peek(13), nullptr);
 }
 
 TEST(DelayPipe, PreservesOrder) {
@@ -21,10 +22,13 @@ TEST(DelayPipe, PreservesOrder) {
   p.push(0, 1);
   p.push(1, 2);
   p.push(2, 3);
-  EXPECT_EQ(p.pop(5).value(), 1);
-  EXPECT_EQ(p.pop(5).value(), 2);
-  EXPECT_EQ(p.pop(5).value(), 3);
-  EXPECT_FALSE(p.pop(5).has_value());
+  for (const int want : {1, 2, 3}) {
+    const int* v = p.peek(5);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, want);
+    p.popFront();
+  }
+  EXPECT_EQ(p.peek(5), nullptr);
 }
 
 TEST(DelayPipe, SizeAndEmpty) {
@@ -32,7 +36,8 @@ TEST(DelayPipe, SizeAndEmpty) {
   EXPECT_TRUE(p.empty());
   p.push(0, 7);
   EXPECT_EQ(p.size(), 1u);
-  (void)p.pop(1);
+  ASSERT_NE(p.peek(1), nullptr);
+  p.popFront();
   EXPECT_TRUE(p.empty());
 }
 
@@ -43,14 +48,16 @@ TEST(IdealLink, FlitAndCreditChannelsAreIndependent) {
   link.sendFlit(0, f, 2);
   link.sendCredit(0, 3);
 
-  auto flit = link.recvFlit(1);
-  ASSERT_TRUE(flit.has_value());
+  const FlitMsg* flit = link.peekFlit(1);
+  ASSERT_NE(flit, nullptr);
   EXPECT_EQ(flit->flit.pkt, 9u);
   EXPECT_EQ(flit->vc, 2);
+  link.popFlit();
 
-  auto credit = link.recvCredit(1);
-  ASSERT_TRUE(credit.has_value());
+  const CreditMsg* credit = link.peekCredit(1);
+  ASSERT_NE(credit, nullptr);
   EXPECT_EQ(credit->vc, 3);
+  link.popCredit();
   EXPECT_TRUE(link.idle());
 }
 
@@ -58,8 +65,8 @@ TEST(IdealLink, NotVisibleBeforeLatency) {
   IdealLink link(1);
   Flit f;
   link.sendFlit(5, f, 0);
-  EXPECT_FALSE(link.recvFlit(5).has_value());
-  EXPECT_TRUE(link.recvFlit(6).has_value());
+  EXPECT_EQ(link.peekFlit(5), nullptr);
+  EXPECT_NE(link.peekFlit(6), nullptr);
 }
 
 }  // namespace

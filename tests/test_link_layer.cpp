@@ -35,10 +35,14 @@ TEST(DelayPipeRestore, RoundTripReproducesArrivals) {
   EXPECT_TRUE(p.empty());
   for (const auto& [arrival, v] : saved) p.pushAbsolute(arrival, v);
 
-  EXPECT_FALSE(p.pop(12).has_value());
-  EXPECT_EQ(p.pop(13).value(), 1);
-  EXPECT_EQ(p.pop(14).value(), 2);
-  EXPECT_EQ(p.pop(16).value(), 3);
+  EXPECT_EQ(p.peek(12), nullptr);
+  for (const auto& [now, want] :
+       std::vector<std::pair<Cycle, int>>{{13, 1}, {14, 2}, {16, 3}}) {
+    const int* v = p.peek(now);
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(*v, want);
+    p.popFront();
+  }
 }
 
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)

@@ -162,7 +162,7 @@ class RefRetxLink {
   std::uint64_t expectSeq() const { return expectSeq_; }
 
   void save(snapshot::Writer& w) const {
-    w.u8(2);
+    w.u8(3);
     snapshot::saveDelayPipe(w, fwd_,
                             [](snapshot::Writer& w2, const WireFlit& wf) {
                               w2.u64(wf.seq);
@@ -189,7 +189,6 @@ class RefRetxLink {
     w.boolean(nakPending_);
     w.u64(nakSeq_);
     w.boolean(nakArmed_);
-    w.boolean(receiverDown_);
     w.u64(corrupted_);
     w.u64(retransmitted_);
   }

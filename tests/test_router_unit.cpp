@@ -56,8 +56,11 @@ class RouterBench {
   /// Drains every flit that left through port `p` this step.
   std::vector<FlitMsg> drainOutput(Dir p) {
     std::vector<FlitMsg> out;
-    while (auto m = out_[static_cast<int>(p)].recvFlit(now_))
+    IdealLink& link = out_[static_cast<int>(p)];
+    while (const FlitMsg* m = link.peekFlit(now_)) {
       out.push_back(*m);
+      link.popFlit();
+    }
     return out;
   }
 
