@@ -15,7 +15,9 @@
 // load regimes that dominate campaign wall time: low (10% of saturation),
 // knee (85%) and past saturation (110%).
 #include <benchmark/benchmark.h>
+#include <time.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <thread>
@@ -51,9 +53,25 @@ struct HotLoopOptions {
   double halfSat = kHalfSat;  ///< the loads are fractions of this
 };
 
-/// A warm, endlessly injectable simulation: measurement windows are
-/// irrelevant here, so they are pushed out far enough that sources and
-/// stats behave identically for the whole benchmark run.
+/// The hot-loop workload on `mesh`: measurement windows are irrelevant
+/// here, so they are pushed out far enough that sources and stats behave
+/// identically for the whole benchmark run.
+ScenarioSpec hotLoopSpec(const Mesh& mesh, const RegionMap& regions,
+                         const SchemeSpec& scheme, double app1Fraction,
+                         const HotLoopOptions& opts) {
+  SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
+  cfg.measureCycles = 1'000'000'000;  // never stop admitting packets
+  return ScenarioSpec(mesh, regions)
+      .withConfig(cfg)
+      .withScheme(scheme)
+      .withApps(scenarios::twoAppInterRegion(
+          /*p=*/1.0, scenarios::kLowLoadFraction * opts.halfSat,
+          app1Fraction * opts.halfSat))
+      .withLinkLayer(opts.linkLayer)
+      .withThreads(opts.shardThreads);
+}
+
+/// A warm, endlessly injectable simulation of hotLoopSpec.
 struct HotLoop {
   Mesh mesh;
   RegionMap regions;
@@ -63,17 +81,8 @@ struct HotLoop {
   HotLoop(const SchemeSpec& scheme, double app1Fraction,
           HotLoopOptions opts = {})
       : mesh(opts.meshDim, opts.meshDim), regions(RegionMap::halves(mesh)) {
-    SimConfig cfg = ScenarioSpec::windowPreset(/*fast=*/true);
-    cfg.measureCycles = 1'000'000'000;  // never stop admitting packets
-    as = assembleScenario(ScenarioSpec(mesh, regions)
-                              .withConfig(cfg)
-                              .withScheme(scheme)
-                              .withApps(scenarios::twoAppInterRegion(
-                                  /*p=*/1.0,
-                                  scenarios::kLowLoadFraction * opts.halfSat,
-                                  app1Fraction * opts.halfSat))
-                              .withLinkLayer(opts.linkLayer)
-                              .withThreads(opts.shardThreads));
+    as = assembleScenario(
+        hotLoopSpec(mesh, regions, scheme, app1Fraction, opts));
     Simulator* sim = as.sim.get();
     if (opts.withMetrics) {
       // The default-level recorder, exactly as runScenario() attaches it;
@@ -97,15 +106,32 @@ struct HotLoop {
   }
 };
 
+/// CPU seconds this process has used so far, every thread included.
+double processCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 void BM_hotpath(benchmark::State& st, const SchemeSpec& scheme,
                 double app1Fraction, HotLoopOptions opts = {}) {
   HotLoop loop(scheme, app1Fraction, opts);
   const std::uint64_t hops0 = loop.as.sim->network().totalFlitsTraversed();
   std::uint64_t cycles = 0;
+  const double cpu0 = processCpuSeconds();
+  const auto wall0 = std::chrono::steady_clock::now();
   for (auto _ : st) {
     for (Cycle c = 0; c < kCyclesPerIteration; ++c) loop.as.sim->stepCycle();
     cycles += kCyclesPerIteration;
   }
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - wall0;
+  // Process CPU over wall time: the cores a cell kept busy, shard workers
+  // and spinning barrier waits included (cpu_time counts the main thread
+  // only).
+  st.counters["cpu_per_wall"] =
+      (processCpuSeconds() - cpu0) / wall.count();
   const std::uint64_t hops =
       loop.as.sim->network().totalFlitsTraversed() - hops0;
   st.counters["cycles_per_sec"] = benchmark::Counter(
@@ -200,6 +226,34 @@ RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t2, 0.85, kHalfSat, 2);
 RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t4, 0.85, kHalfSat, 4);
 RAIR_HOTPATH_BENCH16(ra_rair_saturated16_t8, 0.85, kHalfSat, 8);
 
+// Assembly cost: everything assembleScenario builds before the first
+// cycle (routers with their VC buffers, NICs, links with their wires,
+// routing tables, sources) for the knee16 workload at one shard thread.
+// Reports assemblies_per_sec; tearing the scenario down is not timed. CI
+// bounds it against the baseline ("--metric assemblies_per_sec").
+void BM_assemble(benchmark::State& st, double app1Fraction,
+                 HotLoopOptions opts) {
+  const Mesh mesh(opts.meshDim, opts.meshDim);
+  const RegionMap regions = RegionMap::halves(mesh);
+  const ScenarioSpec spec =
+      hotLoopSpec(mesh, regions, schemeRaRair(), app1Fraction, opts);
+  std::uint64_t assemblies = 0;
+  for (auto _ : st) {
+    std::optional<AssembledScenario> as(assembleScenario(spec));
+    benchmark::DoNotOptimize(as->sim.get());
+    st.PauseTiming();
+    as.reset();
+    st.ResumeTiming();
+    ++assemblies;
+  }
+  st.counters["assemblies_per_sec"] = benchmark::Counter(
+      static_cast<double>(assemblies), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_assemble, ra_rair_knee16, 0.70,
+                  HotLoopOptions{.meshDim = 16, .halfSat = kHalfSat16})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // Topology-event (reconfiguration) cost: the per-event price of repairing
 // the routing tables after a link flap, measured on a 32x32 mesh
 // pre-partitioned into 16 disjoint 8x8 regions (every inter-region
@@ -260,6 +314,8 @@ int main(int argc, char** argv) {
                               std::to_string(rair::usableCores()));
   benchmark::AddCustomContext("compiler", __VERSION__);
   benchmark::AddCustomContext("build_type", RAIR_BUILD_TYPE);
+  // The commit the binary was configured from.
+  benchmark::AddCustomContext("git_sha", RAIR_GIT_SHA);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

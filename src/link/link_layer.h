@@ -169,10 +169,18 @@ class LinkLayer {
 /// campaign records and snapshot bytes are pinned to it.
 class IdealLink final : public LinkLayer {
  public:
-  explicit IdealLink(Cycle latency = 1)
+  /// SlotBlock bytes one link carves: each pipe takes one push per cycle
+  /// (one flit per link, one credit per input port).
+  static std::size_t slotBytes(Cycle latency) {
+    return DelayPipe<FlitMsg>::slotBytes(latency, 1) +
+           DelayPipe<CreditMsg>::slotBytes(latency, 1);
+  }
+
+  /// Carves both pipes' slots from `slots`.
+  IdealLink(Cycle latency, SlotBlock& slots)
       : LinkLayer(LinkLayerKind::Ideal, latency),
-        data_(latency),
-        credits_(latency) {}
+        data_(latency, 1, slots, "ideal link flit pipe"),
+        credits_(latency, 1, slots, "ideal link credit pipe") {}
 
   // Hot path under LinkLayer's contract names: its dispatch lands here
   // for ideal links, and a caller holding an IdealLink binds statically.

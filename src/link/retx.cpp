@@ -4,14 +4,19 @@
 
 namespace rair {
 
-RetxLink::RetxLink(Cycle latency, std::size_t replayCapacity)
-    : LinkLayer(LinkLayerKind::Retx, latency),
-      replayCap_(replayCapacity),
-      fwd_(latency),
-      rev_(latency) {
-  RAIR_CHECK(replayCapacity >= 1);
-  replay_.reserve(replayCapacity);
+std::size_t RetxLink::slotBytes(Cycle latency, std::size_t replayCapacity) {
+  return DelayPipe<WireFlit>::slotBytes(latency, 1) +
+         DelayPipe<RevMsg>::slotBytes(latency, 2) +
+         SlotBlock::bytesFor<ReplayEntry>(replayCapacity);
 }
+
+RetxLink::RetxLink(Cycle latency, std::size_t replayCapacity,
+                   SlotBlock& slots)
+    : LinkLayer(LinkLayerKind::Retx, latency),
+      fwd_(latency, 1, slots, "retx forward wire"),
+      rev_(latency, 2, slots, "retx reverse wire"),
+      replay_(slots.carve<ReplayEntry>(replayCapacity), replayCapacity,
+              "retx replay buffer") {}
 
 // ---- Sender side -------------------------------------------------------
 

@@ -51,7 +51,12 @@ namespace rair {
 /// the layer treats overflow as a hard failure rather than backpressure).
 class RetxLink final : public LinkLayer {
  public:
-  RetxLink(Cycle latency, std::size_t replayCapacity);
+  /// SlotBlock bytes one link carves: the forward wire takes one pump per
+  /// cycle, the reverse wire one credit plus one ACK/NAK per cycle.
+  static std::size_t slotBytes(Cycle latency, std::size_t replayCapacity);
+
+  /// Carves both wires and the replay buffer from `slots`.
+  RetxLink(Cycle latency, std::size_t replayCapacity, SlotBlock& slots);
 
   int inFlightFlits(int vc) const override;
   int inFlightCredits(int vc) const override;
@@ -144,14 +149,12 @@ class RetxLink final : public LinkLayer {
   /// tombstoned.
   const FlitMsg* peekFlitSlow(Cycle now);
 
-  std::size_t replayCap_;
-
   // Wires (forward: upstream pushes, downstream pops; reverse: opposite).
   DelayPipe<WireFlit> fwd_;
   DelayPipe<RevMsg> rev_;
 
   // Sender state.
-  RingQueue<ReplayEntry> replay_;
+  FixedRing<ReplayEntry> replay_;
   std::uint64_t nextSeq_ = 0;   ///< sequence for the next sendFlit
   std::size_t cursor_ = 0;      ///< replay index of the next flit to pump
   std::uint64_t wireHigh_ = 0;  ///< 1 + highest seq ever pumped
@@ -182,8 +185,7 @@ class RetxLink final : public LinkLayer {
 inline void RetxLink::sendFlit(Cycle, const Flit& f, int vc) {
   if (controlPending()) applyPendingControl();
   // The credit loop bounds un-ACKed occupancy below the capacity the
-  // network sized us with; overflow means flow control is broken.
-  RAIR_CHECK_MSG(replay_.size() < replayCap_, "retx replay buffer overflow");
+  // network sized us with; the push fails hard if flow control broke.
   replay_.push_back(ReplayEntry{FlitMsg{f, vc}, nextSeq_++});
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "snapshot/codec.h"
 
@@ -27,14 +28,21 @@ Router::Router(NodeId id, AppId appTag, const RouterConfig& config,
   RAIR_CHECK(vcDepth_ >= 1);
   RAIR_CHECK_MSG(layout_.totalVcs() <= 64,
                  "per-port VC count exceeds the state-bitmask width");
-  const auto slots = static_cast<size_t>(kNumPorts * layout_.totalVcs());
-  inputs_.resize(slots);
-  outputs_.resize(slots);
-  for (auto& i : inputs_) i.buf.reserve(static_cast<std::size_t>(vcDepth_));
+  const auto vcs = static_cast<size_t>(kNumPorts * layout_.totalVcs());
+  const auto depth = static_cast<size_t>(vcDepth_);
+  inputs_.resize(vcs);
+  outputs_.resize(vcs);
+  slots_ = SlotBlock(SlotBlock::bytesFor<Flit>(vcs * depth) +
+                     SlotBlock::bytesFor<int>(vcs) +
+                     SlotBlock::bytesFor<VaRequest>(vcs));
+  Flit* flits = slots_.carve<Flit>(vcs * depth);
+  for (size_t i = 0; i < vcs; ++i)
+    inputs_[i].buf = FixedRing<Flit>(flits + i * depth, depth,
+                                     "input VC buffer");
   for (auto& o : outputs_) o.credits = vcDepth_;
-  vaRr_.assign(slots, 0);
-  vaRequests_.reserve(slots);
-  saInWinners_.reserve(kNumPorts);
+  vaRr_ = {slots_.carve<int>(vcs), vcs};
+  std::uninitialized_fill(vaRr_.begin(), vaRr_.end(), 0);
+  vaRequests_ = slots_.carve<VaRequest>(vcs);
   recountAggregates();
 }
 
@@ -119,8 +127,6 @@ void Router::beginCycle(Cycle now) {
       while (const FlitMsg* msg = in->peekFlit(now)) {
         const int vcIdx = msg->vc;
         InputVc& ivc = inVc(port, vcIdx);
-        RAIR_CHECK_MSG(static_cast<int>(ivc.buf.size()) < vcDepth_,
-                       "input VC buffer overflow (credit protocol broken)");
         Flit f = msg->flit;
         in->popFlit();  // `msg` is dead from here on
         if (isHead(f.type)) {
@@ -278,7 +284,7 @@ ArbCandidate Router::makeCandidate(const Flit& f, VcClass outClass,
 }
 
 void Router::vcAllocate(Cycle now) {
-  vaRequests_.clear();
+  numVaRequests_ = 0;
   if (pendingVa_ == 0) return;
   // VA input arbitration: each WaitingVa VC independently selects one
   // output VC to request. No inter-flow contention; no policy hook.
@@ -291,29 +297,32 @@ void Router::vcAllocate(Cycle now) {
       RAIR_DCHECK(ivc.state == VcState::WaitingVa);
       if (ivc.ready > now) continue;
       VaRequest req;
-      if (selectOutputVc(now, port, vc, req)) vaRequests_.push_back(req);
+      if (selectOutputVc(now, port, vc, req))
+        std::construct_at(vaRequests_ + numVaRequests_++, req);
     }
   }
 
-  if (vaRequests_.empty()) return;
+  if (numVaRequests_ == 0) return;
   // VA output arbitration: one winner per contested output VC, chosen by
   // policy priority with round-robin tie-break over input-VC ids.
   // Group requests by output VC (requests are few; linear scan is fine).
-  std::sort(vaRequests_.begin(), vaRequests_.end(),
+  const std::span<VaRequest> requests(vaRequests_,
+                                      static_cast<size_t>(numVaRequests_));
+  std::sort(requests.begin(), requests.end(),
             [](const VaRequest& a, const VaRequest& b) {
               if (a.outPort != b.outPort) return a.outPort < b.outPort;
               return a.outVc < b.outVc;
             });
   const int totalVcs = layout_.totalVcs();
-  for (size_t i = 0; i < vaRequests_.size();) {
+  for (size_t i = 0; i < requests.size();) {
     size_t j = i;
-    while (j < vaRequests_.size() &&
-           vaRequests_[j].outPort == vaRequests_[i].outPort &&
-           vaRequests_[j].outVc == vaRequests_[i].outVc) {
+    while (j < requests.size() &&
+           requests[j].outPort == requests[i].outPort &&
+           requests[j].outVc == requests[i].outVc) {
       ++j;
     }
-    const int outPort = vaRequests_[i].outPort;
-    const int outVcIdx = vaRequests_[i].outVc;
+    const int outPort = requests[i].outPort;
+    const int outVcIdx = requests[i].outVc;
     const VcClass outClass = layout_.typeOf(outVcIdx);
     // Find the max-priority request; ties resolved round-robin by flat
     // input VC id relative to the per-output-VC pointer.
@@ -323,7 +332,7 @@ void Router::vcAllocate(Cycle now) {
     int bestDist = -1;
     size_t best = i;
     for (size_t k = i; k < j; ++k) {
-      const auto& r = vaRequests_[k];
+      const auto& r = requests[k];
       const InputVc& ivc = inVc(r.inPort, r.inVc);
       const std::uint64_t prio = policy_->priority(
           ArbStage::VaOut, makeCandidate(ivc.buf.front(), outClass, now),
@@ -339,7 +348,7 @@ void Router::vcAllocate(Cycle now) {
         best = k;
       }
     }
-    const auto& win = vaRequests_[best];
+    const auto& win = requests[best];
     InputVc& ivc = inVc(win.inPort, win.inVc);
     OutputVc& ovc = outVc(win.outPort, win.outVc);
     (isNative(ivc.buf.front()) ? counters_.vaGrantsNative
@@ -375,7 +384,7 @@ void Router::switchAllocateAndTraverse(Cycle now) {
 
   // SA input arbitration: at most one input VC per input port wins access
   // to the port's crossbar input.
-  saInWinners_.clear();
+  numSaInWinners_ = 0;
   if (numActive_ == 0) return;
   const int totalVcs = layout_.totalVcs();
   std::uint32_t requestedOutPorts = 0;
@@ -408,11 +417,12 @@ void Router::switchAllocateAndTraverse(Cycle now) {
     }
     if (bestVc >= 0) {
       const InputVc& ivc = inVc(port, bestVc);
-      saInWinners_.push_back({port, bestVc, ivc.outPort, ivc.outVc});
+      saInWinners_[static_cast<size_t>(numSaInWinners_++)] = {
+          port, bestVc, ivc.outPort, ivc.outVc};
       requestedOutPorts |= 1u << ivc.outPort;
     }
   }
-  if (saInWinners_.empty()) return;
+  if (numSaInWinners_ == 0) return;
 
   // SA output arbitration: one winner per requested output port
   // (ascending port order, same as scanning all of them).
@@ -422,7 +432,7 @@ void Router::switchAllocateAndTraverse(Cycle now) {
     std::uint64_t bestPrio = 0;
     int bestDist = -1;
     int best = -1;
-    for (size_t k = 0; k < saInWinners_.size(); ++k) {
+    for (size_t k = 0; k < static_cast<size_t>(numSaInWinners_); ++k) {
       const auto& w = saInWinners_[k];
       if (w.outPort != outPort) continue;
       const InputVc& ivc = inVc(w.inPort, w.inVc);

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/ring.h"
@@ -152,7 +153,7 @@ class Router {
   /// Snapshot hooks: every primary field a future cycle reads — VC state
   /// machines, buffered flits, credits, round-robin pointers, counters and
   /// the policy state. restore() rebuilds the aggregates derived from them
-  /// with recountAggregates(); the per-cycle scratch vectors (vaRequests_,
+  /// with recountAggregates(); the per-cycle scratch arrays (vaRequests_,
   /// saInWinners_) are rebuilt each cycle and excluded. restore() requires
   /// an identically configured router.
   void save(snapshot::Writer& w) const;
@@ -163,7 +164,7 @@ class Router {
   friend class fault::FaultInjector;
   struct InputVc {
     VcState state = VcState::Idle;
-    RingQueue<Flit> buf;  ///< ring sized to vcDepth; allocation-free
+    FixedRing<Flit> buf;  ///< vcDepth slots of the router's slot block
     RouteResult route;
     int outPort = -1;
     int outVc = -1;
@@ -272,14 +273,21 @@ class Router {
   std::array<LinkLayer*, kNumPorts> inLinks_{};
   std::array<LinkLayer*, kNumPorts> outLinks_{};
 
-  // Round-robin grant pointers.
-  std::vector<int> vaRr_;                    // per output VC, over input-VC ids
-  std::array<int, kNumPorts> saInRr_{};      // per input port, over VC ids
-  std::array<int, kNumPorts> saOutRr_{};     // per output port, over ports
+  /// One allocation for every per-VC array sized at construction: the
+  /// input VC flit buffers (vcDepth slots each), vaRr_ and vaRequests_.
+  SlotBlock slots_;
 
-  // Scratch buffers reused every cycle.
-  std::vector<VaRequest> vaRequests_;
-  std::vector<SaWinner> saInWinners_;
+  // Round-robin grant pointers.
+  std::span<int> vaRr_;                  // per output VC, over input-VC ids
+  std::array<int, kNumPorts> saInRr_{};  // per input port, over VC ids
+  std::array<int, kNumPorts> saOutRr_{};  // per output port, over ports
+
+  // Scratch reused every cycle: at most one VA request per input VC and
+  // one SA_in winner per input port.
+  VaRequest* vaRequests_ = nullptr;
+  int numVaRequests_ = 0;
+  std::array<SaWinner, kNumPorts> saInWinners_{};
+  int numSaInWinners_ = 0;
 
   RouterOccupancy prevOccupancy_;
   RouterCounters counters_;

@@ -71,12 +71,17 @@ void Network::wire() {
       static_cast<std::size_t>(layout_.totalVcs()) *
           static_cast<std::size_t>(config_.vcDepth) +
       2 * static_cast<std::size_t>(config_.linkLatency) + 4;
+  // Every wire and replay buffer of the network comes out of one block.
+  const Cycle latency = config_.linkLatency;
+  linkSlots_ = SlotBlock(numLinks * (retx ? RetxLink::slotBytes(latency,
+                                                                replayCap)
+                                          : IdealLink::slotBytes(latency)));
   auto makeLink = [&]() -> LinkLayer* {
     if (retx) {
-      retxLinks_.emplace_back(config_.linkLatency, replayCap);
+      retxLinks_.emplace_back(latency, replayCap, linkSlots_);
       return &retxLinks_.back();
     }
-    idealLinks_.emplace_back(config_.linkLatency);
+    idealLinks_.emplace_back(latency, linkSlots_);
     return &idealLinks_.back();
   };
 

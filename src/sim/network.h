@@ -147,9 +147,11 @@ class Network final : public CongestionView {
   // element vectors are reserved to their exact final size before wiring,
   // so the LinkLayer*/element pointers handed out during wire() stay
   // valid. Exactly one of the two typed link vectors is populated (per
-  // config_.linkLayer); links_ is the uniform view over it.
+  // config_.linkLayer); links_ is the uniform view over it. linkSlots_
+  // holds every link's wire and replay-buffer slots.
   std::vector<Router> routers_;
   std::vector<Nic> nics_;
+  SlotBlock linkSlots_;
   std::vector<IdealLink> idealLinks_;
   std::vector<RetxLink> retxLinks_;
   std::vector<LinkLayer*> links_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/assert.h"
 #include "snapshot/buffer.h"
@@ -33,31 +34,21 @@ std::vector<std::uint8_t> serialized(const Simulator& sim) {
   return w.payload();
 }
 
-/// State after simulating `spec` straight from cycle zero to `cycle`.
-std::vector<std::uint8_t> stateAt(const ScenarioSpec& spec, Cycle cycle) {
-  AssembledScenario as = assembleScenario(spec);
-  RAIR_CHECK_MSG(as.sim->snapshotSupported(),
-                 "bisectDivergence on a snapshot-ineligible scenario");
-  as.sim->begin();
-  while (as.sim->now() < cycle) as.sim->stepCycle();
-  return serialized(*as.sim);
-}
-
-/// State after restoring `snap` into a fresh simulator and continuing to
-/// `cycle`.
-std::vector<std::uint8_t> stateViaRestore(
-    const ScenarioSpec& spec, const std::vector<std::uint8_t>& snap,
-    Cycle cycle) {
-  AssembledScenario as = assembleScenario(spec);
-  Reader r(snap);
-  as.sim->restore(r);
-  RAIR_CHECK_MSG(r.atEnd(), "bisect: trailing bytes after restore");
-  as.sim->begin();
-  while (as.sim->now() < cycle) as.sim->stepCycle();
-  return serialized(*as.sim);
-}
-
 }  // namespace
+
+BisectResult firstDivergence(Simulator& straight, Simulator& restored,
+                             Cycle horizon) {
+  RAIR_CHECK_MSG(straight.now() == restored.now(),
+                 "firstDivergence: the two runs are at different cycles");
+  for (;;) {
+    std::string s =
+        firstDifferingSection(serialized(straight), serialized(restored));
+    if (!s.empty()) return {true, straight.now(), std::move(s)};
+    if (straight.now() >= horizon) return {};
+    straight.stepCycle();
+    restored.stepCycle();
+  }
+}
 
 BisectResult bisectDivergence(const ScenarioSpec& spec, Cycle snapAt,
                               Cycle horizon) {
@@ -68,46 +59,19 @@ BisectResult bisectDivergence(const ScenarioSpec& saveSpec,
                               const ScenarioSpec& restoreSpec, Cycle snapAt,
                               Cycle horizon) {
   RAIR_CHECK_MSG(snapAt < horizon, "bisectDivergence: empty cycle range");
-  BisectResult res;
-  const std::vector<std::uint8_t> snap = stateAt(saveSpec, snapAt);
+  AssembledScenario straight = assembleScenario(saveSpec);
+  RAIR_CHECK_MSG(straight.sim->snapshotSupported(),
+                 "bisectDivergence on a snapshot-ineligible scenario");
+  straight.sim->begin();
+  while (straight.sim->now() < snapAt) straight.sim->stepCycle();
+  const std::vector<std::uint8_t> snap = serialized(*straight.sim);
 
-  auto diffAt = [&](Cycle c) {
-    return firstDifferingSection(stateAt(saveSpec, c),
-                                 stateViaRestore(restoreSpec, snap, c));
-  };
-
-  // Restore itself must reproduce the saved state before any search makes
-  // sense.
-  std::string s = diffAt(snapAt);
-  if (!s.empty()) {
-    res.diverged = true;
-    res.firstDivergentCycle = snapAt;
-    res.section = std::move(s);
-    return res;
-  }
-
-  s = diffAt(horizon);
-  if (s.empty()) return res;  // identical over the whole range
-
-  // Invariant: states match at `lo`, differ at `hi` (where `hiSection`
-  // names the first differing section).
-  Cycle lo = snapAt;
-  Cycle hi = horizon;
-  std::string hiSection = std::move(s);
-  while (hi - lo > 1) {
-    const Cycle mid = lo + (hi - lo) / 2;
-    s = diffAt(mid);
-    if (s.empty()) {
-      lo = mid;
-    } else {
-      hi = mid;
-      hiSection = std::move(s);
-    }
-  }
-  res.diverged = true;
-  res.firstDivergentCycle = hi;
-  res.section = std::move(hiSection);
-  return res;
+  AssembledScenario restored = assembleScenario(restoreSpec);
+  Reader r(snap);
+  restored.sim->restore(r);
+  RAIR_CHECK_MSG(r.atEnd(), "bisect: trailing bytes after restore");
+  restored.sim->begin();
+  return firstDivergence(*straight.sim, *restored.sim, horizon);
 }
 
 }  // namespace rair::snapshot

@@ -1,9 +1,11 @@
-// Determinism debugging: binary-search the first cycle at which a
-// restored-from-snapshot run diverges from the uninterrupted run of the
-// same scenario. The subsystem's load-bearing invariant is that it never
-// does — bisectDivergence is the tool that localizes a violation to a
-// cycle and a state section when a save/restore hook goes stale (e.g. a
-// new piece of mutable router state not added to the codec).
+// Determinism debugging: find the first cycle at which a restored-from-
+// snapshot run diverges from the uninterrupted run of the same scenario.
+// The subsystem's load-bearing invariant is that it never does — this is
+// the tool that localizes a violation to a cycle and a state section when
+// a save/restore hook goes stale (e.g. a new piece of mutable router state
+// not added to the codec). The two runs step in lockstep and their states
+// are compared after every cycle, so a difference that heals before the
+// horizon is still reported.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +31,18 @@ struct BisectResult {
 std::string firstDifferingSection(const std::vector<std::uint8_t>& a,
                                   const std::vector<std::uint8_t>& b);
 
-/// Runs `spec` straight to `snapAt` and saves its state; then compares the
-/// straight run against the save/restore/continue run, binary-searching
-/// the first cycle in (snapAt, horizon] where the two serialized states
-/// differ. Each probe re-simulates from scratch (a debugging tool, not a
-/// fast path). RAIR_CHECKs when the spec is not snapshot-capable.
+/// Steps `straight` and `restored` (both begun, at the same cycle) in
+/// lockstep up to `horizon`, comparing their save() bytes before the first
+/// step and after every cycle. Returns at the first cycle whose states
+/// differ, leaving both simulators there.
+BisectResult firstDivergence(Simulator& straight, Simulator& restored,
+                             Cycle horizon);
+
+/// Runs `spec` straight to `snapAt` and saves its state, restores that
+/// state into a fresh simulator, and reports the first cycle in
+/// [snapAt, horizon] where the continued straight run and the restored run
+/// differ (firstDivergence). RAIR_CHECKs when the spec is not
+/// snapshot-capable.
 BisectResult bisectDivergence(const ScenarioSpec& spec, Cycle snapAt,
                               Cycle horizon);
 

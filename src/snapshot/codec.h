@@ -85,21 +85,28 @@ inline void restoreRoute(Reader& r, RouteResult& rt) {
   rt.ejecting = r.boolean();
 }
 
-/// RingQueue contents front-to-back; `elem` encodes one element. Capacity
-/// is a non-behavioral allocation detail and is not captured.
-template <typename T, typename F>
-void saveRing(Writer& w, const RingQueue<T>& q, F&& elem) {
+/// Ring contents front-to-back (a FixedRing or a RingQueue); `elem`
+/// encodes one element. Capacity is configuration, not state, and is not
+/// captured.
+template <typename Ring, typename F>
+void saveRing(Writer& w, const Ring& q, F&& elem) {
   w.u64(q.size());
   for (std::size_t i = 0; i < q.size(); ++i) elem(w, q[i]);
 }
 
-template <typename T, typename F>
-void restoreRing(Reader& r, RingQueue<T>& q, F&& elem) {
+/// Refills `q` from saveRing's bytes. A FixedRing must hold the saved
+/// count within its capacity; a RingQueue grows to it.
+template <typename Ring, typename F>
+void restoreRing(Reader& r, Ring& q, F&& elem) {
   q.clear();
   const std::uint64_t n = r.u64();
-  q.reserve(static_cast<std::size_t>(n));
+  if constexpr (requires { q.reserve(std::size_t{}); })
+    q.reserve(static_cast<std::size_t>(n));
+  else
+    RAIR_CHECK_MSG(n <= q.capacity(),
+                   "snapshot restore: saved queue exceeds its capacity");
   for (std::uint64_t i = 0; i < n; ++i) {
-    T v{};
+    typename Ring::value_type v{};
     elem(r, v);
     q.push_back(std::move(v));
   }
@@ -121,6 +128,8 @@ template <typename T, typename F>
 void restoreDelayPipe(Reader& r, DelayPipe<T>& pipe, F&& elem) {
   pipe.clearForRestore();
   const std::uint64_t n = r.u64();
+  RAIR_CHECK_MSG(n <= pipe.capacity(),
+                 "snapshot restore: saved pipe exceeds its capacity");
   for (std::uint64_t i = 0; i < n; ++i) {
     const Cycle arrival = r.u64();
     T v{};

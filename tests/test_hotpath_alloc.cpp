@@ -127,5 +127,33 @@ TEST(HotPathAlloc, WarmStepsStayAllocationFreeWithMetricsRecorder) {
             0u);
 }
 
+/// Heap allocations `assembleScenario` makes for a two-app RA_RAIR
+/// scenario on a `dim`x`dim` half-mesh at one shard thread, per node.
+double assemblyAllocsPerNode(int dim, LinkLayerKind link) {
+  const Mesh mesh(dim, dim);
+  const RegionMap regions = RegionMap::halves(mesh);
+  const ScenarioSpec spec =
+      ScenarioSpec(mesh, regions)
+          .withConfig(ScenarioSpec::windowPreset(/*fast=*/true))
+          .withScheme(schemeRaRair())
+          .withApps(scenarios::twoAppInterRegion(1.0, 0.01, 0.1))
+          .withLinkLayer(link)
+          .withThreads(1);
+  const std::uint64_t before = gAllocCount.load(std::memory_order_relaxed);
+  const AssembledScenario as = assembleScenario(spec);
+  const std::uint64_t allocs =
+      gAllocCount.load(std::memory_order_relaxed) - before;
+  return static_cast<double>(allocs) / mesh.numNodes();
+}
+
+// Every VC buffer and wire pipe has a bound known at construction, so the
+// network's storage is a handful of blocks per node rather than one heap
+// ring per queue.
+TEST(HotPathAlloc, AssemblyStaysWithinTwelveAllocationsPerNode) {
+  EXPECT_LE(assemblyAllocsPerNode(8, LinkLayerKind::Ideal), 12.0);
+  EXPECT_LE(assemblyAllocsPerNode(16, LinkLayerKind::Ideal), 12.0);
+  EXPECT_LE(assemblyAllocsPerNode(8, LinkLayerKind::Retx), 12.0);
+}
+
 }  // namespace
 }  // namespace rair

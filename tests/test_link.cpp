@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rair {
 namespace {
 
 TEST(DelayPipe, DeliversAfterLatency) {
-  DelayPipe<int> p(2);
+  SlotBlock slots(DelayPipe<int>::slotBytes(2, 1));
+  DelayPipe<int> p(2, 1, slots, "test pipe");
   p.push(10, 42);
   EXPECT_EQ(p.peek(10), nullptr);
   EXPECT_EQ(p.peek(11), nullptr);
@@ -18,7 +21,10 @@ TEST(DelayPipe, DeliversAfterLatency) {
 }
 
 TEST(DelayPipe, PreservesOrder) {
-  DelayPipe<int> p(1);
+  // Latency 2 keeps all three one-per-cycle pushes within the pipe's
+  // bound of latency + 1 entries while none is drained.
+  SlotBlock slots(DelayPipe<int>::slotBytes(2, 1));
+  DelayPipe<int> p(2, 1, slots, "test pipe");
   p.push(0, 1);
   p.push(1, 2);
   p.push(2, 3);
@@ -32,7 +38,8 @@ TEST(DelayPipe, PreservesOrder) {
 }
 
 TEST(DelayPipe, SizeAndEmpty) {
-  DelayPipe<int> p(1);
+  SlotBlock slots(DelayPipe<int>::slotBytes(1, 1));
+  DelayPipe<int> p(1, 1, slots, "test pipe");
   EXPECT_TRUE(p.empty());
   p.push(0, 7);
   EXPECT_EQ(p.size(), 1u);
@@ -41,8 +48,40 @@ TEST(DelayPipe, SizeAndEmpty) {
   EXPECT_TRUE(p.empty());
 }
 
+TEST(DelayPipe, OnePushPerCycleStaysWithinLatencyPlusOne) {
+  // Whether the consumer drains before or after the cycle's push, a pipe
+  // taking one push per cycle never holds more than latency + 1 entries;
+  // pushing before draining reaches exactly that.
+  for (const Cycle latency : {Cycle{1}, Cycle{2}, Cycle{3}}) {
+    for (const bool drainFirst : {true, false}) {
+      SlotBlock slots(DelayPipe<int>::slotBytes(latency, 1));
+      DelayPipe<int> p(latency, 1, slots, "test pipe");
+      ASSERT_EQ(p.capacity(), latency + 1);
+      int pushed = 0;
+      int popped = 0;
+      std::size_t high = 0;
+      auto drain = [&](Cycle now) {
+        while (const int* v = p.peek(now)) {
+          ASSERT_EQ(*v, popped++);
+          p.popFront();
+        }
+      };
+      for (Cycle now = 0; now < 40; ++now) {
+        if (drainFirst) drain(now);
+        p.push(now, pushed++);
+        high = std::max(high, p.size());
+        if (!drainFirst) drain(now);
+      }
+      EXPECT_EQ(high, drainFirst ? latency : latency + 1)
+          << "latency " << latency;
+      EXPECT_EQ(popped, pushed - static_cast<int>(latency));
+    }
+  }
+}
+
 TEST(IdealLink, FlitAndCreditChannelsAreIndependent) {
-  IdealLink link(1);
+  SlotBlock slots(IdealLink::slotBytes(1));
+  IdealLink link(1, slots);
   Flit f;
   f.pkt = 9;
   link.sendFlit(0, f, 2);
@@ -62,7 +101,8 @@ TEST(IdealLink, FlitAndCreditChannelsAreIndependent) {
 }
 
 TEST(IdealLink, NotVisibleBeforeLatency) {
-  IdealLink link(1);
+  SlotBlock slots(IdealLink::slotBytes(1));
+  IdealLink link(1, slots);
   Flit f;
   link.sendFlit(5, f, 0);
   EXPECT_EQ(link.peekFlit(5), nullptr);

@@ -23,7 +23,8 @@ namespace {
 // ---- DelayPipe restore-order invariants ------------------------------------
 
 TEST(DelayPipeRestore, RoundTripReproducesArrivals) {
-  DelayPipe<int> p(3);
+  SlotBlock slots(DelayPipe<int>::slotBytes(3, 1));
+  DelayPipe<int> p(3, 1, slots, "test pipe");
   p.push(10, 1);
   p.push(11, 2);
   p.push(13, 3);
@@ -49,14 +50,16 @@ TEST(DelayPipeRestore, RoundTripReproducesArrivals) {
 TEST(DelayPipeRestoreDeathTest, RejectsOutOfOrderPushAbsolute) {
   // Restoring entries out of saved order would fabricate a queue that can
   // deliver out of FIFO order; the debug check refuses to build one.
-  DelayPipe<int> p(1);
+  SlotBlock slots(DelayPipe<int>::slotBytes(1, 1));
+  DelayPipe<int> p(1, 1, slots, "test pipe");
   p.clearForRestore();
   p.pushAbsolute(5, 1);
   EXPECT_DEATH(p.pushAbsolute(4, 2), "pushAbsolute|DCHECK|arrival");
 }
 
 TEST(DelayPipeRestoreDeathTest, RejectsTimeTravelPush) {
-  DelayPipe<int> p(2);
+  SlotBlock slots(DelayPipe<int>::slotBytes(2, 1));
+  DelayPipe<int> p(2, 1, slots, "test pipe");
   p.push(10, 1);
   EXPECT_DEATH(p.push(5, 2), "push|DCHECK|latency");
 }
@@ -68,11 +71,13 @@ TEST(DelayPipeRestoreDeathTest, RejectsTimeTravelPush) {
 /// discipline: upstream polls credits, sends and pumps first; downstream
 /// receives, credits back and flushes control second.
 struct RetxHarness {
+  SlotBlock slots;
   RetxLink link;
   Cycle now = 0;
   std::vector<PacketId> delivered;
 
-  explicit RetxHarness(Cycle latency, std::size_t cap) : link(latency, cap) {}
+  explicit RetxHarness(Cycle latency, std::size_t cap)
+      : slots(RetxLink::slotBytes(latency, cap)), link(latency, cap, slots) {}
 
   void cycle(std::optional<PacketId> sendPkt) {
     // Phase A (upstream endpoint): apply arrived credits/ACKs/NAKs, hand
@@ -243,6 +248,34 @@ TEST(LinkLayerScenario, CorruptionRecoveryIsThreadCountInvariant) {
     ASSERT_TRUE(sharded.faultStats.has_value());
     EXPECT_EQ(*sharded.faultStats, *single.faultStats);
   }
+}
+
+TEST(LinkLayerScenario, RetxWiresStayWithinBoundsAtLatencyTwo) {
+  // Two-cycle wires under corruption bursts and a soft reset: go-back-N
+  // replays, NAK floods while the receiver is down and the redelivery
+  // after recovery all stay within every wire's fixed capacity (a push
+  // past one aborts), at one and four shard threads alike.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  fault::FaultPlan plan = corruptionPlan(mesh);
+  plan.corruptFlits(450, mesh.nodeAt({3, 3}), Dir::South, 12);
+  plan.softReset(500, mesh.nodeAt({4, 3}), 60);
+  ScenarioSpec spec = ScenarioSpec(smallSpec(mesh, regions))
+                          .withLinkLayer(LinkLayerKind::Retx)
+                          .withFaults(plan);
+  spec.config.net.linkLatency = 2;
+
+  const ScenarioResult single = runScenario(spec);
+  EXPECT_EQ(single.run.termination, Termination::Drained);
+  ASSERT_TRUE(single.faultStats.has_value());
+  EXPECT_GT(single.faultStats->corruptedFlits, 27u);
+  EXPECT_GT(single.faultStats->retransmittedFlits, 0u);
+  EXPECT_EQ(single.faultStats->softResets, 1u);
+
+  const ScenarioResult sharded = runScenario(ScenarioSpec(spec).withThreads(4));
+  expectSameResult(sharded, single);
+  ASSERT_TRUE(sharded.faultStats.has_value());
+  EXPECT_EQ(*sharded.faultStats, *single.faultStats);
 }
 
 // ---- Mid-retransmission snapshots ------------------------------------------

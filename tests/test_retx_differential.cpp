@@ -29,7 +29,11 @@ namespace {
 class RefRetxLink {
  public:
   RefRetxLink(Cycle latency, std::size_t replayCapacity)
-      : replayCap_(replayCapacity), fwd_(latency), rev_(latency) {}
+      : replayCap_(replayCapacity),
+        slots_(DelayPipe<WireFlit>::slotBytes(latency, 1) +
+               DelayPipe<RevMsg>::slotBytes(latency, 2)),
+        fwd_(latency, 1, slots_, "ref forward wire"),
+        rev_(latency, 2, slots_, "ref reverse wire") {}
 
   void sendFlit(Cycle, const Flit& f, int vc) {
     applyPendingControl();
@@ -241,6 +245,7 @@ class RefRetxLink {
   }
 
   std::size_t replayCap_;
+  SlotBlock slots_;
   DelayPipe<WireFlit> fwd_;
   DelayPipe<RevMsg> rev_;
   RingQueue<ReplayEntry> replay_;
@@ -295,7 +300,8 @@ void runLockstep(std::uint64_t seed, Cycle latency, int cycles,
     return std::uniform_real_distribution<double>(0.0, 1.0)(rng) < p;
   };
   const std::size_t cap = kVcs * kDepth + 2 * latency + 4;
-  RetxLink link(latency, cap);
+  SlotBlock slots(RetxLink::slotBytes(latency, cap));
+  RetxLink link(latency, cap, slots);
   RefRetxLink ref(latency, cap);
   Endpoints ep{std::vector<int>(kVcs, kDepth),
                std::vector<std::deque<Cycle>>(kVcs)};
@@ -381,8 +387,9 @@ void runLockstep(std::uint64_t seed, Cycle latency, int cycles,
         ref.sendFlit(now, f, vc);
       }
     }
-    // Phase B, downstream: drain buffered flits at random, one credit
-    // each.
+    // Phase B, downstream: drain a buffered flit at random and credit
+    // it back; at most one per cycle, as a router input port wins the
+    // switch at most once a cycle.
     if (!down) {
       for (int vc = 0; vc < kVcs; ++vc) {
         auto& buf = ep.buffered[static_cast<std::size_t>(vc)];
@@ -390,6 +397,7 @@ void runLockstep(std::uint64_t seed, Cycle latency, int cycles,
           buf.pop_front();
           link.sendCredit(now, vc);
           ref.sendCredit(now, vc);
+          break;
         }
       }
     }

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "common/rng.h"
+#include "snapshot/buffer.h"
+#include "snapshot/codec.h"
 
 namespace rair {
 namespace {
@@ -173,6 +175,109 @@ TEST(RingQueue, CapacityIsMonotone) {
     ASSERT_EQ(q.capacity() & (q.capacity() - 1), 0u);
   }
 }
+
+// ---- FixedRing: the bounded queues of the network ---------------------
+
+/// A FixedRing<int> of `cap` slots with its own slot block.
+struct IntRing {
+  explicit IntRing(std::size_t cap)
+      : slots(SlotBlock::bytesFor<int>(cap)),
+        q(slots.carve<int>(cap), cap, "test ring") {}
+  SlotBlock slots;
+  FixedRing<int> q;
+};
+
+TEST(FixedRing, WrapsAroundFromEveryStartOffset) {
+  // For every head position, fill to exact capacity (the last pushes wrap
+  // past the end of the slots), check FIFO positions, then drain.
+  for (const std::size_t cap : {1u, 2u, 3u, 5u, 7u}) {
+    for (std::size_t offset = 0; offset < cap; ++offset) {
+      IntRing r(cap);
+      for (std::size_t i = 0; i < offset; ++i) {
+        r.q.push_back(-1);
+        r.q.pop_front();
+      }
+      for (std::size_t i = 0; i < cap; ++i)
+        r.q.push_back(static_cast<int>(i));
+      ASSERT_EQ(r.q.size(), cap);
+      ASSERT_EQ(r.q.capacity(), cap);
+      for (std::size_t i = 0; i < cap; ++i)
+        ASSERT_EQ(r.q[i], static_cast<int>(i)) << "cap " << cap << " offset "
+                                               << offset;
+      for (std::size_t i = 0; i < cap; ++i) {
+        ASSERT_EQ(r.q.front(), static_cast<int>(i));
+        r.q.pop_front();
+      }
+      EXPECT_TRUE(r.q.empty());
+    }
+  }
+}
+
+TEST(FixedRing, RandomScheduleWithinCapacityMatchesDeque) {
+  Xoshiro256StarStar rng(0xF1EDu);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t cap = 1 + rng.below(9);
+    IntRing r(cap);
+    std::deque<int> model;
+    for (int step = 0; step < 500; ++step) {
+      if (model.size() < cap && rng.chance(0.55)) {
+        r.q.push_back(step);
+        model.push_back(step);
+      } else if (!model.empty()) {
+        ASSERT_EQ(r.q.front(), model.front());
+        r.q.pop_front();
+        model.pop_front();
+      }
+      ASSERT_EQ(r.q.size(), model.size());
+      for (std::size_t i = 0; i < model.size(); ++i)
+        ASSERT_EQ(r.q[i], model[i]);
+    }
+  }
+}
+
+TEST(FixedRing, SaveRestoreOfAFullWrappedRing) {
+  IntRing a(5);
+  for (int i = 0; i < 3; ++i) {
+    a.q.push_back(-1);
+    a.q.pop_front();
+  }
+  for (int i = 0; i < 5; ++i) a.q.push_back(10 + i);
+  const auto saveInt = [](snapshot::Writer& w, int v) { w.i32(v); };
+  const auto restoreInt = [](snapshot::Reader& r, int& v) { v = r.i32(); };
+  snapshot::Writer w;
+  snapshot::saveRing(w, a.q, saveInt);
+
+  IntRing b(5);
+  b.q.push_back(99);  // restore replaces whatever was queued
+  snapshot::Reader r(w.payload());
+  snapshot::restoreRing(r, b.q, restoreInt);
+  EXPECT_TRUE(r.atEnd());
+  ASSERT_EQ(b.q.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(b.q[i], a.q[i]);
+  snapshot::Writer w2;
+  snapshot::saveRing(w2, b.q, saveInt);
+  EXPECT_TRUE(w2.payload() == w.payload());
+}
+
+#if defined(GTEST_HAS_DEATH_TEST)
+TEST(FixedRingDeathTest, OverflowFailsNamingTheQueue) {
+  IntRing r(3);
+  for (int i = 0; i < 3; ++i) r.q.push_back(i);
+  EXPECT_DEATH(r.q.push_back(3), "test ring overflow \\(capacity 3\\)");
+}
+
+TEST(FixedRingDeathTest, RestoreLongerThanCapacityFails) {
+  IntRing a(4);
+  for (int i = 0; i < 4; ++i) a.q.push_back(i);
+  snapshot::Writer w;
+  snapshot::saveRing(w, a.q, [](snapshot::Writer& w2, int v) { w2.i32(v); });
+  IntRing b(3);
+  snapshot::Reader r(w.payload());
+  EXPECT_DEATH(snapshot::restoreRing(
+                   r, b.q, [](snapshot::Reader& r2, int& v) { v = r2.i32(); }),
+               "saved queue exceeds its capacity");
+}
+#endif
 
 }  // namespace
 }  // namespace rair

@@ -45,6 +45,10 @@ class RouterBench {
     router_.vcAllocate(now_);
     router_.switchAllocateAndTraverse(now_);
     router_.endCycle(now_);
+    // The harness is the upstream end of every in-link: it takes back the
+    // credits the router returned, as an upstream router would.
+    for (IdealLink& link : in_)
+      while (link.peekCredit(now_) != nullptr) link.popCredit();
     ++now_;
   }
 
@@ -96,10 +100,15 @@ class RouterBench {
   Mesh mesh_;
   LocalAdaptiveRouting routing_;
   OpenCongestion congestion_;
-  IdealLink in_[kNumPorts]{IdealLink{1}, IdealLink{1}, IdealLink{1},
-                           IdealLink{1}, IdealLink{1}};
-  IdealLink out_[kNumPorts]{IdealLink{1}, IdealLink{1}, IdealLink{1},
-                            IdealLink{1}, IdealLink{1}};
+  SlotBlock linkSlots_{2 * kNumPorts * IdealLink::slotBytes(1)};
+  IdealLink in_[kNumPorts]{
+      IdealLink{1, linkSlots_}, IdealLink{1, linkSlots_},
+      IdealLink{1, linkSlots_}, IdealLink{1, linkSlots_},
+      IdealLink{1, linkSlots_}};
+  IdealLink out_[kNumPorts]{
+      IdealLink{1, linkSlots_}, IdealLink{1, linkSlots_},
+      IdealLink{1, linkSlots_}, IdealLink{1, linkSlots_},
+      IdealLink{1, linkSlots_}};
   Router router_;
   Cycle now_ = 0;
 };
@@ -169,11 +178,15 @@ TEST(RouterUnit, MultiFlitPacketStaysOnOneVc) {
 TEST(RouterUnit, BlocksWithoutCredits) {
   RoundRobinPolicy rr;
   RouterBench bench(rr, plainConfig());
-  // Five packets, one per input VC; we never return credits downstream,
-  // so each consumes one of the 5 output VCs (4 adaptive + escape).
-  for (PacketId id = 1; id <= 5; ++id)
-    bench.inject(Dir::West, static_cast<int>(id - 1), headTail(id, 5, 0));
+  // Five packets, one per input VC and one per cycle (a link carries one
+  // flit a cycle); we never return credits downstream, so each consumes
+  // one of the 5 output VCs (4 adaptive + escape).
   int flitsOut = 0;
+  for (PacketId id = 1; id <= 5; ++id) {
+    bench.inject(Dir::West, static_cast<int>(id - 1), headTail(id, 5, 0));
+    bench.step();
+    flitsOut += static_cast<int>(bench.drainOutput(Dir::East).size());
+  }
   for (int i = 0; i < 30; ++i) {
     bench.step();
     flitsOut += static_cast<int>(bench.drainOutput(Dir::East).size());

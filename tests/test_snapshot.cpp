@@ -357,9 +357,45 @@ TEST(SnapshotSim, BisectFindsNoDivergenceUnderRaRair) {
                            << " in section " << r.section;
 }
 
+TEST(SnapshotSim, BisectCatchesADivergenceThatHealsBeforeTheHorizon) {
+  // A restored run whose `sim` section differs in lastProgress_ alone: the
+  // next cycle with progress overwrites it, so by the horizon both runs
+  // hold the same bytes again and a comparison there sees nothing. The
+  // lockstep comparison reports the cycle and the section.
+  Mesh mesh(8, 8);
+  const RegionMap regions = RegionMap::halves(mesh);
+  const ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());
+  constexpr Cycle kSnapAt = 300;
+  constexpr Cycle kHorizon = 700;
+
+  AssembledScenario straight = assembleScenario(spec);
+  straight.sim->begin();
+  while (straight.sim->now() < kSnapAt) straight.sim->stepCycle();
+  std::vector<std::uint8_t> snap = payloadOf(*straight.sim);
+  // lastProgress_ is the seventh u64 of the sim section (little-endian).
+  for (const snapshot::SectionInfo& sec : snapshot::listSections(snap))
+    if (sec.name == "sim") snap[sec.offset + 6 * 8] ^= 0x40;
+
+  AssembledScenario restored = assembleScenario(spec);
+  snapshot::Reader r(snap);
+  restored.sim->restore(r);
+  restored.sim->begin();
+  const snapshot::BisectResult res =
+      snapshot::firstDivergence(*straight.sim, *restored.sim, kHorizon);
+  EXPECT_TRUE(res.diverged);
+  EXPECT_EQ(res.firstDivergentCycle, kSnapAt);
+  EXPECT_EQ(res.section, "sim");
+
+  while (straight.sim->now() < kHorizon) {
+    straight.sim->stepCycle();
+    restored.sim->stepCycle();
+  }
+  EXPECT_TRUE(payloadOf(*straight.sim) == payloadOf(*restored.sim))
+      << "the patched field should have healed by the horizon";
+}
+
 TEST(SnapshotSim, RestoreAtEveryCycleContinuesLikeTheStraightRun) {
-  // The bisector compares whole runs, so a field that diverges for one
-  // cycle and heals escapes it. Here every cycle of a sparse run is saved,
+  // Every cycle of a sparse run is saved,
   // restored into a fresh simulator and stepped once; its bytes must equal
   // the straight run's next cycle. At this load whole cycles pass with no
   // delivery, so progress is read from the flits the routers moved the

@@ -4,10 +4,11 @@
 //   rair_snapshot --dump FILE              header + section table
 //   rair_snapshot --diff FILE FILE         first differing state section
 //   rair_snapshot --bisect-divergence [options]
-//                                          binary-search the first cycle a
-//                                          restored run diverges from the
-//                                          straight run (a healthy build
-//                                          reports no divergence)
+//                                          step a restored run beside the
+//                                          straight run and report the
+//                                          first cycle their states differ
+//                                          (a healthy build reports no
+//                                          divergence)
 //
 // The bisect mode drives a built-in two-application scenario (the fig09
 // workload shape) so a save/restore bug in any subsystem can be localized
