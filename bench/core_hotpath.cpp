@@ -27,6 +27,7 @@
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "sim/shard.h"
+#include "snapshot/state_file.h"
 
 namespace rair {
 namespace {
@@ -48,7 +49,7 @@ struct HotLoopOptions {
   int meshDim = 8;        ///< square mesh side (8 or 16)
   int shardThreads = 1;   ///< sharded cycle engine threads (>= 1)
   bool withMetrics = false;
-  bool withSnapshotHook = false;
+  bool withSnapshots = false;
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
   double halfSat = kHalfSat;  ///< the loads are fractions of this
 };
@@ -77,12 +78,14 @@ struct HotLoop {
   RegionMap regions;
   AssembledScenario as;
   std::optional<metrics::MetricsRecorder> recorder;
+  std::optional<snapshot::RunSnapshots> snaps;
 
   HotLoop(const SchemeSpec& scheme, double app1Fraction,
           HotLoopOptions opts = {})
       : mesh(opts.meshDim, opts.meshDim), regions(RegionMap::halves(mesh)) {
-    as = assembleScenario(
-        hotLoopSpec(mesh, regions, scheme, app1Fraction, opts));
+    const ScenarioSpec spec =
+        hotLoopSpec(mesh, regions, scheme, app1Fraction, opts);
+    as = assembleScenario(spec);
     Simulator* sim = as.sim.get();
     if (opts.withMetrics) {
       // The default-level recorder, exactly as runScenario() attaches it;
@@ -93,13 +96,13 @@ struct HotLoop {
                        kWarmupCycles);
       sim->observers().attach(&*recorder);
     }
-    if (opts.withSnapshotHook) {
-      // An installed hook that never fires (save point at kNeverCycle, no
-      // periodic interval): the *_snapshot variants measure the armed
-      // per-cycle snapshot predicate, the only cost runScenario pays when
-      // warm caching or checkpointing is requested but no save is due.
-      sim->setSnapshotHook([](const Simulator&, Cycle) {}, kNeverCycle,
-                           /*every=*/0);
+    if (opts.withSnapshots) {
+      // runScenario's snapshot observer attached with no save point (the
+      // spec requests no warm cache and no checkpoint): the *_snapshot
+      // variants measure its per-cycle save check, the only cost a run
+      // pays while no save is due.
+      snaps.emplace(spec, *sim);
+      sim->observers().attach(&*snaps);
     }
     sim->begin();
     for (Cycle c = 0; c < kWarmupCycles; ++c) sim->stepCycle();
@@ -173,15 +176,15 @@ BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_metrics, schemeRaRair(), 0.85,
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Same knee workloads with a snapshot hook installed but never firing:
-// the "_snapshot" suffix pairs each with its bare twin so perf_check.py
-// can bound the armed snapshot predicate overhead (<= 2%).
+// Same knee workloads with the snapshot observer attached but no save
+// due: the "_snapshot" suffix pairs each with its bare twin so
+// perf_check.py can bound the per-cycle save check's overhead (<= 2%).
 BENCHMARK_CAPTURE(BM_hotpath, ro_rr_knee_snapshot, schemeRoRr(), 0.85,
-                  HotLoopOptions{.withSnapshotHook = true})
+                  HotLoopOptions{.withSnapshots = true})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_hotpath, ra_rair_knee_snapshot, schemeRaRair(), 0.85,
-                  HotLoopOptions{.withSnapshotHook = true})
+                  HotLoopOptions{.withSnapshots = true})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -90,8 +90,9 @@ struct CellRecord {
 /// default-constructed context (seed only) reproduces the cell standalone.
 struct CellContext {
   std::uint64_t seed = 0;
-  /// Warm-state cache and checkpoint options; cells that cannot snapshot
-  /// (PARSEC request/reply cells) run without them, with the same results.
+  /// Warm-state cache and checkpoint options. Every cell takes them, with
+  /// the same results; only a summary/series metrics level turns them off
+  /// (the recorder's state lives outside the simulator).
   snapshot::SnapshotOptions snap;
   /// Sharded-engine threads per cell (ScenarioSpec::withThreads, >= 1).
   /// Orthogonal to the runner's --jobs and invisible in the records:

@@ -11,6 +11,33 @@
 
 namespace rair::check {
 
+ScenarioSpec caseSpec(const FuzzCase& c, const Mesh& mesh,
+                      const RegionMap& regions, const SchemeSpec& scheme,
+                      const FuzzOptions& opts) {
+  SimConfig cfg;
+  cfg.net.numClasses = c.numClasses;
+  cfg.net.vcsPerClass = c.vcsPerClass;
+  cfg.net.globalVcsPerClass = c.globalVcsPerClass;
+  cfg.net.vcDepth = c.vcDepth;
+  cfg.net.atomicVcs = c.atomicVcs;
+  cfg.net.linkLatency = c.linkLatency;
+  cfg.net.linkLayer = c.linkLayer;
+  cfg.warmupCycles = 0;
+  cfg.measureCycles = c.sourceCycles;
+  cfg.drainLimit = opts.drainBudget;
+  cfg.shardThreads = opts.shardThreads;
+
+  return ScenarioSpec(mesh, regions)
+      .withConfig(cfg)
+      .withScheme(scheme)
+      .withApps(c.apps)
+      .withParsecApps(c.parsecApps)
+      .withAdversarialRate(c.adversarialRate)
+      .withSeed(c.simSeed)
+      .withSourceCutoff(c.sourceCycles)
+      .withFaults(c.faults);
+}
+
 namespace {
 
 /// SplitMix64 — derives independent case seeds from (base, index) without
@@ -46,29 +73,7 @@ FuzzCaseResult runCase(const FuzzCase& c, const SchemeSpec& scheme,
                        const FuzzOptions& opts, std::uint64_t caseSeed) {
   Mesh mesh(c.meshW, c.meshH);
   RegionMap regions = RegionMap::blockGrid(mesh, c.regionsX, c.regionsY);
-
-  SimConfig cfg;
-  cfg.net.numClasses = c.numClasses;
-  cfg.net.vcsPerClass = c.vcsPerClass;
-  cfg.net.globalVcsPerClass = c.globalVcsPerClass;
-  cfg.net.vcDepth = c.vcDepth;
-  cfg.net.atomicVcs = c.atomicVcs;
-  cfg.net.linkLatency = c.linkLatency;
-  cfg.net.linkLayer = c.linkLayer;
-  cfg.warmupCycles = 0;
-  cfg.measureCycles = c.sourceCycles;
-  cfg.drainLimit = opts.drainBudget;
-  cfg.shardThreads = opts.shardThreads;
-
-  const ScenarioSpec spec = ScenarioSpec(mesh, regions)
-                                .withConfig(cfg)
-                                .withScheme(scheme)
-                                .withApps(c.apps)
-                                .withParsecApps(c.parsecApps)
-                                .withAdversarialRate(c.adversarialRate)
-                                .withSeed(c.simSeed)
-                                .withSourceCutoff(c.sourceCycles)
-                                .withFaults(c.faults);
+  const ScenarioSpec spec = caseSpec(c, mesh, regions, scheme, opts);
   AssembledScenario as = assembleScenario(spec);
   Simulator& sim = *as.sim;
 

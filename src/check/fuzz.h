@@ -31,6 +31,7 @@
 #include "check/oracle.h"
 #include "fault/plan.h"
 #include "link/link_layer.h"
+#include "sim/scenario.h"
 #include "sim/scheme.h"
 #include "trace/parsec.h"
 #include "traffic/generator.h"
@@ -120,6 +121,15 @@ struct FuzzOptions {
   /// With Retx plus faultPlan, plans become corruption bursts.
   LinkLayerKind linkLayer = LinkLayerKind::Ideal;
 };
+
+/// The scenario case `c` runs as under `scheme`: no warm-up, sources
+/// gated off after `c.sourceCycles`, `opts.drainBudget` cycles to drain,
+/// on `opts.shardThreads` threads. `mesh` and `regions` are the case's
+/// shape (c.meshW x c.meshH, blockGrid(regionsX, regionsY)) and must
+/// outlive the spec.
+ScenarioSpec caseSpec(const FuzzCase& c, const Mesh& mesh,
+                      const RegionMap& regions, const SchemeSpec& scheme,
+                      const FuzzOptions& opts);
 
 struct FuzzCaseResult {
   std::uint64_t caseSeed = 0;

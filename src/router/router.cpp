@@ -378,14 +378,11 @@ void Router::vcAllocate(Cycle now) {
   }
 }
 
-void Router::switchAllocateAndTraverse(Cycle now) {
-  flitsMovedLastCycle_ = flitsMovedThisCycle_;
-  flitsMovedThisCycle_ = 0;
-
+int Router::switchAllocateAndTraverse(Cycle now) {
   // SA input arbitration: at most one input VC per input port wins access
   // to the port's crossbar input.
   numSaInWinners_ = 0;
-  if (numActive_ == 0) return;
+  if (numActive_ == 0) return 0;
   const int totalVcs = layout_.totalVcs();
   std::uint32_t requestedOutPorts = 0;
   for (int port = 0; port < kNumPorts; ++port) {
@@ -422,10 +419,11 @@ void Router::switchAllocateAndTraverse(Cycle now) {
       requestedOutPorts |= 1u << ivc.outPort;
     }
   }
-  if (numSaInWinners_ == 0) return;
+  if (numSaInWinners_ == 0) return 0;
 
   // SA output arbitration: one winner per requested output port
   // (ascending port order, same as scanning all of them).
+  int moved = 0;
   while (requestedOutPorts != 0) {
     const int outPort = std::countr_zero(requestedOutPorts);
     requestedOutPorts &= requestedOutPorts - 1;
@@ -464,7 +462,7 @@ void Router::switchAllocateAndTraverse(Cycle now) {
     outLinks_[static_cast<size_t>(w.outPort)]->sendFlit(now, f, w.outVc);
     if (LinkLayer* in = inLinks_[static_cast<size_t>(w.inPort)])
       in->sendCredit(now, w.inVc);
-    ++flitsMovedThisCycle_;
+    ++moved;
     ++counters_.flitsTraversed;
     ++counters_.portFlits[static_cast<size_t>(w.outPort)];
     (isNative(f) ? counters_.saGrantsNative : counters_.saGrantsForeign)++;
@@ -499,6 +497,7 @@ void Router::switchAllocateAndTraverse(Cycle now) {
       }
     }
   }
+  return moved;
 }
 
 void Router::endCycle(Cycle now) {
@@ -582,7 +581,6 @@ void Router::save(snapshot::Writer& w) const {
   w.u64(counters_.escapeAllocations);
   w.u64(counters_.flitsTraversed);
   for (const std::uint64_t f : counters_.portFlits) w.u64(f);
-  w.i32(flitsMovedThisCycle_);
   w.boolean(policyState_ != nullptr);
   if (policyState_) policyState_->save(w);
 }
@@ -617,7 +615,6 @@ void Router::restore(snapshot::Reader& r) {
   counters_.escapeAllocations = r.u64();
   counters_.flitsTraversed = r.u64();
   for (std::uint64_t& f : counters_.portFlits) f = r.u64();
-  flitsMovedThisCycle_ = r.i32();
   recountAggregates();
   const bool hasPolicyState = r.boolean();
   RAIR_CHECK_MSG(hasPolicyState == (policyState_ != nullptr),

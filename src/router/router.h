@@ -105,8 +105,9 @@ class Router {
   void routeCompute(Cycle now);
   /// VA stage: input selection and output arbitration.
   void vcAllocate(Cycle now);
-  /// SA stage (SA_in + SA_out) and switch traversal of the winners.
-  void switchAllocateAndTraverse(Cycle now);
+  /// SA stage (SA_in + SA_out) and switch traversal of the winners;
+  /// returns the flits that traversed the switch.
+  int switchAllocateAndTraverse(Cycle now);
   /// Snapshots VC occupancy for next cycle's policy update and runs the
   /// link layers' once-per-cycle hooks (retransmission pump on out-links,
   /// ACK/NAK flush on in-links; no-ops on ideal links).
@@ -132,9 +133,6 @@ class Router {
 
   /// Cumulative event counters since construction.
   const RouterCounters& counters() const { return counters_; }
-
-  /// Flits that traversed the switch in the last completed cycle.
-  int flitsMovedLastCycle() const { return flitsMovedLastCycle_; }
 
   /// True when no flit is buffered and no VC is mid-packet.
   bool quiescent() const;
@@ -291,12 +289,6 @@ class Router {
 
   RouterOccupancy prevOccupancy_;
   RouterCounters counters_;
-  /// Flits the latest switch stage moved. The next cycle reports them as
-  /// flitsMovedLastCycle() to the progress check, so a snapshot carries it.
-  int flitsMovedThisCycle_ = 0;
-  /// Set from flitsMovedThisCycle_ at the start of every switch stage,
-  /// before anything reads it, so a snapshot does not carry it.
-  int flitsMovedLastCycle_ = 0;
 
   // Incrementally maintained aggregates (hot path avoids full scans);
   // derived state, rebuilt by recountAggregates().

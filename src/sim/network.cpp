@@ -124,8 +124,7 @@ int Network::phaseTraversePropagate(Cycle now, NodeId begin, NodeId end) {
   int moved = 0;
   for (NodeId n = begin; n < end; ++n) {
     Router& r = routers_[static_cast<size_t>(n)];
-    r.switchAllocateAndTraverse(now);
-    moved += r.flitsMovedLastCycle();
+    moved += r.switchAllocateAndTraverse(now);
     r.endCycle(now);
     int* row = slot + static_cast<size_t>(n) * 4;
     for (int di = 0; di < 4; ++di)

@@ -76,8 +76,8 @@ class Network final : public CongestionView {
   void phaseInjectRoute(Cycle now, NodeId begin, NodeId end);
   /// Fused phase B over [begin, end): switchAllocateAndTraverse / endCycle
   /// per node, then the node's four free-VC counts into this cycle's
-  /// history slot. Returns the flits the range's switches moved in the
-  /// previous cycle (Router::flitsMovedLastCycle).
+  /// history slot. Returns the flits the range's switches moved in this
+  /// cycle.
   int phaseTraversePropagate(Cycle now, NodeId begin, NodeId end);
   /// Run once after phase B: the cycle phase B just recorded becomes the
   /// newest one aggregatedFree reads.

@@ -4,10 +4,8 @@
 
 #include "common/assert.h"
 #include "metrics/recorder.h"
-#include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
-#include "snapshot/warm_cache.h"
+#include "snapshot/state_file.h"
 
 #ifdef RAIR_CHECKS
 #include "check/oracle.h"
@@ -38,6 +36,8 @@ struct GatedSource final : TrafficSource {
   void tick(InjectionSink& sink) override {
     if (sink.now() < cutoff) inner->tick(sink);
   }
+  void saveState(snapshot::Writer& w) const override { inner->saveState(w); }
+  void restoreState(snapshot::Reader& r) override { inner->restoreState(r); }
   std::unique_ptr<TrafficSource> inner;
   Cycle cutoff;
 };
@@ -114,70 +114,17 @@ AssembledScenario assembleScenario(const ScenarioSpec& spec) {
   return as;
 }
 
-namespace {
-
-/// Whether this run's snapshots are sound: every piece of process state
-/// that shapes results must be inside the snapshot. Summary/Series metrics
-/// and their file sinks accumulate outside it (a recorder attached after a
-/// restore has not seen the earlier cycles), so snapshot paths are limited
-/// to runs where metrics stay at or below the Counters level, which writes
-/// no sink.
-bool snapshotEligible(const ScenarioSpec& spec, const Simulator& sim) {
-  return spec.snap.enabled() && sim.snapshotSupported() &&
-         spec.metrics.level <= metrics::MetricsLevel::Counters;
-}
-
-}  // namespace
-
 ScenarioResult runScenario(const ScenarioSpec& spec) {
   AssembledScenario as = assembleScenario(spec);
   Simulator& sim = *as.sim;
   const SimConfig cfg = spec.effectiveConfig();
   const int numApps = as.numApps;
 
-  // Snapshot plumbing, before any observer attaches: restores rebuild the
-  // complete simulator state, and the oracle/recorder re-derive their view
-  // from whatever state they attach to.
-  Cycle resumedFrom = 0;
-  bool warmRestored = false;
-  std::uint64_t fullKey = 0;
-  std::uint64_t warmKey = 0;
-  std::string ckptPath;
-  if (snapshotEligible(spec, sim)) {
-    if (!spec.snap.checkpointDir.empty()) {
-      fullKey = snapshot::fullStateKey(spec);
-      snapshot::ensureDir(spec.snap.checkpointDir);
-      ckptPath = spec.snap.checkpointDir + "/" +
-                 snapshot::checkpointFileName(fullKey);
-      snapshot::tryRestoreCheckpoint(sim, ckptPath, fullKey, &resumedFrom);
-    }
-    const bool wantWarm =
-        !spec.snap.warmCacheDir.empty() && cfg.warmupCycles > 0;
-    bool wantWarmStore = false;
-    if (resumedFrom == 0 && wantWarm) {
-      warmKey = snapshot::warmStateKey(spec);
-      warmRestored = snapshot::tryRestoreWarm(sim, spec.snap.warmCacheDir,
-                                              warmKey, cfg.warmupCycles);
-      wantWarmStore = !warmRestored;
-    }
-    const bool wantCheckpoints =
-        !ckptPath.empty() && spec.snap.checkpointEvery != 0;
-    if (wantWarmStore || wantCheckpoints) {
-      const Cycle warmPoint =
-          wantWarmStore ? cfg.warmupCycles : kNeverCycle;
-      const Cycle every =
-          wantCheckpoints ? spec.snap.checkpointEvery : Cycle{0};
-      sim.setSnapshotHook(
-          [&spec, &ckptPath, warmKey, fullKey, warmPoint, every](
-              const Simulator& s, Cycle c) {
-            if (c == warmPoint)
-              snapshot::storeWarm(s, spec.snap.warmCacheDir, warmKey);
-            if (every != 0 && c != 0 && c % every == 0)
-              snapshot::storeCheckpoint(s, ckptPath, fullKey);
-          },
-          warmPoint, every);
-    }
-  }
+  // Snapshots first, before any other observer attaches: a restore
+  // rebuilds the complete simulator state, and the oracle/recorder
+  // re-derive their view from whatever state they attach to.
+  snapshot::RunSnapshots snaps(spec, sim);
+  if (snaps.savesDue()) sim.observers().attach(&snaps);
 
   ScenarioResult out;
 #ifdef RAIR_CHECKS
@@ -199,7 +146,7 @@ ScenarioResult runScenario(const ScenarioSpec& spec) {
   }
   sim.setKneeVerdict(spec.kneeVerdict);
   out.run = sim.run();
-  if (!ckptPath.empty()) snapshot::removeCheckpoint(ckptPath);
+  snaps.finish();
   if (recorder) recorder->finalize(out.run.cyclesRun);
 #ifdef RAIR_CHECKS
   // Cross-validate the metrics census against the oracle's own delivery
@@ -215,8 +162,8 @@ ScenarioResult runScenario(const ScenarioSpec& spec) {
     out.metrics = recorder->summary();
   }
   if (as.injector) out.faultStats = as.injector->stats();
-  out.resumedFromCycle = resumedFrom;
-  out.warmRestored = warmRestored;
+  out.resumedFromCycle = snaps.resumedFrom();
+  out.warmRestored = snaps.warmRestored();
   out.meanApl = out.run.stats.overallApl();
   out.appApl.resize(static_cast<size_t>(numApps));
   for (AppId a = 0; a < numApps; ++a)
@@ -227,11 +174,9 @@ ScenarioResult runScenario(const ScenarioSpec& spec) {
 bool writeScenarioCheckpoint(const ScenarioSpec& spec, Cycle atCycle,
                              const std::string& path) {
   AssembledScenario as = assembleScenario(spec);
-  if (!as.sim->snapshotSupported()) return false;
   as.sim->begin();
   while (as.sim->now() < atCycle) as.sim->stepCycle();
-  return snapshot::storeCheckpoint(*as.sim, path,
-                                   snapshot::fullStateKey(spec));
+  return snapshot::storeState(*as.sim, path, snapshot::fullStateKey(spec));
 }
 
 }  // namespace rair

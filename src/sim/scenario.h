@@ -82,18 +82,17 @@ struct ScenarioSpec {
   /// PARSEC request/reply workload (Figs. 16/17): benchmark i runs as
   /// application i in region i, on Table 1's two protocol classes, and
   /// every delivered request is answered by a 5-flit reply. Exclusive with
-  /// `apps`. Hooked runs cannot snapshot, so warm caches and checkpoints
-  /// skip them.
+  /// `apps`. The replies wait in the simulator's snapshotted injection
+  /// queue, so these runs take warm caches and checkpoints like any other.
   std::vector<ParsecBenchmark> parsecApps;
   /// Trace replay workload: every record is injected at its recorded
   /// cycle. Exclusive with `apps` and `parsecApps`. The run has
   /// max(regions->numApps(), 1 + largest record app) applications, all at
   /// policy intensity 1.0 (the trace fixes each app's load; RO_Rank only
-  /// needs a total order). Trace runs cannot snapshot.
+  /// needs a total order).
   std::vector<TraceRecord> trace;
   /// Cycle from which no source ticks any more (kNeverCycle = never), so
-  /// an open-loop run can drain to empty afterwards. Gated runs cannot
-  /// snapshot.
+  /// an open-loop run can drain to empty afterwards.
   Cycle sourceCutoff = kNeverCycle;
   /// Chip-wide adversarial flood rate in flits/cycle/node (Fig. 17 uses
   /// 0.4); the flooder gets AppId = number of applications. 0 disables it.
@@ -101,7 +100,9 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   /// Instrumentation level and sink configuration of the run.
   metrics::MetricsOptions metrics;
-  /// Snapshot behaviour: warm-state caching and/or mid-run checkpoints.
+  /// Snapshot behaviour: warm-state caching and/or mid-run checkpoints
+  /// (snapshot::RunSnapshots decides what is restored and when a save is
+  /// due).
   snapshot::SnapshotOptions snap;
   /// Timed fault events applied during the run (empty = fault-free). Part
   /// of the scenario identity: the plan enters warm/full snapshot keys.
@@ -238,8 +239,7 @@ AssembledScenario assembleScenario(const ScenarioSpec& spec);
 
 /// Simulates `spec` from cycle zero to exactly `atCycle` and writes a
 /// checkpoint there — how tests and tools fabricate the "interrupted run"
-/// half of a continuation check. Returns false when the spec is not
-/// snapshot-eligible or the write fails.
+/// half of a continuation check. Returns false when the write fails.
 bool writeScenarioCheckpoint(const ScenarioSpec& spec, Cycle atCycle,
                              const std::string& path);
 

@@ -73,8 +73,8 @@ class ShardEngine {
   int numShards() const { return static_cast<int>(shards_.size()); }
 
   /// Advances the network one cycle and replays the staged NIC events into
-  /// the sink in shard order. Returns the flits the switches moved, summed
-  /// per shard during phase B.
+  /// the sink in shard order. Returns the flits the switches moved in
+  /// cycle `now`, summed per shard during phase B.
   int step(Cycle now);
 
   /// Current partition as numShards() + 1 ascending node boundaries.

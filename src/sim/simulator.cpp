@@ -39,21 +39,6 @@ Simulator::Simulator(const Mesh& mesh, const RegionMap& regions,
   RAIR_CHECK_MSG(config_.shardThreads >= 1, "shardThreads must be >= 1");
   engine_ = std::make_unique<ShardEngine>(
       *net_, static_cast<NicEvents&>(*this), config_.shardThreads);
-  snapTripwire_.sim = this;
-}
-
-void Simulator::SnapshotTripwire::onCycleBegin(Cycle now) {
-  if (now == savePoint || (every != 0 && now != 0 && now % every == 0))
-    hook(*sim, now);
-}
-
-void Simulator::setSnapshotHook(SnapshotHook hook, Cycle savePoint,
-                                Cycle every) {
-  observers_.detach(&snapTripwire_);
-  snapTripwire_.hook = std::move(hook);
-  snapTripwire_.savePoint = savePoint;
-  snapTripwire_.every = every;
-  if (snapTripwire_.hook) observers_.attach(&snapTripwire_);
 }
 
 void Simulator::addSource(std::unique_ptr<TrafficSource> src) {
@@ -143,13 +128,6 @@ void Simulator::stepCycle() {
   ++now_;
 }
 
-bool Simulator::snapshotSupported() const {
-  if (deliveryHook_) return false;
-  for (const auto& src : sources_)
-    if (!src->snapshotSupported()) return false;
-  return true;
-}
-
 void Simulator::save(snapshot::Writer& w) const {
   w.beginSection("meta");
   w.i32(mesh_->width());
@@ -192,11 +170,7 @@ void Simulator::save(snapshot::Writer& w) const {
   w.endSection();
 
   w.beginSection("sources");
-  for (const auto& src : sources_) {
-    RAIR_CHECK_MSG(src->snapshotSupported(),
-                   "save() on a snapshot-ineligible simulation");
-    src->saveState(w);
-  }
+  for (const auto& src : sources_) src->saveState(w);
   w.endSection();
 
   net_->save(w);

@@ -67,15 +67,16 @@ std::optional<Termination> terminationFromName(std::string_view name);
 
 /// Passive observer of the simulation loop — the attachment point of the
 /// simulation oracle (src/check/), the metrics recorder and the snapshot
-/// tripwire. Every callback defaults to a no-op; implementations override
-/// what they need and must not mutate simulation state (an observed run
-/// must stay bit-identical to an unobserved one).
+/// saver (snapshot/state_file.h). Every callback defaults to a no-op;
+/// implementations override what they need and must not mutate
+/// simulation state (an observed run must stay bit-identical to an
+/// unobserved one).
 class SimObserver {
  public:
   virtual ~SimObserver() = default;
   /// Cycle `now` is about to run: fired at the top of stepCycle(), before
   /// deferred injections and source ticks — the state capture point the
-  /// snapshot tripwire uses.
+  /// snapshot saver uses.
   virtual void onCycleBegin(Cycle now) { (void)now; }
   /// The network finished advancing cycle `now` (all pipeline phases and
   /// congestion propagation done).
@@ -204,7 +205,11 @@ class Simulator final : public InjectionSink, private NicEvents {
   /// Optional hook fired on every delivery — used by the trace substrate
   /// to synthesize replies to requests. It runs on the coordinator during
   /// the engine's staged replay, after the cycle's network step, so a
-  /// hooked run behaves the same at every thread count.
+  /// hooked run behaves the same at every thread count. The hook is not
+  /// snapshotted: what it does must depend only on the packet and the
+  /// clock, and anything it schedules must go through createPacket() or
+  /// injectAt(), whose effects the snapshot carries. A restored run
+  /// installs the same hook again.
   using DeliveryHook = std::function<void(const Packet&, InjectionSink&)>;
   void setDeliveryHook(DeliveryHook hook) { deliveryHook_ = std::move(hook); }
 
@@ -251,7 +256,7 @@ class Simulator final : public InjectionSink, private NicEvents {
   const PacketPool& ledger() const { return ledger_; }
 
   /// The dynamic observer list (oracle, metrics recorder, snapshot
-  /// tripwire, test probes — any number). Observers fire in attachment
+  /// saver, test probes — any number). Observers fire in attachment
   /// order; when the set is empty the per-cycle cost is two empty loops.
   ObserverSet& observers() { return observers_; }
   const ObserverSet& observers() const { return observers_; }
@@ -272,25 +277,11 @@ class Simulator final : public InjectionSink, private NicEvents {
   std::uint64_t droppedFlitsByFault() const { return droppedFlitsByFault_; }
 
   // --- Snapshot/restore ---------------------------------------------------
-  /// Whether this simulation's complete state can be captured: every
-  /// source must support snapshotting and no delivery hook may be
-  /// installed (hooks create packets from state the snapshot cannot see).
-  bool snapshotSupported() const;
-
   /// Serializes the complete mutable state (and restores it into an
   /// identically constructed simulator: same mesh/regions/config/policy,
   /// same sources added in the same order).
   void save(snapshot::Writer& w) const;
   void restore(snapshot::Reader& r);
-
-  /// Installs a hook fired at the top of stepCycle() when exactly
-  /// `savePoint` cycles have completed, and additionally every `every`
-  /// cycles when `every` is non-zero. The hook may save the simulator but
-  /// must not mutate it. Implemented as an internal onCycleBegin observer
-  /// (the "snapshot tripwire") attached to the ObserverSet; a null hook
-  /// detaches it, making an idle simulator's begin-of-cycle loop empty.
-  using SnapshotHook = std::function<void(const Simulator&, Cycle)>;
-  void setSnapshotHook(SnapshotHook hook, Cycle savePoint, Cycle every = 0);
 
  private:
   // NicEvents: the sharded engine's staged replay reports every NIC
@@ -300,16 +291,6 @@ class Simulator final : public InjectionSink, private NicEvents {
 
   /// Whether the armed verdict's lower bound already exceeds its knee.
   bool provenAboveKnee() const;
-
-  /// The snapshot predicate as a begin-of-cycle observer: fires the hook
-  /// when the save point or the periodic interval is due.
-  struct SnapshotTripwire final : SimObserver {
-    void onCycleBegin(Cycle now) override;
-    const Simulator* sim = nullptr;
-    SnapshotHook hook;
-    Cycle savePoint = kNeverCycle;
-    Cycle every = 0;
-  };
 
   const Mesh* mesh_;
   SimConfig config_;
@@ -354,8 +335,6 @@ class Simulator final : public InjectionSink, private NicEvents {
   // at the same cycle the uninterrupted one would.
   Cycle lastProgress_ = 0;
   std::uint64_t lastDelivered_ = 0;
-
-  SnapshotTripwire snapTripwire_;
 };
 
 }  // namespace rair

@@ -60,8 +60,6 @@ BisectResult bisectDivergence(const ScenarioSpec& saveSpec,
                               Cycle horizon) {
   RAIR_CHECK_MSG(snapAt < horizon, "bisectDivergence: empty cycle range");
   AssembledScenario straight = assembleScenario(saveSpec);
-  RAIR_CHECK_MSG(straight.sim->snapshotSupported(),
-                 "bisectDivergence on a snapshot-ineligible scenario");
   straight.sim->begin();
   while (straight.sim->now() < snapAt) straight.sim->stepCycle();
   const std::vector<std::uint8_t> snap = serialized(*straight.sim);

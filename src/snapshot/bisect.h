@@ -41,8 +41,7 @@ BisectResult firstDivergence(Simulator& straight, Simulator& restored,
 /// Runs `spec` straight to `snapAt` and saves its state, restores that
 /// state into a fresh simulator, and reports the first cycle in
 /// [snapAt, horizon] where the continued straight run and the restored run
-/// differ (firstDivergence). RAIR_CHECKs when the spec is not
-/// snapshot-capable.
+/// differ (firstDivergence).
 BisectResult bisectDivergence(const ScenarioSpec& spec, Cycle snapAt,
                               Cycle horizon);
 

@@ -8,16 +8,15 @@
 namespace rair::snapshot {
 
 /// What snapshotting, if any, a scenario run should do. Default-constructed
-/// means "none" — the simulator then pays a single predictable branch per
-/// cycle for the hook check.
+/// means "none": no snapshot observer is attached at all.
 struct SnapshotOptions {
-  /// Directory of the warm-state cache. When set, runScenario tries to
-  /// restore the end-of-warm-up state for the scenario's warm key and,
-  /// on a miss, stores it after simulating the warm-up once.
+  /// Directory of the warm-state cache. When set, a run tries to restore
+  /// the end-of-warm-up state for the scenario's warm key and, on a miss,
+  /// stores it after simulating the warm-up once (snapshot/state_file.h).
   std::string warmCacheDir;
 
-  /// Directory of mid-run checkpoints. When set, runScenario keeps the
-  /// run's checkpoint at `<checkpointDir>/<checkpointFileName(fullStateKey)>`
+  /// Directory of mid-run checkpoints. When set, a run keeps its
+  /// checkpoint at `<checkpointDir>/<checkpointFileName(fullStateKey)>`
   /// (creating the directory): it restores from that file if it exists,
   /// refreshes it every `checkpointEvery` cycles while running, and
   /// removes it when the run completes. Every scenario gets a distinct

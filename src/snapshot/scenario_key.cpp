@@ -1,6 +1,5 @@
 #include "snapshot/scenario_key.h"
 
-#include "common/assert.h"
 #include "snapshot/buffer.h"
 
 namespace rair::snapshot {
@@ -12,11 +11,6 @@ namespace {
 /// reordering or widening silently invalidates every cached snapshot, so
 /// only append.
 void encodeWarmPrefix(Writer& w, const ScenarioSpec& spec) {
-  // PARSEC, trace and source-gated workloads are not encoded: the
-  // request/reply hook and the replay and gate sources make them
-  // snapshot-ineligible, so they must never reach a key.
-  RAIR_CHECK(spec.parsecApps.empty() && spec.trace.empty() &&
-             spec.sourceCutoff == kNeverCycle);
   w.u32(kStateVersion);
 
   // Topology and application placement.
@@ -71,6 +65,22 @@ void encodeWarmPrefix(Writer& w, const ScenarioSpec& spec) {
   // Link layer (appended): a retx-linked network carries replay/sequence
   // state an ideal-linked one does not, so the two never share snapshots.
   w.u8(static_cast<std::uint8_t>(net.linkLayer));
+
+  // The other workloads (appended): PARSEC request/reply benchmarks, the
+  // replayed trace, and the cycle from which sources stop ticking.
+  w.u32(static_cast<std::uint32_t>(spec.parsecApps.size()));
+  for (const ParsecBenchmark b : spec.parsecApps)
+    w.u8(static_cast<std::uint8_t>(b));
+  w.u64(spec.trace.size());
+  for (const TraceRecord& t : spec.trace) {
+    w.u64(t.cycle);
+    w.i32(t.src);
+    w.i32(t.dst);
+    w.u16(static_cast<std::uint16_t>(t.app));
+    w.u8(static_cast<std::uint8_t>(t.msgClass));
+    w.u16(t.numFlits);
+  }
+  w.u64(spec.sourceCutoff);
 }
 
 }  // namespace

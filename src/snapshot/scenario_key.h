@@ -27,7 +27,7 @@ namespace rair::snapshot {
 /// Version of the *state layout* (the meaning of section bodies written by
 /// the save() hooks). Bump whenever serialized state changes shape; loads
 /// refuse snapshots from other versions.
-inline constexpr std::uint32_t kStateVersion = 3;
+inline constexpr std::uint32_t kStateVersion = 4;
 
 /// Key over the state-affecting spec prefix up to the end of warm-up.
 std::uint64_t warmStateKey(const ScenarioSpec& spec);

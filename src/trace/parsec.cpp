@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "snapshot/codec.h"
 
 namespace rair {
 
@@ -115,6 +116,14 @@ void ParsecSource::tick(InjectionSink& sink) {
     }
     sink.createPacket(src, dst, app_, MsgClass::Request, kShortPacketFlits);
   }
+}
+
+void ParsecSource::saveState(snapshot::Writer& w) const {
+  snapshot::saveRng(w, rng_);
+}
+
+void ParsecSource::restoreState(snapshot::Reader& r) {
+  snapshot::restoreRng(r, rng_);
 }
 
 void installRequestReplyHook(Simulator& sim, const Mesh& mesh,

@@ -78,6 +78,9 @@ class ParsecSource final : public TrafficSource {
                ParsecProfile profile, std::uint64_t seed);
 
   void tick(InjectionSink& sink) override;
+  /// The RNG stream is the only mutable state.
+  void saveState(snapshot::Writer& w) const override;
+  void restoreState(snapshot::Reader& r) override;
 
   const ParsecProfile& profile() const { return profile_; }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "snapshot/codec.h"
 
 namespace rair {
 
@@ -89,6 +90,17 @@ void TraceReplaySource::tick(InjectionSink& sink) {
     sink.createPacket(r.src, r.dst, r.app, r.msgClass, r.numFlits);
     ++next_;
   }
+}
+
+void TraceReplaySource::saveState(snapshot::Writer& w) const {
+  w.u64(next_);
+}
+
+void TraceReplaySource::restoreState(snapshot::Reader& r) {
+  const std::uint64_t next = r.u64();
+  RAIR_CHECK_MSG(next <= records_.size(),
+                 "trace replay restore: cursor past the last record");
+  next_ = static_cast<std::size_t>(next);
 }
 
 TraceCapture::TraceCapture(std::unique_ptr<TrafficSource> inner)

@@ -65,6 +65,9 @@ class TraceReplaySource final : public TrafficSource {
  public:
   explicit TraceReplaySource(std::vector<TraceRecord> records);
   void tick(InjectionSink& sink) override;
+  /// The cursor is the only mutable state.
+  void saveState(snapshot::Writer& w) const override;
+  void restoreState(snapshot::Reader& r) override;
 
   /// Records not yet injected (for tests / progress reporting).
   std::size_t remaining() const { return records_.size() - next_; }
@@ -79,6 +82,12 @@ class TraceCapture final : public TrafficSource {
  public:
   explicit TraceCapture(std::unique_ptr<TrafficSource> inner);
   void tick(InjectionSink& sink) override;
+  /// The wrapped source's state; the captured records are output, not
+  /// simulation state.
+  void saveState(snapshot::Writer& w) const override {
+    inner_->saveState(w);
+  }
+  void restoreState(snapshot::Reader& r) override { inner_->restoreState(r); }
 
   const std::vector<TraceRecord>& records() const { return records_; }
   std::vector<TraceRecord> takeRecords() { return std::move(records_); }

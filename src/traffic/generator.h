@@ -44,7 +44,6 @@ class RegionalizedSource final : public TrafficSource {
 
   // Snapshot hooks: the RNG stream is the only mutable state (patterns and
   // node lists are pure functions of the construction arguments).
-  bool snapshotSupported() const override { return true; }
   void saveState(snapshot::Writer& w) const override;
   void restoreState(snapshot::Reader& r) override;
 
@@ -75,7 +74,6 @@ class AdversarialSource final : public TrafficSource {
 
   void tick(InjectionSink& sink) override;
 
-  bool snapshotSupported() const override { return true; }
   void saveState(snapshot::Writer& w) const override;
   void restoreState(snapshot::Reader& r) override;
 

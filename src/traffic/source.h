@@ -34,14 +34,11 @@ class TrafficSource {
   /// May call sink.createPacket() any number of times.
   virtual void tick(InjectionSink& sink) = 0;
 
-  /// Whether this source's mutable state can be snapshotted. Sources that
-  /// return false (the default — e.g. trace replay with external cursors)
-  /// make the whole simulation snapshot-ineligible.
-  virtual bool snapshotSupported() const { return false; }
-  /// Serialize/deserialize the source's mutable state (typically just its
-  /// RNG stream). Only called when snapshotSupported().
-  virtual void saveState(snapshot::Writer& w) const { (void)w; }
-  virtual void restoreState(snapshot::Reader& r) { (void)r; }
+  /// Serialize/deserialize the source's mutable state (an RNG stream, a
+  /// replay cursor, or nothing). Every source is part of the simulator's
+  /// snapshot, so every source says what it holds.
+  virtual void saveState(snapshot::Writer& w) const = 0;
+  virtual void restoreState(snapshot::Reader& r) = 0;
 };
 
 }  // namespace rair

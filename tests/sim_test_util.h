@@ -9,8 +9,8 @@
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
+#include "snapshot/state_file.h"
 #include "traffic/source.h"
 
 namespace rair::testutil {
@@ -35,6 +35,9 @@ class ScriptedSource final : public TrafficSource {
         sink.createPacket(e.src, e.dst, e.app, e.cls, e.flits);
     }
   }
+  // Stateless: what it injects depends on the clock alone.
+  void saveState(snapshot::Writer&) const override {}
+  void restoreState(snapshot::Reader&) override {}
 
  private:
   std::vector<Event> events_;
@@ -45,7 +48,7 @@ class ScriptedSource final : public TrafficSource {
 /// routers), then phase B over every node and the congestion-history
 /// advance. The sharded engine fuses phase A per node and must stay
 /// byte-identical to this order. NIC events go straight to each NIC's
-/// receiver. Returns the flits moved.
+/// receiver. Returns the flits the switches moved in cycle `now`.
 inline int referenceStep(Network& net, Cycle now) {
   const NodeId numNodes = net.mesh().numNodes();
   for (NodeId n = 0; n < numNodes; ++n) net.nic(n).tick(now);
@@ -55,6 +58,24 @@ inline int referenceStep(Network& net, Cycle now) {
   const int moved = net.phaseTraversePropagate(now, 0, numNodes);
   net.advanceCongestionHistory();
   return moved;
+}
+
+/// The bytes `sim` saves.
+inline std::vector<std::uint8_t> savedBytes(const Simulator& sim) {
+  snapshot::Writer w;
+  sim.save(w);
+  return w.payload();
+}
+
+/// Restores `bytes` into a fresh assembly of `spec` and saves it again:
+/// equal to `bytes` when the snapshot carries every piece of state its
+/// sources and hooks hold.
+inline std::vector<std::uint8_t> resavedBytes(
+    const ScenarioSpec& spec, const std::vector<std::uint8_t>& bytes) {
+  AssembledScenario as = assembleScenario(spec);
+  snapshot::Reader r(bytes);
+  as.sim->restore(r);
+  return savedBytes(*as.sim);
 }
 
 /// A SimConfig with short windows suitable for unit tests.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,11 @@ struct LockstepCase {
   LinkLayerKind link;
   std::uint64_t seed;
 };
+
+/// gtest prints the parameter after each listed test name: the case name
+/// alone, not the struct's raw bytes (a heap pointer among them), so the
+/// names stay the same from build to build.
+void PrintTo(const LockstepCase& c, std::ostream* os) { *os << c.name; }
 
 class EngineReference : public ::testing::TestWithParam<LockstepCase> {};
 

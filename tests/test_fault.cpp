@@ -20,8 +20,8 @@
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
+#include "snapshot/state_file.h"
 #include "sim_test_util.h"
 
 namespace rair {

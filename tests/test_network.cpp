@@ -256,5 +256,47 @@ TEST(NetworkPipeline, QuiescentAfterDrain) {
   EXPECT_TRUE(sim.network().quiescent());
 }
 
+TEST(NetworkPipeline, ProgressTimeoutCountsFromTheLastCycleWithProgress) {
+  // One packet crosses row 1 and is delivered; a later one is stuck
+  // behind a port stalled for good, so the last progress is its crossing
+  // of router 0's switch. L is the last cycle in which a flit crossed a
+  // switch or a packet was delivered: the tripwire fires on cycle
+  // L + progressTimeout + 1, the first cycle more than progressTimeout
+  // cycles past it.
+  Mesh m(4, 4);
+  const auto rm = RegionMap::halves(m);
+  SimConfig cfg = testutil::fastConfig();
+  cfg.progressTimeout = 100;
+  fault::FaultPlan plan;
+  ASSERT_TRUE(fault::FaultPlan::parse("@0 stall 1 E\n", plan));
+  const std::vector<TraceRecord> trace = {
+      {10, m.nodeAt({0, 1}), m.nodeAt({3, 1}), 0, MsgClass::Request, 5},
+      {80, m.nodeAt({0, 0}), m.nodeAt({3, 0}), 0, MsgClass::Request, 1},
+  };
+  AssembledScenario as = assembleScenario(ScenarioSpec(m, rm)
+                                              .withConfig(cfg)
+                                              .withScheme(schemeRoRr())
+                                              .withTrace(trace)
+                                              .withFaults(plan));
+  struct LastProgress final : SimObserver {
+    const Simulator* sim = nullptr;
+    std::uint64_t hops = 0;
+    Cycle last = 0;
+    void onCycleEnd(Cycle now) override {
+      const std::uint64_t h = sim->network().totalFlitsTraversed();
+      if (h != hops) last = now;
+      hops = h;
+    }
+    void onDelivery(const Packet&) override { last = sim->now(); }
+  } probe;
+  probe.sim = as.sim.get();
+  as.sim->observers().attach(&probe);
+  const RunResult r = as.sim->run();
+  EXPECT_EQ(r.termination, Termination::ProgressTimeout);
+  EXPECT_EQ(r.packetsDelivered, 1u);
+  EXPECT_GT(probe.last, 80u);
+  EXPECT_EQ(r.cyclesRun, probe.last + cfg.progressTimeout + 1);
+}
+
 }  // namespace
 }  // namespace rair

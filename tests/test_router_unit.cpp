@@ -38,18 +38,20 @@ class RouterBench {
     }
   }
 
-  /// Run one full router cycle.
-  void step() {
+  /// Run one full router cycle; returns the flits that traversed the
+  /// switch in it.
+  int step() {
     router_.beginCycle(now_);
     router_.routeCompute(now_);
     router_.vcAllocate(now_);
-    router_.switchAllocateAndTraverse(now_);
+    const int moved = router_.switchAllocateAndTraverse(now_);
     router_.endCycle(now_);
     // The harness is the upstream end of every in-link: it takes back the
     // credits the router returned, as an upstream router would.
     for (IdealLink& link : in_)
       while (link.peekCredit(now_) != nullptr) link.popCredit();
     ++now_;
+    return moved;
   }
 
   /// Sends a flit into input port `p`, VC `vc` (arrives next cycle).
@@ -155,24 +157,25 @@ TEST(RouterUnit, MultiFlitPacketStaysOnOneVc) {
   h.type = FlitType::Head;
   h.pktFlits = 3;
   bench.inject(Dir::West, 1, h);
-  bench.step();
+  int moved = bench.step();
   Flit b = h;
   b.type = FlitType::Body;
   b.seq = 1;
   bench.inject(Dir::West, 1, b);
-  bench.step();
+  moved += bench.step();
   Flit t = h;
   t.type = FlitType::Tail;
   t.seq = 2;
   bench.inject(Dir::West, 1, t);
   std::map<int, int> vcFlits;
   for (int i = 0; i < 20; ++i) {
-    bench.step();
+    moved += bench.step();
     for (const auto& m : bench.drainOutput(Dir::East)) ++vcFlits[m.vc];
     bench.autoCredit(Dir::East);
   }
   ASSERT_EQ(vcFlits.size(), 1u) << "packet split across output VCs";
   EXPECT_EQ(vcFlits.begin()->second, 3);
+  EXPECT_EQ(moved, 3);  // the switch stage reports every flit it moved
 }
 
 TEST(RouterUnit, BlocksWithoutCredits) {

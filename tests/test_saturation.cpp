@@ -16,7 +16,7 @@
 #include "campaign/builtin.h"
 #include "scenarios/parsec_scenario.h"
 #include "sim/shard.h"
-#include "snapshot/warm_cache.h"
+#include "snapshot/state_file.h"
 
 namespace rair {
 namespace {

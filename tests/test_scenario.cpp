@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "scenarios/paper_scenarios.h"
+#include "sim_test_util.h"
 
 namespace rair {
 namespace {
@@ -101,14 +102,21 @@ TEST(Scenario, SourceCutoffStopsEverySource) {
   SimConfig cfg;
   cfg.warmupCycles = 0;
   cfg.measureCycles = 1'000;
-  AssembledScenario as =
-      assembleScenario(ScenarioSpec(m, rm)
-                           .withConfig(cfg)
-                           .withApps(scenarios::twoAppInterRegion(0.5, 0.1,
-                                                                  0.1))
-                           .withAdversarialRate(0.05)
-                           .withSourceCutoff(200));
-  EXPECT_FALSE(as.sim->snapshotSupported());
+  const ScenarioSpec spec =
+      ScenarioSpec(m, rm)
+          .withConfig(cfg)
+          .withApps(scenarios::twoAppInterRegion(0.5, 0.1, 0.1))
+          .withAdversarialRate(0.05)
+          .withSourceCutoff(200);
+  {
+    // Gated sources snapshot the sources they wrap.
+    AssembledScenario gated = assembleScenario(spec);
+    gated.sim->begin();
+    while (gated.sim->now() < 250) gated.sim->stepCycle();
+    const std::vector<std::uint8_t> saved = testutil::savedBytes(*gated.sim);
+    EXPECT_TRUE(testutil::resavedBytes(spec, saved) == saved);
+  }
+  AssembledScenario as = assembleScenario(spec);
   struct LastCreate final : SimObserver {
     Cycle last = 0;
     void onDelivery(const Packet& p) override {

@@ -17,7 +17,7 @@
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
 #include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
+#include "snapshot/state_file.h"
 #include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim_test_util.h"

@@ -17,9 +17,8 @@
 #include "sim/scenario.h"
 #include "snapshot/bisect.h"
 #include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
-#include "snapshot/warm_cache.h"
+#include "snapshot/state_file.h"
 #include "stats/stats.h"
 #include "sim_test_util.h"
 
@@ -326,7 +325,6 @@ TEST(SnapshotSim, SaveRestoreSaveIsByteStable) {
   const ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());
 
   AssembledScenario a = assembleScenario(spec);
-  ASSERT_TRUE(a.sim->snapshotSupported());
   a.sim->begin();
   while (a.sim->now() < 500) a.sim->stepCycle();
   const auto saved = payloadOf(*a.sim);
@@ -398,8 +396,8 @@ TEST(SnapshotSim, RestoreAtEveryCycleContinuesLikeTheStraightRun) {
   // Every cycle of a sparse run is saved,
   // restored into a fresh simulator and stepped once; its bytes must equal
   // the straight run's next cycle. At this load whole cycles pass with no
-  // delivery, so progress is read from the flits the routers moved the
-  // cycle before: state the snapshot must carry across the restore.
+  // delivery, so the progress tripwire's bookkeeping must carry across
+  // the restore.
   Mesh mesh(4, 4);
   const RegionMap regions = RegionMap::halves(mesh);
   ScenarioSpec spec = twoAppSpec(mesh, regions, schemeRaRair());

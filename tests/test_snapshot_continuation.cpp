@@ -12,8 +12,8 @@
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "snapshot/buffer.h"
-#include "snapshot/checkpoint.h"
 #include "snapshot/scenario_key.h"
+#include "snapshot/state_file.h"
 #include "sim_test_util.h"
 
 namespace rair {

@@ -54,16 +54,14 @@ void usage(std::FILE* to) {
       "                cache end-of-warm-up simulator states in DIR;\n"
       "                calibration probes and cells whose warm-up was\n"
       "                already simulated (e.g. on a re-run) restore it\n"
-      "                instead of re-simulating. Cells that cannot\n"
-      "                snapshot (fig17's PARSEC request/reply cells, and\n"
-      "                every cell under --metrics summary|series) run\n"
-      "                without it, same records\n"
+      "                instead of re-simulating. Cells under --metrics\n"
+      "                summary|series run without it, same records\n"
       "  --checkpoint-dir DIR\n"
       "                write per-cell mid-run checkpoints into DIR; an\n"
       "                interrupted campaign resumes unfinished cells from\n"
       "                their last checkpoint, with byte-identical records.\n"
-      "                Cells that cannot snapshot (as for --warm-cache)\n"
-      "                are not checkpointed and rerun from the start\n"
+      "                Cells under --metrics summary|series are not\n"
+      "                checkpointed and rerun from the start\n"
       "  --checkpoint-every N\n"
       "                checkpoint refresh period in cycles (default "
       "25000)\n"

@@ -2,8 +2,12 @@
 # fig17's PARSEC request/reply cells take every campaign option. Runs
 # fig17 --fast with one option and checks what that option must do:
 #
-#   warm-cache, checkpoint-dir  the cells cannot snapshot and skip the
-#                               option: records match a plain run
+#   warm-cache                  with the flood knee already calibrated,
+#                               one run writes the 8 cells' warm entries
+#                               and a second run (new --out) restores
+#                               every one of them, storing none again;
+#                               both runs' records match a plain run
+#   checkpoint-dir              records match a plain run
 #   faults                      every record carries a fault block
 #   metrics-series              every record carries a metrics block and
 #                               the per-cell series sinks are written
@@ -45,8 +49,21 @@ same_as_plain() {
 
 case $option in
   warm-cache)
+    # Calibrate once and hand both cache runs the flood knee, so the cache
+    # holds the cells' entries only.
+    run plain.json
+    grep '"type":"value"' "$dir/plain.json" > "$dir/out.json"
+    cp "$dir/out.json" "$dir/again.json"
     run out.json --warm-cache "$dir/warm"
-    same_as_plain
+    test "$(ls "$dir/warm" | wc -l)" -eq 8
+    touch "$dir/stored"
+    run again.json --warm-cache "$dir/warm"
+    test -z "$(find "$dir/warm" -newer "$dir/stored")"
+    records plain.json > "$dir/plain.txt"
+    for out in out again; do
+      records $out.json > "$dir/$out.txt"
+      cmp "$dir/plain.txt" "$dir/$out.txt"
+    done
     ;;
   checkpoint-dir)
     run out.json --checkpoint-dir "$dir/ckpt"
