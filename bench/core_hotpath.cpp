@@ -23,7 +23,6 @@
 #include <thread>
 
 #include "metrics/recorder.h"
-#include "routing/tables.h"
 #include "scenarios/paper_scenarios.h"
 #include "sim/scenario.h"
 #include "sim/shard.h"
@@ -256,51 +255,6 @@ BENCHMARK_CAPTURE(BM_assemble, ra_rair_knee16, 0.70,
                   HotLoopOptions{.meshDim = 16, .halfSat = kHalfSat16})
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
-
-// Topology-event (reconfiguration) cost: the per-event price of repairing
-// the routing tables after a link flap, measured on a 32x32 mesh
-// pre-partitioned into 16 disjoint 8x8 regions (every inter-region
-// channel dead). An intra-region flap then dirties exactly one 64-node
-// component, the shape where incremental repair pays: the bare twin
-// rebuilds all 1024 nodes per event, "_inc" repairs only the affected
-// region. These report events_per_sec instead of cycles_per_sec — the
-// per-cycle passes above skip them — and perf_check.py's
-// "--metric events_per_sec --paired-suffix _inc:-4.0" pass fails the
-// build unless the incremental engine beats the full rebuild by >= 5x.
-void BM_topoChurn(benchmark::State& st, bool incremental) {
-  Mesh mesh(32, 32);
-  RoutingTables tables(mesh);
-  for (NodeId v = 0; v < mesh.numNodes(); ++v) {
-    const Coord c = mesh.coordOf(v);
-    if (c.x % 8 == 7 && mesh.neighbor(v, Dir::East))
-      tables.setLinkDead(v, Dir::East, true);
-    if (c.y % 8 == 7 && mesh.neighbor(v, Dir::South))
-      tables.setLinkDead(v, Dir::South, true);
-  }
-  tables.recompute();
-
-  const bool saved = RoutingTables::forceFullRebuildForTest;
-  RoutingTables::forceFullRebuildForTest = !incremental;
-  const NodeId flap = mesh.nodeAt({3, 3});  // interior of region (0, 0)
-  std::uint64_t events = 0;
-  for (auto _ : st) {
-    // Kill + revive the same channel: two topology events per iteration,
-    // table state identical at every iteration boundary.
-    tables.setLinkDead(flap, Dir::East, true);
-    tables.commit();
-    tables.setLinkDead(flap, Dir::East, false);
-    tables.commit();
-    events += 2;
-    benchmark::DoNotOptimize(tables.unreachablePairs());
-  }
-  RoutingTables::forceFullRebuildForTest = saved;
-  st.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-}
-BENCHMARK_CAPTURE(BM_topoChurn, topo_churn32, /*incremental=*/false)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_topoChurn, topo_churn32_inc, /*incremental=*/true)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace rair

@@ -132,7 +132,7 @@ void FaultInjector::onCycleBegin(Cycle now) {
     ++eventsApplied_;
   }
   if (topoChanged) {
-    degraded_.commit();
+    degraded_.recompute();
     applyTopologyChange(now);
     lastTopoChange_ = now;
     unreachablePairs_ =
@@ -579,26 +579,43 @@ void FaultInjector::restore(snapshot::Reader& r) {
   recoveryCycles_ = r.u64();
   softResets_ = r.u64();
 
+  // Every node id and direction below indexes live state, so each is
+  // checked before it is used.
+  const auto readNode = [&r, numNodes]() {
+    const NodeId n = r.i32();
+    RAIR_CHECK_MSG(n >= 0 && n < numNodes,
+                   "fault restore: node id outside the mesh");
+    return n;
+  };
   const std::uint32_t numDead = r.u32();
   for (std::uint32_t i = 0; i < numDead; ++i) {
-    const NodeId n = r.i32();
-    const Dir dir = static_cast<Dir>(r.u8());
-    degraded_.setLinkDead(n, dir, true);
+    const NodeId n = readNode();
+    const std::uint8_t d = r.u8();
+    RAIR_CHECK_MSG(d >= static_cast<std::uint8_t>(Dir::North) &&
+                       d <= static_cast<std::uint8_t>(Dir::West) &&
+                       mesh.neighbor(n, static_cast<Dir>(d)),
+                   "fault restore: dead-link direction has no channel");
+    degraded_.setLinkDead(n, static_cast<Dir>(d), true);
   }
   degraded_.recompute();
 
   const std::uint32_t numStalls = r.u32();
   for (std::uint32_t i = 0; i < numStalls; ++i) {
-    const NodeId n = r.i32();
-    net_->router(n).stalledOutPorts_ = r.u32();
+    const NodeId n = readNode();
+    const std::uint32_t mask = r.u32();
+    RAIR_CHECK_MSG((mask >> kNumPorts) == 0,
+                   "fault restore: stall mask names no port");
+    net_->router(n).stalledOutPorts_ = mask;
   }
   const std::uint32_t numFrozen = r.u32();
   for (std::uint32_t i = 0; i < numFrozen; ++i)
-    net_->nic(r.i32()).injectFrozen_ = true;
+    net_->nic(readNode()).injectFrozen_ = true;
 
   const std::uint32_t numResets = r.u32();
   for (std::uint32_t i = 0; i < numResets; ++i) {
-    const NodeId n = r.i32();
+    const NodeId n = readNode();
+    RAIR_CHECK_MSG(!inReset_[static_cast<std::size_t>(n)],
+                   "fault restore: node listed twice in reset");
     inReset_[static_cast<std::size_t>(n)] = 1;
     ++numInReset_;
     if (retx) setNodeReceiverDown(n, true);

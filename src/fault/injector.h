@@ -10,9 +10,9 @@
 // Topology events (link down/up, router reset/recover) trigger the
 // "reconfiguration flush":
 //
-//   1. commit the RoutingTables repair (incremental: components, BFS
-//      distances and spanning-tree escape routes are rebuilt only for the
-//      dirtied components);
+//   1. rebuild the RoutingTables once (components, BFS distances and
+//      spanning-tree escape routes, in full), however many topology
+//      events the cycle carried;
 //   2. doom the packets that cannot or must not continue:
 //        a. any packet with a flit inside a dead link's flit pipe
 //           (ideal layer only — on the retransmission layer in-flight

@@ -1,7 +1,6 @@
 #include "routing/tables.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/assert.h"
 
@@ -13,8 +12,6 @@ namespace {
 constexpr Dir kScanOrder[4] = {Dir::North, Dir::East, Dir::South, Dir::West};
 
 }  // namespace
-
-bool RoutingTables::forceFullRebuildForTest = false;
 
 RoutingTables::RoutingTables(const Mesh& mesh)
     : mesh_(&mesh),
@@ -29,8 +26,7 @@ RoutingTables::RoutingTables(const Mesh& mesh)
                static_cast<std::uint8_t>(Dir::Local)),
       treeParent_(static_cast<std::size_t>(mesh.numNodes()),
                   static_cast<std::uint8_t>(Dir::Local)),
-      treeAdj_(static_cast<std::size_t>(mesh.numNodes()), 0),
-      seen_(static_cast<std::size_t>(mesh.numNodes()), 0) {
+      treeAdj_(static_cast<std::size_t>(mesh.numNodes()), 0) {
   queue_.reserve(static_cast<std::size_t>(n_));
   recompute();
 }
@@ -49,14 +45,6 @@ void RoutingTables::setLinkDead(NodeId n, Dir d, bool dead) {
   fwd = rev = v;
   numDead_ += dead ? 1 : -1;
   RAIR_DCHECK(numDead_ >= 0);
-  // Dirty the components on both sides of the channel: a kill may split
-  // the (shared) component, a revival may merge two. Labels are the
-  // last-committed ones, which is exactly what makes the affected set
-  // closed under alive edges at commit time.
-  markDirty(comp_[static_cast<std::size_t>(n)]);
-  markDirty(comp_[static_cast<std::size_t>(*nb)]);
-  pending_ = true;
-  unreachValid_ = false;
 }
 
 bool RoutingTables::linkAlive(NodeId n, Dir d) const {
@@ -66,30 +54,9 @@ bool RoutingTables::linkAlive(NodeId n, Dir d) const {
                   static_cast<std::size_t>(dirIndex(d))] == 0;
 }
 
-std::uint8_t RoutingTables::connectivityBits(NodeId n) const {
-  std::uint8_t bits = 0;
-  for (int i = 0; i < 4; ++i) {
-    const Dir d = static_cast<Dir>(i + 1);
-    if (linkAlive(n, d)) bits |= static_cast<std::uint8_t>(1u << i);
-  }
-  return bits;
-}
-
-void RoutingTables::markDirty(std::int32_t comp) {
-  if (!isDirty(comp)) dirtyComps_.push_back(comp);
-}
-
-bool RoutingTables::isDirty(std::int32_t comp) const {
-  return std::find(dirtyComps_.begin(), dirtyComps_.end(), comp) !=
-         dirtyComps_.end();
-}
-
-void RoutingTables::rebuildTreeAdj(const std::vector<NodeId>& scope) {
-  // Tree edges never leave a component, and every scope is a union of
-  // whole components, so both endpoints of every touched edge are in
-  // scope — clearing scope entries then re-deriving them is complete.
-  for (const NodeId v : scope) treeAdj_[static_cast<std::size_t>(v)] = 0;
-  for (const NodeId v : scope) {
+void RoutingTables::rebuildTreeAdj() {
+  std::fill(treeAdj_.begin(), treeAdj_.end(), std::uint8_t{0});
+  for (NodeId v = 0; v < n_; ++v) {
     const Dir pd = static_cast<Dir>(treeParent_[static_cast<std::size_t>(v)]);
     if (pd == Dir::Local) continue;  // component root
     const NodeId p = *mesh_->neighbor(v, pd);
@@ -100,14 +67,7 @@ void RoutingTables::rebuildTreeAdj(const std::vector<NodeId>& scope) {
   }
 }
 
-void RoutingTables::rebuildColumns(NodeId dst, const std::vector<NodeId>& scope) {
-  // Entries outside the scope are untouched: for an affected dst they are
-  // provably -1/Local already (nodes outside the affected set were in a
-  // different component at the last commit and still are).
-  for (const NodeId v : scope) {
-    dist_[at(dst, v)] = -1;
-    treeDir_[at(dst, v)] = static_cast<std::uint8_t>(Dir::Local);
-  }
+void RoutingTables::rebuildColumns(NodeId dst) {
   // Graph BFS from dst (confined to dst's component by construction).
   queue_.clear();
   queue_.push_back(dst);
@@ -144,19 +104,18 @@ void RoutingTables::rebuildColumns(NodeId dst, const std::vector<NodeId>& scope)
 
 void RoutingTables::recompute() {
   // Component labels + BFS spanning tree in one pass: BFS from each
-  // unvisited node, lowest id first; treeParent is the direction from a
-  // node back toward its BFS parent (Local for the root). Full rebuilds
-  // re-densify the label space.
-  std::fill(seen_.begin(), seen_.end(), std::uint8_t{0});
-  nextComp_ = 0;
-  std::vector<NodeId> all(static_cast<std::size_t>(n_));
-  for (NodeId v = 0; v < n_; ++v) all[static_cast<std::size_t>(v)] = v;
+  // unlabelled node, lowest id first; treeParent is the direction from a
+  // node back toward its BFS parent (Local for the root). A component of
+  // s nodes holds s(s-1) ordered pairs; every other pair is unreachable.
+  std::fill(comp_.begin(), comp_.end(), std::int32_t{-1});
+  const auto total = static_cast<std::uint64_t>(n_);
+  unreachablePairs_ = total * (total - 1);
+  std::int32_t label = -1;
   for (NodeId root = 0; root < n_; ++root) {
-    if (seen_[static_cast<std::size_t>(root)]) continue;
-    const std::int32_t label = nextComp_++;
+    if (comp_[static_cast<std::size_t>(root)] >= 0) continue;
+    ++label;
     queue_.clear();
     queue_.push_back(root);
-    seen_[static_cast<std::size_t>(root)] = 1;
     comp_[static_cast<std::size_t>(root)] = label;
     treeParent_[static_cast<std::size_t>(root)] =
         static_cast<std::uint8_t>(Dir::Local);
@@ -165,98 +124,22 @@ void RoutingTables::recompute() {
       for (Dir d : kScanOrder) {
         if (!linkAlive(cur, d)) continue;
         const NodeId nb = *mesh_->neighbor(cur, d);
-        if (seen_[static_cast<std::size_t>(nb)]) continue;
-        seen_[static_cast<std::size_t>(nb)] = 1;
+        if (comp_[static_cast<std::size_t>(nb)] >= 0) continue;
         comp_[static_cast<std::size_t>(nb)] = label;
         treeParent_[static_cast<std::size_t>(nb)] =
             static_cast<std::uint8_t>(opposite(d));
         queue_.push_back(nb);
       }
     }
+    const std::uint64_t size = queue_.size();
+    unreachablePairs_ -= size * (size - 1);
   }
-  rebuildTreeAdj(all);
+
+  rebuildTreeAdj();
   std::fill(dist_.begin(), dist_.end(), std::int16_t{-1});
   std::fill(treeDir_.begin(), treeDir_.end(),
             static_cast<std::uint8_t>(Dir::Local));
-  for (NodeId dst = 0; dst < n_; ++dst) rebuildColumns(dst, all);
-  pending_ = false;
-  dirtyComps_.clear();
-  unreachValid_ = false;
-}
-
-void RoutingTables::repairAffected() {
-  // Affected set: every node whose last-committed component was dirtied.
-  // Closed under alive edges (see header), so every BFS below stays
-  // inside it and every entry it does not touch is already correct.
-  std::vector<NodeId> affected;
-  for (NodeId v = 0; v < n_; ++v)
-    if (isDirty(comp_[static_cast<std::size_t>(v)])) affected.push_back(v);
-  for (const NodeId v : affected) seen_[static_cast<std::size_t>(v)] = 0;
-  // Relabel with fresh labels, ascending seed order — each BFS is the
-  // same traversal (lowest id root, kScanOrder) the full rebuild runs, so
-  // treeParent comes out byte-identical.
-  for (const NodeId root : affected) {
-    if (seen_[static_cast<std::size_t>(root)]) continue;
-    const std::int32_t label = nextComp_++;
-    queue_.clear();
-    queue_.push_back(root);
-    seen_[static_cast<std::size_t>(root)] = 1;
-    comp_[static_cast<std::size_t>(root)] = label;
-    treeParent_[static_cast<std::size_t>(root)] =
-        static_cast<std::uint8_t>(Dir::Local);
-    for (std::size_t head = 0; head < queue_.size(); ++head) {
-      const NodeId cur = queue_[head];
-      for (Dir d : kScanOrder) {
-        if (!linkAlive(cur, d)) continue;
-        const NodeId nb = *mesh_->neighbor(cur, d);
-        if (seen_[static_cast<std::size_t>(nb)]) continue;
-        seen_[static_cast<std::size_t>(nb)] = 1;
-        comp_[static_cast<std::size_t>(nb)] = label;
-        treeParent_[static_cast<std::size_t>(nb)] =
-            static_cast<std::uint8_t>(opposite(d));
-        queue_.push_back(nb);
-      }
-    }
-  }
-  rebuildTreeAdj(affected);
-  for (const NodeId dst : affected) rebuildColumns(dst, affected);
-}
-
-void RoutingTables::commit() {
-  if (!pending_) {
-    RAIR_DCHECK(dirtyComps_.empty());
-    return;
-  }
-  if (forceFullRebuildForTest) {
-    recompute();
-    return;
-  }
-  repairAffected();
-  pending_ = false;
-  dirtyComps_.clear();
-  unreachValid_ = false;
-#ifdef RAIR_CHECKS
-  crossCheckAgainstFullRebuild();
-#endif
-}
-
-std::uint64_t RoutingTables::computeUnreachablePairs() const {
-  // Incremental labels are sparse, so sizes go through a map; the result
-  // is a commutative sum, insensitive to iteration order.
-  std::unordered_map<std::int32_t, std::uint64_t> sizes;
-  for (NodeId v = 0; v < n_; ++v) ++sizes[comp_[static_cast<std::size_t>(v)]];
-  const auto total = static_cast<std::uint64_t>(n_);
-  std::uint64_t pairs = total * (total - 1);
-  for (const auto& [label, s] : sizes) pairs -= s * (s - 1);
-  return pairs;
-}
-
-std::uint64_t RoutingTables::unreachablePairs() const {
-  if (!unreachValid_) {
-    unreachCache_ = computeUnreachablePairs();
-    unreachValid_ = true;
-  }
-  return unreachCache_;
+  for (NodeId dst = 0; dst < n_; ++dst) rebuildColumns(dst);
 }
 
 int RoutingTables::distance(NodeId from, NodeId to) const {
@@ -291,44 +174,5 @@ RouteResult RoutingTables::routeFor(NodeId here, NodeId dst) const {
   r.escapeDir = escapeDir(here, dst);
   return r;
 }
-
-#ifdef RAIR_CHECKS
-void RoutingTables::crossCheckAgainstFullRebuild() const {
-  RoutingTables ref(*mesh_);
-  for (NodeId v = 0; v < n_; ++v)
-    for (const Dir d : {Dir::East, Dir::South})  // each channel once
-      if (mesh_->neighbor(v, d).has_value() && !linkAlive(v, d))
-        ref.setLinkDead(v, d, true);
-  ref.recompute();
-  RAIR_CHECK_MSG(dist_ == ref.dist_,
-                 "incremental commit: distance tables diverge from full "
-                 "rebuild");
-  RAIR_CHECK_MSG(treeDir_ == ref.treeDir_,
-                 "incremental commit: escape-tree tables diverge from full "
-                 "rebuild");
-  RAIR_CHECK_MSG(treeParent_ == ref.treeParent_,
-                 "incremental commit: spanning-tree parents diverge from "
-                 "full rebuild");
-  // Labels are fresh on the incremental path; only the partition must
-  // match — check the label correspondence is a bijection.
-  std::unordered_map<std::int32_t, std::int32_t> mineToRef;
-  std::vector<std::int32_t> refToMine(static_cast<std::size_t>(n_),
-                                      INT32_MIN);
-  for (NodeId v = 0; v < n_; ++v) {
-    const std::int32_t mine = comp_[static_cast<std::size_t>(v)];
-    const std::int32_t refL = ref.comp_[static_cast<std::size_t>(v)];
-    const auto [it, inserted] = mineToRef.emplace(mine, refL);
-    RAIR_CHECK_MSG(it->second == refL,
-                   "incremental commit: component partition diverges from "
-                   "full rebuild");
-    auto& back = refToMine[static_cast<std::size_t>(refL)];
-    if (back == INT32_MIN) back = mine;
-    RAIR_CHECK_MSG(back == mine,
-                   "incremental commit: component partition diverges from "
-                   "full rebuild");
-  }
-  RAIR_CHECK(computeUnreachablePairs() == ref.computeUnreachablePairs());
-}
-#endif
 
 }  // namespace rair

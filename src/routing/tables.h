@@ -3,9 +3,8 @@
 // When the fault subsystem kills a link (or soft-resets a router, which
 // kills its incident links for the duration), minimal XY escape routing is
 // no longer deadlock-free (the dimension-ordered path may cross the dead
-// channel). RoutingTables maintains, per dead-link set, the LBDR-style
-// per-node connectivity bits plus full routing tables for the degraded
-// graph:
+// channel). RoutingTables maintains, per dead-link set, full routing
+// tables for the degraded graph:
 //
 //   * escape routes follow a BFS spanning tree per connected component
 //     (root = lowest node id). Routing along the unique tree path is the
@@ -20,24 +19,14 @@
 //     the degraded graph (capped at two, enumerated in fixed N,E,S,W
 //     order), so adaptive VCs retain path diversity where it exists.
 //
-// Reconfiguration engine. setLinkDead() only flips connectivity flags and
-// marks the components touching the changed channel dirty; commit()
-// repairs the tables incrementally, bounded to the union of dirty
-// components: component relabeling, spanning-tree rebuild and the
-// per-destination distance/tree columns are all recomputed only over that
-// affected set. The invariant making this sound is that the affected set
-// is closed under alive edges — an alive edge leaving it would either have
-// been alive at the last commit (same component, so the far side is
-// affected too) or have been revived since (which dirtied the far side's
-// component). Repaired dist/tree entries are byte-identical to a full
-// rebuild; component labels are fresh (never reused), so only the
-// partition — not the numeric label — is stable, and every consumer
-// (reachable(), unreachablePairs()) is label-invariant. Under
-// -DRAIR_CHECKS=ON every commit() cross-checks itself against a
-// from-scratch rebuild. recompute() remains the full O(N^2) rebuild, used
-// at construction, on snapshot restore, and as the cross-check reference.
+// Reconfiguration. setLinkDead() only flips connectivity flags;
+// recompute() then rebuilds component labels, spanning trees, the
+// per-destination distance and tree columns and the unreachable-pair
+// count from scratch, O(N^2) whatever changed. It runs once at
+// construction, once per cycle that carries topology events, and on
+// snapshot restore.
 //
-// Tables are repaired only at fault events, never on the cycle hot path.
+// Tables are rebuilt only at fault events, never on the cycle hot path.
 // While no link is dead (`active() == false`) the routing layer bypasses
 // this object entirely, keeping fault-free runs byte-identical to a build
 // without the fault subsystem attached.
@@ -56,10 +45,8 @@ class RoutingTables {
   explicit RoutingTables(const Mesh& mesh);
 
   /// Marks the undirected physical channel leaving `n` through `d` dead or
-  /// alive. Both directions of the channel fail together. Dirties the
-  /// components touching the channel; call commit() (incremental) or
-  /// recompute() (full) after a batch of changes, before any routing
-  /// query.
+  /// alive. Both directions of the channel fail together. Call
+  /// recompute() after a batch of changes, before any routing query.
   void setLinkDead(NodeId n, Dir d, bool dead);
 
   /// True when the router-router channel leaving `n` through `d` exists
@@ -69,38 +56,18 @@ class RoutingTables {
   bool active() const { return numDead_ > 0; }
   int numDeadLinks() const { return numDead_; }  ///< undirected channels
 
-  /// Incrementally repairs components, distances and spanning-tree escape
-  /// tables for every component dirtied since the last commit/recompute.
-  /// O(|affected|^2); a no-op when nothing changed. Under RAIR_CHECKS the
-  /// result is verified against a from-scratch rebuild.
-  void commit();
-
-  /// Full rebuild of components, distances and spanning-tree escape
-  /// tables for the current dead-link set. O(N^2) regardless of what
-  /// changed; commit() is the incremental equivalent.
+  /// Rebuilds components, distances, spanning-tree escape tables and the
+  /// unreachable-pair count for the current dead-link set.
   void recompute();
-
-  /// Test/bench hook: while true, commit() falls back to the full
-  /// rebuild, so a scenario can be A/B'd between the incremental and the
-  /// full-rebuild paths (outputs must be byte-identical).
-  static bool forceFullRebuildForTest;
-
-  /// LBDR-style connectivity bits of the alive router-router links at `n`:
-  /// bit 0 = North, 1 = East, 2 = South, 3 = West.
-  std::uint8_t connectivityBits(NodeId n) const;
 
   bool reachable(NodeId a, NodeId b) const {
     return comp_[static_cast<std::size_t>(a)] ==
            comp_[static_cast<std::size_t>(b)];
   }
-  int componentOf(NodeId n) const {
-    return comp_[static_cast<std::size_t>(n)];
-  }
 
-  /// Ordered node pairs (a, b), a != b, with no path between them. Cached
-  /// between topology events; the first query after a commit/recompute
-  /// pays one O(N) scan, later ones are free.
-  std::uint64_t unreachablePairs() const;
+  /// Ordered node pairs (a, b), a != b, with no path between them, as of
+  /// the last recompute().
+  std::uint64_t unreachablePairs() const { return unreachablePairs_; }
 
   /// BFS hop distance on the degraded graph, -1 when unreachable.
   int distance(NodeId from, NodeId to) const;
@@ -121,37 +88,23 @@ class RoutingTables {
            static_cast<std::size_t>(node);
   }
 
-  void markDirty(std::int32_t comp);
-  bool isDirty(std::int32_t comp) const;
-  /// Relabels + rebuilds tree/distance state over the dirty components.
-  void repairAffected();
-  /// Rebuilds the per-destination distance and tree columns for `dst`,
-  /// clearing only the entries listed in `scope` first (the affected set
-  /// for commit(), all nodes for recompute()).
-  void rebuildColumns(NodeId dst, const std::vector<NodeId>& scope);
-  /// Derives treeAdj_ bits from treeParent_ over `scope`.
-  void rebuildTreeAdj(const std::vector<NodeId>& scope);
-  std::uint64_t computeUnreachablePairs() const;
-#ifdef RAIR_CHECKS
-  void crossCheckAgainstFullRebuild() const;
-#endif
+  /// Fills the distance and tree columns for `dst` (entries start at
+  /// -1/Local).
+  void rebuildColumns(NodeId dst);
+  /// Derives treeAdj_ bits from treeParent_.
+  void rebuildTreeAdj();
 
   const Mesh* mesh_;
   int n_;
   std::vector<std::uint8_t> deadOut_;   ///< n*4 directed flags (symmetric)
   int numDead_ = 0;                     ///< undirected dead channels
-  std::vector<std::int32_t> comp_;      ///< component label per node
+  std::vector<std::int32_t> comp_;      ///< dense component label per node
   std::vector<std::int16_t> dist_;      ///< [dst*n + node] graph distance
   std::vector<std::uint8_t> treeDir_;   ///< [dst*n + node] tree next hop
   std::vector<std::uint8_t> treeParent_;  ///< dir toward BFS parent
   std::vector<std::uint8_t> treeAdj_;     ///< alive dirs that are tree edges
-  std::int32_t nextComp_ = 0;           ///< fresh labels, never reused
-  std::vector<std::int32_t> dirtyComps_;  ///< components awaiting commit()
-  bool pending_ = false;
   std::vector<NodeId> queue_;           ///< BFS scratch
-  std::vector<std::uint8_t> seen_;      ///< per-node scratch, n bytes
-  mutable std::uint64_t unreachCache_ = 0;
-  mutable bool unreachValid_ = false;
+  std::uint64_t unreachablePairs_ = 0;
 };
 
 }  // namespace rair

@@ -1,10 +1,13 @@
-// RoutingTables reconfiguration engine: property suite comparing the
-// event-driven incremental repair (commit()) against a from-scratch full
-// rebuild over randomized dead-link/soft-reset sequences — including
-// component splits and merges — plus unreachable-pair cache behavior and
-// the forceFullRebuildForTest escape hatch.
+// RoutingTables: the degraded tables checked against references this file
+// computes itself — plain BFS distances over linkAlive() edges, escape
+// steps that walk one spanning tree per component, the adaptive-candidate
+// rule and the unreachable-pair count — after every rebuild over
+// randomized dead-link and soft-reset churn, splits and merges included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,74 +17,114 @@
 namespace rair {
 namespace {
 
-/// Applies the dead set of `src` to a fresh table and fully rebuilds it.
-RoutingTables fullRebuildTwin(const Mesh& mesh, const RoutingTables& src) {
-  RoutingTables full(mesh);
-  for (NodeId n = 0; n < mesh.numNodes(); ++n) {
-    for (const Dir d : {Dir::East, Dir::South}) {
-      if (mesh.neighbor(n, d) && !src.linkAlive(n, d))
-        full.setLinkDead(n, d, true);
+constexpr Dir kScanOrder[4] = {Dir::North, Dir::East, Dir::South, Dir::West};
+
+/// Hop distances from `src` over alive links, -1 where unreachable.
+std::vector<int> bfsFrom(const RoutingTables& t, NodeId src) {
+  const Mesh& mesh = t.mesh();
+  std::vector<int> dist(static_cast<std::size_t>(mesh.numNodes()), -1);
+  std::vector<NodeId> queue{src};
+  dist[static_cast<std::size_t>(src)] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId cur = queue[head];
+    for (const Dir d : kScanOrder) {
+      if (!t.linkAlive(cur, d)) continue;
+      const NodeId nb = *mesh.neighbor(cur, d);
+      if (dist[static_cast<std::size_t>(nb)] >= 0) continue;
+      dist[static_cast<std::size_t>(nb)] =
+          dist[static_cast<std::size_t>(cur)] + 1;
+      queue.push_back(nb);
     }
   }
-  full.recompute();
-  return full;
+  return dist;
 }
 
-/// The incremental contract: distances, escape directions and
-/// connectivity bits are byte-equal to a full rebuild; component labels
-/// only need to induce the same partition (incremental repair allocates
-/// fresh labels, the full rebuild dense ones).
-void expectMatchesFullRebuild(const Mesh& mesh, const RoutingTables& inc) {
-  const RoutingTables full = fullRebuildTwin(mesh, inc);
+/// Checks every query of `t` against references computed from
+/// linkAlive() alone.
+void expectMatchesReferences(const RoutingTables& t) {
+  const Mesh& mesh = t.mesh();
   const NodeId n = mesh.numNodes();
-
-  ASSERT_EQ(inc.numDeadLinks(), full.numDeadLinks());
-  ASSERT_EQ(inc.active(), full.active());
-  for (NodeId v = 0; v < n; ++v)
-    ASSERT_EQ(inc.connectivityBits(v), full.connectivityBits(v)) << v;
-
-  // Label bijection in both directions == identical partition.
-  std::vector<std::int32_t> incToFull, fullToInc;
+  // ref[a][b]: BFS hop distance from a to b.
+  std::vector<std::vector<int>> ref;
+  for (NodeId v = 0; v < n; ++v) ref.push_back(bfsFrom(t, v));
+  const auto refDist = [&](NodeId a, NodeId b) {
+    return ref[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
+  };
+  // Component of each node, named by its lowest member, and its size.
+  std::vector<NodeId> compOf(static_cast<std::size_t>(n));
+  std::vector<int> compSize(static_cast<std::size_t>(n), 0);
   for (NodeId v = 0; v < n; ++v) {
-    const std::int32_t a = inc.componentOf(v);
-    const std::int32_t b = full.componentOf(v);
-    if (static_cast<std::size_t>(a) >= incToFull.size())
-      incToFull.resize(static_cast<std::size_t>(a) + 1, -1);
-    if (static_cast<std::size_t>(b) >= fullToInc.size())
-      fullToInc.resize(static_cast<std::size_t>(b) + 1, -1);
-    auto& fwd = incToFull[static_cast<std::size_t>(a)];
-    auto& rev = fullToInc[static_cast<std::size_t>(b)];
-    if (fwd == -1) fwd = b;
-    if (rev == -1) rev = a;
-    ASSERT_EQ(fwd, b) << "node " << v;
-    ASSERT_EQ(rev, a) << "node " << v;
+    NodeId lowest = v;
+    for (NodeId w = 0; w < v; ++w)
+      if (refDist(v, w) >= 0) lowest = std::min(lowest, w);
+    compOf[static_cast<std::size_t>(v)] = lowest;
+    ++compSize[static_cast<std::size_t>(lowest)];
   }
 
+  std::uint64_t unreachable = 0;
+  std::set<std::pair<NodeId, NodeId>> escapeEdges;  // undirected, lo < hi
   for (NodeId dst = 0; dst < n; ++dst) {
+    const RouteResult self = t.routeFor(dst, dst);
+    ASSERT_TRUE(self.ejecting);
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(inc.distance(v, dst), full.distance(v, dst))
-          << "dist " << v << "->" << dst;
-      ASSERT_EQ(inc.reachable(v, dst), full.reachable(v, dst));
-      if (v != dst && inc.reachable(v, dst)) {
-        ASSERT_EQ(inc.escapeDir(v, dst), full.escapeDir(v, dst))
-            << "escape " << v << "->" << dst;
+      const int d = refDist(v, dst);
+      ASSERT_EQ(t.distance(v, dst), d) << "dist " << v << "->" << dst;
+      ASSERT_EQ(t.reachable(v, dst), d >= 0) << v << "->" << dst;
+      if (d < 0) ++unreachable;
+      if (d <= 0) continue;
+
+      // Escape steps reach dst over alive links in fewer hops than the
+      // component has nodes.
+      const int size = compSize[static_cast<std::size_t>(
+          compOf[static_cast<std::size_t>(v)])];
+      NodeId cur = v;
+      for (int hops = 0; cur != dst; ++hops) {
+        ASSERT_LT(hops, size - 1) << "escape walk " << v << "->" << dst;
+        const Dir e = t.escapeDir(cur, dst);
+        ASSERT_TRUE(t.linkAlive(cur, e)) << "escape " << cur << "->" << dst;
+        const NodeId next = *mesh.neighbor(cur, e);
+        escapeEdges.emplace(std::min(cur, next), std::max(cur, next));
+        cur = next;
       }
+
+      // Adaptive candidates: the first two alive neighbours, in N, E, S,
+      // W order, one hop closer to dst.
+      std::vector<Dir> expected;
+      for (const Dir a : kScanOrder) {
+        if (expected.size() == 2) break;
+        if (t.linkAlive(v, a) && refDist(*mesh.neighbor(v, a), dst) == d - 1)
+          expected.push_back(a);
+      }
+      const RouteResult rr = t.routeFor(v, dst);
+      ASSERT_FALSE(rr.ejecting);
+      ASSERT_EQ(rr.numAdaptive, static_cast<int>(expected.size()))
+          << v << "->" << dst;
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        ASSERT_EQ(rr.adaptiveDirs[i], expected[i]) << v << "->" << dst;
+      ASSERT_EQ(rr.escapeDir, t.escapeDir(v, dst));
     }
   }
-  ASSERT_EQ(inc.unreachablePairs(), full.unreachablePairs());
+  ASSERT_EQ(t.unreachablePairs(), unreachable);
+
+  // The escape edges of a component of s nodes number s - 1: with every
+  // member reaching every other over them, they form one spanning tree.
+  std::vector<int> edgesIn(static_cast<std::size_t>(n), 0);
+  for (const auto& [a, b] : escapeEdges) {
+    ASSERT_EQ(compOf[static_cast<std::size_t>(a)],
+              compOf[static_cast<std::size_t>(b)]);
+    ++edgesIn[static_cast<std::size_t>(compOf[static_cast<std::size_t>(a)])];
+  }
+  for (NodeId c = 0; c < n; ++c) {
+    const int size = compSize[static_cast<std::size_t>(c)];
+    if (size == 0) continue;  // c is not the lowest node of its component
+    ASSERT_EQ(edgesIn[static_cast<std::size_t>(c)], size - 1)
+        << "component of node " << c;
+  }
 }
 
-TEST(RoutingTables, IncrementalCommitIsANoOpWhenClean) {
-  Mesh mesh(4, 4);
-  RoutingTables t(mesh);
-  t.commit();  // never dirtied: must not touch anything
-  EXPECT_FALSE(t.active());
-  EXPECT_EQ(t.unreachablePairs(), 0u);
-}
-
-TEST(RoutingTables, IncrementalMatchesFullRebuildOverRandomChurn) {
+TEST(RoutingTables, TablesMatchIndependentReferencesOverRandomChurn) {
   Mesh mesh(6, 6);
-  RoutingTables inc(mesh);
+  RoutingTables t(mesh);
   Xoshiro256StarStar rng(0xC0FFEEull);
 
   // Collect the real links once (east/south canonical orientation).
@@ -97,18 +140,18 @@ TEST(RoutingTables, IncrementalMatchesFullRebuildOverRandomChurn) {
     const int flips = static_cast<int>(1 + rng.below(3));
     for (int i = 0; i < flips; ++i) {
       const auto& [v, d] = links[rng.below(links.size())];
-      inc.setLinkDead(v, d, inc.linkAlive(v, d));
+      t.setLinkDead(v, d, t.linkAlive(v, d));
     }
-    inc.commit();
-    ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, inc)) << step;
+    t.recompute();
+    ASSERT_NO_FATAL_FAILURE(expectMatchesReferences(t)) << step;
   }
 }
 
-TEST(RoutingTables, IncrementalMatchesFullRebuildOverResetChurn) {
+TEST(RoutingTables, TablesMatchIndependentReferencesOverResetChurn) {
   // Node-granular churn (the soft-reset pattern): kill every incident
   // link of a node at once, later revive them at once.
   Mesh mesh(5, 5);
-  RoutingTables inc(mesh);
+  RoutingTables t(mesh);
   Xoshiro256StarStar rng(0x5EED5ull);
   std::vector<bool> down(static_cast<std::size_t>(mesh.numNodes()), false);
 
@@ -124,73 +167,67 @@ TEST(RoutingTables, IncrementalMatchesFullRebuildOverResetChurn) {
       // Reviving keeps channels shared with a still-down neighbor dead —
       // the injector's Recover rule.
       if (kill)
-        inc.setLinkDead(v, dir, true);
+        t.setLinkDead(v, dir, true);
       else if (!down[static_cast<std::size_t>(*nb)])
-        inc.setLinkDead(v, dir, false);
+        t.setLinkDead(v, dir, false);
     }
-    inc.commit();
-    ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, inc)) << step;
+    t.recompute();
+    ASSERT_NO_FATAL_FAILURE(expectMatchesReferences(t)) << step;
   }
 }
 
 TEST(RoutingTables, SplitThenMergeRestoresTheCleanTables) {
   Mesh mesh(6, 6);
-  RoutingTables inc(mesh);
+  RoutingTables t(mesh);
 
   // Split: cut the whole column between x=2 and x=3.
   std::vector<NodeId> cut;
   for (int y = 0; y < 6; ++y) cut.push_back(mesh.nodeAt({2, y}));
-  for (const NodeId v : cut) inc.setLinkDead(v, Dir::East, true);
-  inc.commit();
-  ASSERT_TRUE(inc.active());
-  EXPECT_FALSE(inc.reachable(mesh.nodeAt({0, 0}), mesh.nodeAt({5, 5})));
+  for (const NodeId v : cut) t.setLinkDead(v, Dir::East, true);
+  t.recompute();
+  ASSERT_TRUE(t.active());
+  EXPECT_FALSE(t.reachable(mesh.nodeAt({0, 0}), mesh.nodeAt({5, 5})));
   // Ordered pairs across an 18 | 18 split.
-  EXPECT_EQ(inc.unreachablePairs(), 2u * 18u * 18u);
-  ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, inc));
+  EXPECT_EQ(t.unreachablePairs(), 2u * 18u * 18u);
+  ASSERT_NO_FATAL_FAILURE(expectMatchesReferences(t));
 
   // Merge: revive one bridge; the halves rejoin through it.
-  inc.setLinkDead(cut[3], Dir::East, false);
-  inc.commit();
-  EXPECT_TRUE(inc.reachable(mesh.nodeAt({0, 0}), mesh.nodeAt({5, 5})));
-  EXPECT_EQ(inc.unreachablePairs(), 0u);
-  ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, inc));
+  t.setLinkDead(cut[3], Dir::East, false);
+  t.recompute();
+  EXPECT_TRUE(t.reachable(mesh.nodeAt({0, 0}), mesh.nodeAt({5, 5})));
+  EXPECT_EQ(t.unreachablePairs(), 0u);
+  ASSERT_NO_FATAL_FAILURE(expectMatchesReferences(t));
 
-  // Full revival deactivates the tables entirely.
-  for (const NodeId v : cut) inc.setLinkDead(v, Dir::East, false);
-  inc.commit();
-  EXPECT_FALSE(inc.active());
-  ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, inc));
+  // Full revival deactivates the tables and leaves them as a fresh
+  // table's.
+  for (const NodeId v : cut) t.setLinkDead(v, Dir::East, false);
+  t.recompute();
+  EXPECT_FALSE(t.active());
+  ASSERT_NO_FATAL_FAILURE(expectMatchesReferences(t));
+  const RoutingTables clean(mesh);
+  for (NodeId dst = 0; dst < mesh.numNodes(); ++dst) {
+    for (NodeId v = 0; v < mesh.numNodes(); ++v) {
+      if (v == dst) continue;
+      ASSERT_EQ(t.escapeDir(v, dst), clean.escapeDir(v, dst));
+    }
+  }
 }
 
 TEST(RoutingTables, UnreachablePairsIsCachedUntilTheNextEvent) {
   Mesh mesh(4, 4);
   RoutingTables t(mesh);
+  EXPECT_EQ(t.unreachablePairs(), 0u);
   const NodeId corner = mesh.nodeAt({0, 0});
   t.setLinkDead(corner, Dir::East, true);
   t.setLinkDead(corner, Dir::South, true);
-  t.commit();
+  t.recompute();
+  // Ordered pairs across the {corner} | {15 nodes} split.
   EXPECT_EQ(t.unreachablePairs(), 30u);
-  EXPECT_EQ(t.unreachablePairs(), 30u);  // cached path
+  // The count is the last rebuild's: a link change alone leaves it.
   t.setLinkDead(corner, Dir::East, false);
-  t.commit();
-  EXPECT_EQ(t.unreachablePairs(), 0u);  // invalidated by the event
-}
-
-TEST(RoutingTables, ForceFullRebuildFlagRoutesCommitThroughRecompute) {
-  Mesh mesh(4, 4);
-  RoutingTables a(mesh);
-  RoutingTables b(mesh);
-  RoutingTables::forceFullRebuildForTest = true;
-  a.setLinkDead(mesh.nodeAt({1, 1}), Dir::East, true);
-  a.commit();
-  RoutingTables::forceFullRebuildForTest = false;
-  b.setLinkDead(mesh.nodeAt({1, 1}), Dir::East, true);
-  b.commit();
-  // Same distances and escapes either way (labels may differ).
-  for (NodeId dst = 0; dst < mesh.numNodes(); ++dst)
-    for (NodeId v = 0; v < mesh.numNodes(); ++v)
-      ASSERT_EQ(a.distance(v, dst), b.distance(v, dst));
-  ASSERT_NO_FATAL_FAILURE(expectMatchesFullRebuild(mesh, b));
+  EXPECT_EQ(t.unreachablePairs(), 30u);
+  t.recompute();
+  EXPECT_EQ(t.unreachablePairs(), 0u);
 }
 
 }  // namespace

@@ -15,12 +15,6 @@ serve several passes with different --metric values. New or removed
 benchmarks are reported but do not fail the check; regenerate the
 baseline when the suite changes intentionally.
 
-A paired-suffix bound may be negative, turning the overhead cap into a
-speedup floor: "--metric events_per_sec --paired-suffix _inc:-4.0" fails
-unless every "X_inc" benchmark is at least 5x faster than its bare twin
-"X" — the CI guard proving the incremental reconfiguration engine beats
-the full table rebuild on the topology-churn benches.
-
 With --paired-suffix (repeatable), the check additionally compares, WITHIN
 the current file, every benchmark named "X<suffix>" against its bare twin
 "X" and fails when the suffixed variant is more than --max-overhead slower
@@ -28,7 +22,8 @@ the current file, every benchmark named "X<suffix>" against its bare twin
 snapshot hook effectively free on the per-cycle hot path. A suffix may
 carry its own bound as "SUFFIX:MAXOVERHEAD" (e.g. "_retx0:0.32" allows
 the fault-free retransmitting link layer 32%% where the default bound is
-2%%).
+2%%). A negative bound is a speedup floor: "_fast:-1.0" fails unless
+every "X_fast" is at least twice as fast as its twin "X".
 
 A baseline must say which host it came from: the check refuses (exit 1)
 a baseline whose "context" lacks usable_cores, build_type or compiler,
@@ -58,8 +53,8 @@ def load_metrics(path, metric, require_context=False):
         if bench.get("run_type") == "aggregate":
             continue
         # Benchmarks without the chosen counter belong to another pass
-        # (the hot-path benches report cycles_per_sec, the topology-churn
-        # benches events_per_sec); each pass only sees its own subset.
+        # (the hot-path benches report cycles_per_sec, the assembly bench
+        # assemblies_per_sec); each pass only sees its own subset.
         if metric not in bench:
             continue
         # UseRealTime() benches carry a "/real_time" tag after the
