@@ -840,7 +840,6 @@ CampaignSpec buildFaults(BuildContext& ctx) {
       po.windowEnd = cfg.warmupCycles + cfg.measureCycles;
       po.retxLayer = cfg.net.linkLayer == LinkLayerKind::Retx;
       po.mtbf = mtbf;
-      po.allowPermanentOutage = false;
       for (std::size_t si = 0; si < schemes.size(); ++si) {
         const SchemeSpec& s = schemes[si];
         // Per-cell plan seed, decoupled from the run seed the runner

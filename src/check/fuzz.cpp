@@ -376,7 +376,6 @@ fault::FaultPlan generateFaultPlan(std::uint64_t caseSeed,
   opts.windowEnd = c.sourceCycles;
   opts.retxLayer = c.linkLayer == LinkLayerKind::Retx;
   opts.mtbf = 0;
-  opts.allowPermanentOutage = true;
   return fault::generateRandomPlan(splitMix64(caseSeed ^ 0xFA017ull), opts);
 }
 

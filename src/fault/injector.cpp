@@ -99,7 +99,7 @@ void FaultInjector::detach() {
 
 FaultStats FaultInjector::stats() const {
   FaultStats s;
-  s.eventsApplied = eventsApplied_;
+  s.eventsApplied = cursor_;
   s.droppedPackets = sim_->droppedByFault();
   s.droppedFlits = sim_->droppedFlitsByFault();
   s.reroutes = reroutes_;
@@ -108,7 +108,12 @@ FaultStats FaultInjector::stats() const {
   s.recoveryCycles = recoveryCycles_;
   s.corruptedFlits = net_->totalCorruptedFlits();
   s.retransmittedFlits = net_->totalRetransmittedFlits();
-  s.softResets = softResets_;
+  const auto applied = plan_.events().begin() +
+                       static_cast<std::ptrdiff_t>(cursor_);
+  s.softResets = static_cast<std::uint64_t>(
+      std::count_if(plan_.events().begin(), applied, [](const FaultEvent& e) {
+        return e.kind == FaultKind::Reset;
+      }));
   return s;
 }
 
@@ -127,9 +132,9 @@ void FaultInjector::onCycleBegin(Cycle now) {
   const bool wasActive = degraded_.active();
   bool topoChanged = false;
   while (cursor_ < plan_.size() && plan_.events()[cursor_].at <= now) {
-    applyEvent(plan_.events()[cursor_], topoChanged);
-    ++cursor_;
-    ++eventsApplied_;
+    const FaultEvent& e = plan_.events()[cursor_++];
+    topoChanged |= applyLevel(e);
+    applyImpulse(e);
   }
   if (topoChanged) {
     degraded_.recompute();
@@ -148,66 +153,44 @@ void FaultInjector::onCycleBegin(Cycle now) {
   if (active) ++degradedCycles_;
 }
 
-void FaultInjector::applyEvent(const FaultEvent& e, bool& topoChanged) {
+bool FaultInjector::applyLevel(const FaultEvent& e) {
+  const bool retx = net_->config().linkLayer == LinkLayerKind::Retx;
+  const auto node = static_cast<std::size_t>(e.node);
   switch (e.kind) {
     case FaultKind::LinkDown:
-      degraded_.setLinkDead(e.node, e.dir, true);
-      topoChanged = true;
-      break;
     case FaultKind::LinkUp:
-      degraded_.setLinkDead(e.node, e.dir, false);
-      topoChanged = true;
-      break;
+      degraded_.setLinkDead(e.node, e.dir, e.kind == FaultKind::LinkDown);
+      return true;
     case FaultKind::PortStall:
       net_->router(e.node).stalledOutPorts_ |=
           1u << static_cast<unsigned>(e.dir);
-      break;
+      return false;
     case FaultKind::PortUnstall:
       net_->router(e.node).stalledOutPorts_ &=
           ~(1u << static_cast<unsigned>(e.dir));
-      break;
-    case FaultKind::CreditLoss:
-      // Only credits actually outstanding can be lost on the wire; the
-      // ledger records successful drops so the oracle's equations shift by
-      // exactly the destroyed amount.
-      for (int i = 0; i < e.count; ++i) {
-        if (net_->router(e.node).debugDropCredit(e.dir, e.vc))
-          ++lost_[lostIndex(e.node, static_cast<int>(e.dir), e.vc)];
-      }
-      break;
+      return false;
     case FaultKind::InjectFreeze:
-      net_->nic(e.node).injectFrozen_ = true;
-      break;
     case FaultKind::InjectThaw:
-      net_->nic(e.node).injectFrozen_ = false;
-      break;
-    case FaultKind::CorruptFlit:
-      net_->router(e.node)
-          .outLinks_[static_cast<std::size_t>(e.dir)]
-          ->corruptNext(e.count);
-      break;
-    case FaultKind::Reset: {
+      net_->nic(e.node).injectFrozen_ = e.kind == FaultKind::InjectFreeze;
+      return false;
+    case FaultKind::Reset:
       // Mark every incident channel dead (the node becomes its own
       // component: routing avoids it and reachability dooms traffic to
       // it). Under retx the receiving link ends additionally refuse
       // arrivals so the neighbors' replay buffers redeliver after
       // recovery. The in-router purge happens in applyTopologyChange.
-      inReset_[static_cast<std::size_t>(e.node)] = 1;
+      inReset_[node] = 1;
       ++numInReset_;
-      ++softResets_;
       for (int d = static_cast<int>(Dir::North); d < kNumPorts; ++d) {
         const Dir dir = static_cast<Dir>(d);
         if (net_->mesh().neighbor(e.node, dir))
           degraded_.setLinkDead(e.node, dir, true);
       }
-      if (net_->config().linkLayer == LinkLayerKind::Retx)
-        setNodeReceiverDown(e.node, true);
-      topoChanged = true;
-      break;
-    }
-    case FaultKind::Recover: {
-      if (!inReset_[static_cast<std::size_t>(e.node)]) break;  // stranded
-      inReset_[static_cast<std::size_t>(e.node)] = 0;
+      if (retx) setNodeReceiverDown(e.node, true);
+      return true;
+    case FaultKind::Recover:
+      if (!inReset_[node]) return false;  // stranded
+      inReset_[node] = 0;
       --numInReset_;
       for (int d = static_cast<int>(Dir::North); d < kNumPorts; ++d) {
         const Dir dir = static_cast<Dir>(d);
@@ -218,11 +201,28 @@ void FaultInjector::applyEvent(const FaultEvent& e, bool& topoChanged) {
         if (nb && !inReset_[static_cast<std::size_t>(*nb)])
           degraded_.setLinkDead(e.node, dir, false);
       }
-      if (net_->config().linkLayer == LinkLayerKind::Retx)
-        setNodeReceiverDown(e.node, false);
-      topoChanged = true;
-      break;
+      if (retx) setNodeReceiverDown(e.node, false);
+      return true;
+    case FaultKind::CreditLoss:
+    case FaultKind::CorruptFlit:
+      return false;  // impulses: applyImpulse
+  }
+  return false;
+}
+
+void FaultInjector::applyImpulse(const FaultEvent& e) {
+  if (e.kind == FaultKind::CreditLoss) {
+    // Only credits actually outstanding can be lost on the wire; the
+    // ledger records successful drops so the oracle's equations shift by
+    // exactly the destroyed amount.
+    for (int i = 0; i < e.count; ++i) {
+      if (net_->router(e.node).debugDropCredit(e.dir, e.vc))
+        ++lost_[lostIndex(e.node, static_cast<int>(e.dir), e.vc)];
     }
+  } else if (e.kind == FaultKind::CorruptFlit) {
+    net_->router(e.node)
+        .outLinks_[static_cast<std::size_t>(e.dir)]
+        ->corruptNext(e.count);
   }
 }
 
@@ -483,53 +483,16 @@ void FaultInjector::applyTopologyChange(Cycle now) {
 }
 
 void FaultInjector::save(snapshot::Writer& w) const {
-  const Mesh& mesh = net_->mesh();
-  const NodeId numNodes = mesh.numNodes();
-
+  // Levels (dead links, stalls, freezes, resets) are a function of the
+  // plan prefix: restore replays it. Only the cursor, the accounting and
+  // the credits the network actually lost are saved.
   w.u64(cursor_);
   w.u64(lastTopoChange_);
   w.u64(outageStart_);
-  w.u64(eventsApplied_);
   w.u64(reroutes_);
   w.u64(unreachablePairs_);
   w.u64(degradedCycles_);
   w.u64(recoveryCycles_);
-  w.u64(softResets_);
-
-  // Dead links, canonically keyed by their lower-id endpoint. Stall masks
-  // and freezes are read from the live routers/NICs, and resets stand for
-  // the receiver-down flags of their retx in-links (fault-owned state
-  // those elements deliberately do not serialize).
-  std::vector<std::pair<NodeId, Dir>> dead;
-  std::vector<std::pair<NodeId, std::uint32_t>> stalls;
-  std::vector<NodeId> frozen;
-  std::vector<NodeId> resets;
-  for (NodeId n = 0; n < numNodes; ++n) {
-    for (int d = static_cast<int>(Dir::North); d < kNumPorts; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      const auto nb = mesh.neighbor(n, dir);
-      if (nb && *nb > n && !degraded_.linkAlive(n, dir))
-        dead.emplace_back(n, dir);
-    }
-    const std::uint32_t mask = net_->router(n).stalledOutPorts_;
-    if (mask != 0) stalls.emplace_back(n, mask);
-    if (net_->nic(n).injectFrozen_) frozen.push_back(n);
-    if (inReset_[static_cast<std::size_t>(n)]) resets.push_back(n);
-  }
-  w.u32(static_cast<std::uint32_t>(dead.size()));
-  for (const auto& [n, dir] : dead) {
-    w.i32(n);
-    w.u8(static_cast<std::uint8_t>(dir));
-  }
-  w.u32(static_cast<std::uint32_t>(stalls.size()));
-  for (const auto& [n, mask] : stalls) {
-    w.i32(n);
-    w.u32(mask);
-  }
-  w.u32(static_cast<std::uint32_t>(frozen.size()));
-  for (const NodeId n : frozen) w.i32(n);
-  w.u32(static_cast<std::uint32_t>(resets.size()));
-  for (const NodeId n : resets) w.i32(n);
 
   std::uint32_t lostEntries = 0;
   for (const std::uint64_t v : lost_)
@@ -543,84 +506,35 @@ void FaultInjector::save(snapshot::Writer& w) const {
 }
 
 void FaultInjector::restore(snapshot::Reader& r) {
-  const Mesh& mesh = net_->mesh();
-  const NodeId numNodes = mesh.numNodes();
-
-  // Reset whatever this injector applied so far (restore may rewind a
-  // live, already-degraded run). Receiver-down flags, like stalls and
-  // freezes, are fault-owned state the network sections do not carry:
-  // they are re-applied from the restored reset set below.
-  const bool retx = net_->config().linkLayer == LinkLayerKind::Retx;
-  for (NodeId n = 0; n < numNodes; ++n) {
-    net_->router(n).stalledOutPorts_ = 0;
-    net_->nic(n).injectFrozen_ = false;
-    if (inReset_[static_cast<std::size_t>(n)]) {
-      inReset_[static_cast<std::size_t>(n)] = 0;
-      if (retx) setNodeReceiverDown(n, false);
-    }
-    for (int d = static_cast<int>(Dir::North); d < kNumPorts; ++d) {
-      const Dir dir = static_cast<Dir>(d);
-      if (mesh.neighbor(n, dir) && !degraded_.linkAlive(n, dir))
-        degraded_.setLinkDead(n, dir, false);
-    }
-  }
-  numInReset_ = 0;
-  std::fill(lost_.begin(), lost_.end(), 0);
-
   cursor_ = r.u64();
   RAIR_CHECK_MSG(cursor_ <= plan_.size(),
                  "fault restore: cursor beyond the attached plan");
   lastTopoChange_ = r.u64();
   outageStart_ = r.u64();
-  eventsApplied_ = r.u64();
   reroutes_ = r.u64();
   unreachablePairs_ = r.u64();
   degradedCycles_ = r.u64();
   recoveryCycles_ = r.u64();
-  softResets_ = r.u64();
 
-  // Every node id and direction below indexes live state, so each is
-  // checked before it is used.
-  const auto readNode = [&r, numNodes]() {
-    const NodeId n = r.i32();
-    RAIR_CHECK_MSG(n >= 0 && n < numNodes,
-                   "fault restore: node id outside the mesh");
-    return n;
-  };
-  const std::uint32_t numDead = r.u32();
-  for (std::uint32_t i = 0; i < numDead; ++i) {
-    const NodeId n = readNode();
-    const std::uint8_t d = r.u8();
-    RAIR_CHECK_MSG(d >= static_cast<std::uint8_t>(Dir::North) &&
-                       d <= static_cast<std::uint8_t>(Dir::West) &&
-                       mesh.neighbor(n, static_cast<Dir>(d)),
-                   "fault restore: dead-link direction has no channel");
-    degraded_.setLinkDead(n, static_cast<Dir>(d), true);
+  // Clear every level (restore may rewind a live, already-degraded run),
+  // then replay the applied plan prefix through the live path's level
+  // function. The network sections carry none of these flags.
+  const Mesh& mesh = net_->mesh();
+  const bool retx = net_->config().linkLayer == LinkLayerKind::Retx;
+  for (NodeId n = 0; n < mesh.numNodes(); ++n) {
+    net_->router(n).stalledOutPorts_ = 0;
+    net_->nic(n).injectFrozen_ = false;
+    if (retx) setNodeReceiverDown(n, false);
+    for (int d = static_cast<int>(Dir::North); d < kNumPorts; ++d)
+      if (mesh.neighbor(n, static_cast<Dir>(d)))
+        degraded_.setLinkDead(n, static_cast<Dir>(d), false);
   }
+  std::fill(inReset_.begin(), inReset_.end(), 0);
+  numInReset_ = 0;
+  for (std::size_t i = 0; i < cursor_; ++i) applyLevel(plan_.events()[i]);
   degraded_.recompute();
 
-  const std::uint32_t numStalls = r.u32();
-  for (std::uint32_t i = 0; i < numStalls; ++i) {
-    const NodeId n = readNode();
-    const std::uint32_t mask = r.u32();
-    RAIR_CHECK_MSG((mask >> kNumPorts) == 0,
-                   "fault restore: stall mask names no port");
-    net_->router(n).stalledOutPorts_ = mask;
-  }
-  const std::uint32_t numFrozen = r.u32();
-  for (std::uint32_t i = 0; i < numFrozen; ++i)
-    net_->nic(readNode()).injectFrozen_ = true;
-
-  const std::uint32_t numResets = r.u32();
-  for (std::uint32_t i = 0; i < numResets; ++i) {
-    const NodeId n = readNode();
-    RAIR_CHECK_MSG(!inReset_[static_cast<std::size_t>(n)],
-                   "fault restore: node listed twice in reset");
-    inReset_[static_cast<std::size_t>(n)] = 1;
-    ++numInReset_;
-    if (retx) setNodeReceiverDown(n, true);
-  }
-
+  std::fill(lost_.begin(), lost_.end(), 0);
   const std::uint32_t lostEntries = r.u32();
   for (std::uint32_t i = 0; i < lostEntries; ++i) {
     const std::uint64_t idx = r.u64();

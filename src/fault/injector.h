@@ -62,6 +62,14 @@
 // packets sourced at or destined to a node in reset are dropped at
 // creation through the deliverable() gate.
 //
+// Levels and impulses. Each event either sets a *level* — a dead link, a
+// stall bit, a freeze flag, a reset flag with its retx receiver-down
+// flags — or delivers an *impulse*: destroyed credits, corrupted flits.
+// Levels after the first k events are a pure function of the plan, so a
+// snapshot's "fault" section holds only the event cursor, the lost-credit
+// ledger and the run accounting; restore clears every level and replays
+// the applied prefix through the same level function the live path uses.
+//
 // The oracle is told about out-of-band mutation through the FaultView
 // interface (lastTopologyChange suppresses the one-state-per-cycle
 // transition check on exactly the mutated cycle; lostCredits enters the
@@ -133,7 +141,12 @@ class FaultInjector final : public SimObserver,
   }
 
  private:
-  void applyEvent(const FaultEvent& e, bool& topoChanged);
+  /// Sets the level `e` leaves behind (dead links, stall bits, freeze,
+  /// reset and receiver-down flags); true when the topology changed.
+  /// Shared by the live path and restore's replay.
+  bool applyLevel(const FaultEvent& e);
+  /// The live-only effect of `e`: credit loss into lost_, corruptNext.
+  void applyImpulse(const FaultEvent& e);
   /// The reconfiguration flush (steps 2-5 of the header comment).
   void applyTopologyChange(Cycle now);
   /// Marks/clears receiver-down on every link whose receiving end is
@@ -162,13 +175,12 @@ class FaultInjector final : public SimObserver,
   std::vector<std::uint8_t> inReset_;
   int numInReset_ = 0;
 
-  // FaultStats pieces maintained here (drops live on the simulator).
-  std::uint64_t eventsApplied_ = 0;
+  // FaultStats pieces maintained here (drops live on the simulator;
+  // applied events and soft resets are read off the plan prefix).
   std::uint64_t reroutes_ = 0;
   std::uint64_t unreachablePairs_ = 0;
   std::uint64_t degradedCycles_ = 0;
   std::uint64_t recoveryCycles_ = 0;
-  std::uint64_t softResets_ = 0;
 };
 
 }  // namespace rair::fault

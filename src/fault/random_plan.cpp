@@ -126,7 +126,7 @@ void sampleBudget(FaultPlan& plan, Sampler& s) {
   } else {
     const int outages = static_cast<int>(1 + s.rng.below(3));
     for (int i = 0; i < outages; ++i)
-      addOutage(plan, s, s.opts.allowPermanentOutage);
+      addOutage(plan, s, /*mayBePermanent=*/true);
   }
   // 0-2 port stalls and 0-1 injection freezes, always released: a
   // permanent stall would turn drain-to-quiescence into a false failure.

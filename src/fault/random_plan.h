@@ -6,7 +6,9 @@
 //   - Budget mode (mtbf == 0): the fuzzer's family — a small fixed-range
 //     budget per fault kind (1-3 outages or 1-4 corruption bursts, 0-2
 //     stalls, 0-1 freezes, 0-2 credit losses), sized for the tiny meshes
-//     property tests drain to quiescence.
+//     property tests drain to quiescence. About 1 in 4 of its outages
+//     never restores, possibly partitioning the mesh; the drain then runs
+//     unreachable traffic through the accounted drop bucket.
 //   - MTBF mode (mtbf > 0): one event expected every `mtbf` cycles across
 //     the window, kinds drawn uniformly from the active family — the
 //     campaign's fault-density axis, where a density multiplier scales
@@ -17,8 +19,9 @@
 // (recovery is retransmission). Both families add port stalls, injection
 // freezes, credit losses and router soft resets, always bounded so the
 // plan stays liveness-safe: every stall/freeze is released, credit loss
-// never touches escape VCs, permanent outages are opt-in, and soft resets
-// are always recovered and never overlap in time (at most one node is in
+// never touches escape VCs, MTBF-mode outages always restore (a permanent
+// partition would dominate the measurement window), and soft resets are
+// always recovered and never overlap in time (at most one node is in
 // reset at any instant).
 #pragma once
 
@@ -43,10 +46,6 @@ struct RandomPlanOptions {
   bool retxLayer = false;
   /// 0 = budget mode; > 0 = MTBF mode (see header comment).
   Cycle mtbf = 0;
-  /// Budget mode, ideal layer only: ~1 in 4 outages never restores
-  /// (possibly partitioning the mesh). Off for campaign plans, where a
-  /// permanent partition would dominate the measurement window.
-  bool allowPermanentOutage = true;
 };
 
 /// Expands `seed` into a plan, bit-reproducibly: same (seed, opts), same

@@ -158,8 +158,9 @@ void RetxLink::corruptNext(int count) {
 // ---- Snapshot ----------------------------------------------------------
 
 namespace {
-// v3: the receiver-down flag left the section (the fault section carries
-// soft resets); v2 added the per-entry tombstone flag.
+// v3: the receiver-down flag left the section (the fault section's
+// restore sets it by replaying the applied resets); v2 added the
+// per-entry tombstone flag.
 constexpr std::uint8_t kRetxSectionVersion = 3;
 }  // namespace
 

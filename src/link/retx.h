@@ -171,8 +171,9 @@ class RetxLink final : public LinkLayer {
   bool nakPending_ = false;      ///< staged go-back request
   std::uint64_t nakSeq_ = 0;     ///< sequence captured when the NAK staged
   bool nakArmed_ = false;        ///< suppress duplicate NAKs for one gap
-  /// Downstream router in soft reset. Owned by the fault injector, which
-  /// re-applies it on restore; the link's snapshot does not carry it.
+  /// Downstream router in soft reset. Owned by the fault injector, whose
+  /// restore replays the applied resets to set it; the link's snapshot
+  /// does not carry it.
   bool receiverDown_ = false;
 
   // Lifetime counters (surface through FaultStats).

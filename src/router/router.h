@@ -302,7 +302,7 @@ class Router {
   /// Fault-injected SA gate: bit p set means no input VC may win switch
   /// allocation toward output port p this cycle (a stalled crossbar
   /// output). Maintained by the fault injector; not serialized — the
-  /// snapshot's fault section re-applies active stalls on restore.
+  /// fault section's restore replays the applied plan prefix to set it.
   std::uint32_t stalledOutPorts_ = 0;
 
   // Per-port bitmask of input VCs in each pipeline state (bit = VC index).

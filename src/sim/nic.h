@@ -129,7 +129,8 @@ class Nic {
   NicEvents* events_ = nullptr;
   /// Fault-injected injection freeze: claims and injection stop, credits
   /// and ejection continue. Maintained by the fault injector; not
-  /// serialized — the snapshot's fault section re-applies it on restore.
+  /// serialized — the fault section's restore replays the applied plan
+  /// prefix to set it.
   bool injectFrozen_ = false;
 };
 

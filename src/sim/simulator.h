@@ -185,7 +185,7 @@ class Simulator final : public InjectionSink, private NicEvents {
     /// (possibly degraded) topology.
     virtual bool deliverable(NodeId src, NodeId dst) const = 0;
     /// Whether the hook currently holds state the snapshot must carry
-    /// (pending events, dead links, stalls, freezes, lost credits).
+    /// (an event cursor, run accounting, lost credits).
     virtual bool snapshotRelevant() const = 0;
     virtual void save(snapshot::Writer& w) const = 0;
     virtual void restore(snapshot::Reader& r) = 0;

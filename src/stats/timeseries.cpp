@@ -1,8 +1,5 @@
 #include "stats/timeseries.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/assert.h"
 
 namespace rair {
@@ -24,55 +21,6 @@ void TimeSeries::recordDelivery(const Packet& p) {
   ++iv.packets;
   iv.flits += p.numFlits;
   iv.latencySum += static_cast<double>(p.totalLatency());
-}
-
-double TimeSeries::tailMeanLatency(std::size_t n) const {
-  if (intervals_.empty() || n == 0) return 0.0;
-  const std::size_t from = intervals_.size() > n ? intervals_.size() - n : 0;
-  double sum = 0.0;
-  std::uint64_t pkts = 0;
-  for (std::size_t i = from; i < intervals_.size(); ++i) {
-    sum += intervals_[i].latencySum;
-    pkts += intervals_[i].packets;
-  }
-  return pkts ? sum / static_cast<double>(pkts) : 0.0;
-}
-
-double TimeSeries::latencyTrend(std::size_t from, std::size_t to) const {
-  to = std::min(to, intervals_.size());
-  // Ordinary least squares on (interval index, mean latency), skipping
-  // empty intervals.
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  int n = 0;
-  for (std::size_t i = from; i < to; ++i) {
-    if (intervals_[i].packets == 0) continue;
-    const double x = static_cast<double>(i);
-    const double y = intervals_[i].meanLatency();
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    sxy += x * y;
-    ++n;
-  }
-  if (n < 2) return 0.0;
-  const double denom = n * sxx - sx * sx;
-  if (std::abs(denom) < 1e-12) return 0.0;
-  return (n * sxy - sx * sy) / denom;
-}
-
-bool TimeSeries::stationary(double tolerance) const {
-  if (intervals_.size() < 2) return true;
-  double sum = 0.0;
-  std::uint64_t pkts = 0;
-  for (const auto& iv : intervals_) {
-    sum += iv.latencySum;
-    pkts += iv.packets;
-  }
-  if (pkts == 0) return true;
-  const double mean = sum / static_cast<double>(pkts);
-  const double trend = latencyTrend(0, intervals_.size());
-  const double drift = std::abs(trend) * static_cast<double>(intervals_.size());
-  return drift <= tolerance * mean;
 }
 
 }  // namespace rair

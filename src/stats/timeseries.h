@@ -1,11 +1,6 @@
-// Interval time series: per-window averages of latency and throughput,
-// for convergence/stability analysis of simulation runs.
-//
-// The paper's methodology (warm up, then measure a fixed window) assumes
-// the network has reached steady state; this collector makes that
-// verifiable: record every delivery into fixed-width intervals and check
-// that per-interval APL is stationary (no upward drift = stable, offered
-// load below saturation).
+// Interval time series: every delivery recorded into fixed-width
+// intervals of packets, flits and summed latency. The metrics recorder's
+// `series` level writes one line per interval from it.
 #pragma once
 
 #include <cstdint>
@@ -38,21 +33,6 @@ class TimeSeries {
 
   const std::vector<IntervalStats>& intervals() const { return intervals_; }
   Cycle intervalCycles() const { return interval_; }
-
-  /// Mean per-interval latency over the last `n` complete intervals.
-  double tailMeanLatency(std::size_t n) const;
-
-  /// Linear-regression slope of per-interval mean latency (cycles of APL
-  /// per interval), over intervals [from, to). A clearly positive slope
-  /// indicates an unstable (super-saturated) run. Returns 0 with fewer
-  /// than two populated intervals.
-  double latencyTrend(std::size_t from, std::size_t to) const;
-
-  /// Convenience stability check: the total drift implied by the trend
-  /// across the whole series (|trend| x number of intervals) stays below
-  /// `tolerance` x the overall mean latency. A super-saturated run drifts
-  /// by multiples of its mean and fails this decisively.
-  bool stationary(double tolerance = 0.1) const;
 
  private:
   Cycle interval_;

@@ -492,8 +492,9 @@ TEST(FaultSnapshot, MidOutageCheckpointResumeMatchesStraightRun) {
   const std::string dir = ::testing::TempDir() + "rair_fault_mid";
   const std::string path = testutil::checkpointPath(dir, spec);
   snapshot::removeFile(path);
-  // 3000 is inside the outage: the checkpoint carries dead links, the
-  // lost-credit ledger and a pending stall release.
+  // 3000 is inside the outage: restoring the checkpoint's cursor replays
+  // the dead link and the stall, whose releases are still pending, and
+  // the checkpoint carries the lost-credit ledger.
   ASSERT_TRUE(writeScenarioCheckpoint(spec, 3'000, path));
 
   // Resume on a different thread count than the straight run.
@@ -511,60 +512,43 @@ TEST(FaultSnapshot, MidOutageCheckpointResumeMatchesStraightRun) {
 }
 
 #if defined(GTEST_HAS_DEATH_TEST)
-std::uint32_t loadU32(const std::vector<std::uint8_t>& b, std::size_t at) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
+/// The little-endian `width`-byte integer at `at`.
+std::uint64_t loadLe(const std::vector<std::uint8_t>& b, std::size_t at,
+                     std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i)
+    v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
   return v;
 }
 
-void storeU32(std::vector<std::uint8_t>& b, std::size_t at, std::uint32_t v) {
-  for (std::size_t i = 0; i < 4; ++i)
+void storeU64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
     b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-TEST(FaultSnapshotDeathTest, BadNodeDirectionOrMaskFailsToRestore) {
-  // The fault section names the nodes and directions of its dead links,
-  // stalls, frozen NICs and resets; each indexes live state, so a restore
-  // refuses one that is out of range instead of writing past it.
+TEST(FaultSnapshotDeathTest, CursorOrLostCreditIndexOutOfRangeFailsToRestore) {
+  // The fault section holds two values restore indexes with: the event
+  // cursor (the plan prefix it replays) and each lost-credit entry's
+  // table index. A restore refuses either out of range instead of
+  // reading past the plan or writing past the table.
   Mesh mesh(8, 8);
   const RegionMap regions = RegionMap::halves(mesh);
-  FaultPlan plan;
-  plan.linkOutage(2'000, mesh.nodeAt({3, 3}), Dir::East, 3'000);
-  plan.portStall(2'600, mesh.nodeAt({1, 5}), Dir::North, 1'000);
-  plan.injectFreeze(2'500, mesh.nodeAt({2, 6}), 1'000);
-  plan.softReset(2'000, mesh.nodeAt({1, 1}), 3'000);
-  plan.softReset(2'000, mesh.nodeAt({6, 6}), 3'000);
-  const ScenarioSpec spec = midOutageSpec(mesh, regions).withFaults(plan);
+  const ScenarioSpec spec = midOutageSpec(mesh, regions);
   const std::vector<std::uint8_t> good = serializedAfter(spec, 3'000, false);
   const auto sections = snapshot::listSections(good);
   ASSERT_EQ(sections.back().name, "fault");
 
-  // FaultInjector::save layout: nine u64 counters, then four lists, each a
-  // u32 count: dead links (i32 node, u8 dir), stalls (i32 node, u32
-  // mask), frozen NICs (i32 node) and resets (i32 node).
-  const std::size_t deadAt = sections.back().offset + 9 * 8;
-  const std::uint32_t numDead = loadU32(good, deadAt);
-  const std::size_t stallsAt = deadAt + 4 + numDead * 5;
-  ASSERT_EQ(loadU32(good, stallsAt), 1u);
-  const std::size_t frozenAt = stallsAt + 4 + 8;
-  ASSERT_EQ(loadU32(good, frozenAt), 1u);
-  const std::size_t resetsAt = frozenAt + 4 + 4;
-  ASSERT_EQ(loadU32(good, resetsAt), 2u);
-  // The first dead channel is (1,0)-(1,1), keyed by its lower id: (1,0)
-  // facing South.
-  ASSERT_EQ(loadU32(good, deadAt + 4),
-            static_cast<std::uint32_t>(mesh.nodeAt({1, 0})));
-  ASSERT_EQ(good[deadAt + 8], static_cast<std::uint8_t>(Dir::South));
+  // FaultInjector::save layout: the u64 cursor, six u64 accumulators,
+  // then a u32 count of (u64 index, u64 credits) lost-credit entries.
+  const std::size_t cursorAt = sections.back().offset;
+  const std::size_t lostAt = cursorAt + 7 * 8;
+  ASSERT_EQ(loadLe(good, cursorAt, 8), 3u)
+      << "the stall release and the link's up event should be pending";
+  ASSERT_EQ(loadLe(good, lostAt, 4), 1u) << "the credit loss should land";
 
-  const auto patched = [&](std::size_t at, std::uint32_t value) {
+  const auto patched = [&](std::size_t at, std::uint64_t value) {
     std::vector<std::uint8_t> bytes = good;
-    storeU32(bytes, at, value);
-    return bytes;
-  };
-  const auto withDir = [&](std::uint8_t dir) {
-    std::vector<std::uint8_t> bytes = good;
-    bytes[deadAt + 8] = dir;
+    storeU64(bytes, at, value);
     return bytes;
   };
   const auto restoreInto = [&](const std::vector<std::uint8_t>& bytes) {
@@ -574,28 +558,18 @@ TEST(FaultSnapshotDeathTest, BadNodeDirectionOrMaskFailsToRestore) {
   };
 
   restoreInto(good);  // the unpatched payload restores
-  const auto numNodes = static_cast<std::uint32_t>(mesh.numNodes());
-  EXPECT_DEATH(restoreInto(patched(deadAt + 4, numNodes)),
-               "node id outside the mesh");
-  EXPECT_DEATH(restoreInto(patched(deadAt + 4, 0xFFFFFFFFu)),
-               "node id outside the mesh");
-  EXPECT_DEATH(restoreInto(patched(stallsAt + 4, numNodes)),
-               "node id outside the mesh");
-  EXPECT_DEATH(restoreInto(patched(frozenAt + 4, numNodes)),
-               "node id outside the mesh");
-  EXPECT_DEATH(restoreInto(patched(resetsAt + 8, numNodes)),
-               "node id outside the mesh");
-  EXPECT_DEATH(restoreInto(withDir(7)),
-               "dead-link direction has no channel");
-  EXPECT_DEATH(restoreInto(withDir(static_cast<std::uint8_t>(Dir::Local))),
-               "dead-link direction has no channel");
-  // (1,0) sits on the top edge: it has no North channel.
-  EXPECT_DEATH(restoreInto(withDir(static_cast<std::uint8_t>(Dir::North))),
-               "dead-link direction has no channel");
-  EXPECT_DEATH(restoreInto(patched(stallsAt + 8, 1u << kNumPorts)),
-               "stall mask names no port");
-  EXPECT_DEATH(restoreInto(patched(resetsAt + 8, loadU32(good, resetsAt + 4))),
-               "node listed twice in reset");
+  restoreInto(patched(cursorAt, spec.faults.size()));  // every event applied
+  EXPECT_DEATH(restoreInto(patched(cursorAt, spec.faults.size() + 1)),
+               "cursor beyond the attached plan");
+  EXPECT_DEATH(restoreInto(patched(cursorAt, ~0ull)),
+               "cursor beyond the attached plan");
+  const AssembledScenario probe = assembleScenario(spec);
+  const std::uint64_t tableSize =
+      static_cast<std::uint64_t>(mesh.numNodes()) * kNumPorts *
+      static_cast<std::uint64_t>(probe.sim->network().layout().totalVcs());
+  EXPECT_DEATH(restoreInto(patched(lostAt + 4, tableSize)),
+               "lost-credit index");
+  EXPECT_DEATH(restoreInto(patched(lostAt + 4, ~0ull)), "lost-credit index");
 }
 #endif
 

@@ -27,46 +27,5 @@ TEST(TimeSeries, BucketsByDeliveryCycle) {
   EXPECT_EQ(ts.intervals()[1].start, 100u);
 }
 
-TEST(TimeSeries, EmptyIsStationary) {
-  TimeSeries ts(100);
-  EXPECT_TRUE(ts.stationary());
-  EXPECT_EQ(ts.latencyTrend(0, 10), 0.0);
-  EXPECT_EQ(ts.tailMeanLatency(5), 0.0);
-}
-
-TEST(TimeSeries, FlatSeriesIsStationary) {
-  TimeSeries ts(10);
-  for (Cycle t = 0; t < 500; t += 5) ts.recordDelivery(deliveredAt(t, 20));
-  EXPECT_TRUE(ts.stationary());
-  EXPECT_NEAR(ts.latencyTrend(0, ts.intervals().size()), 0.0, 1e-9);
-}
-
-TEST(TimeSeries, GrowingLatencyIsNotStationary) {
-  TimeSeries ts(10);
-  // Latency grows linearly with time: a super-saturated network.
-  for (Cycle t = 10; t < 1000; t += 5)
-    ts.recordDelivery(deliveredAt(t, t));
-  EXPECT_FALSE(ts.stationary());
-  EXPECT_GT(ts.latencyTrend(0, ts.intervals().size()), 1.0);
-}
-
-TEST(TimeSeries, TailMeanUsesLastIntervals) {
-  TimeSeries ts(10);
-  for (Cycle t = 0; t < 100; t += 2) ts.recordDelivery(deliveredAt(t, 10));
-  for (Cycle t = 100; t < 200; t += 2)
-    ts.recordDelivery(deliveredAt(t, 50));
-  // Last 10 intervals cover cycles 100..200 only.
-  EXPECT_DOUBLE_EQ(ts.tailMeanLatency(10), 50.0);
-  // All intervals: mixture.
-  EXPECT_NEAR(ts.tailMeanLatency(100), 30.0, 1e-9);
-}
-
-TEST(TimeSeries, TrendIgnoresEmptyIntervals) {
-  TimeSeries ts(10);
-  ts.recordDelivery(deliveredAt(5, 10));
-  ts.recordDelivery(deliveredAt(95, 10));  // intervals 1..8 are empty
-  EXPECT_NEAR(ts.latencyTrend(0, ts.intervals().size()), 0.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace rair
